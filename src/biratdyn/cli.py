@@ -87,7 +87,6 @@ from .stability import (
     backward_summability,
     check_orbit_separation,
     forward_summability,
-    separation_diagnostic,
 )
 
 EXIT_OK = 0
@@ -285,7 +284,7 @@ def cmd_stability(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> in
     }
     doc["forward"] = json.loads(fwd.to_json())
     doc["backward"] = None if bwd is None else json.loads(bwd.to_json())
-    doc["separation_diagnostic"] = separation_diagnostic(f, n)
+    doc["separation_diagnostic"] = sep.min_distance
     _write_json(out / f"stability_{_safe_name(f)}.json", doc)
     print(f"separation: {sep}")
     print(f"forward: {fwd.verdict}" + ("" if bwd is None else f", backward: {bwd.verdict}"))

@@ -7,6 +7,9 @@ chordal metric, and gcd of polynomial families.
 
 Exact objects use `fractions.Fraction` components, so coefficient growth
 is limited only by memory; floating objects use complex128 throughout.
+Chordal distances and proportionality between exact points are decided in
+Gaussian-integer arithmetic on denominator-free coordinates (Python ints),
+and a distance strictly between 0 and 1 is rounded to a float only once.
 """
 
 from __future__ import annotations
@@ -164,7 +167,7 @@ class ProjectivePoint:
     `numeric()`.
     """
 
-    __slots__ = ("coords", "exact")
+    __slots__ = ("coords", "exact", "_integer_cache")
 
     def __init__(self, coords: Sequence, exact: bool | None = None):
         coords = tuple(coords)
@@ -185,6 +188,7 @@ class ProjectivePoint:
                 raise GeometryError("zero or non-finite vector does not define a projective point")
             object.__setattr__(self, "coords", v / n)
             object.__setattr__(self, "exact", False)
+        object.__setattr__(self, "_integer_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjectivePoint is immutable")
@@ -222,25 +226,30 @@ class ProjectivePoint:
         v = self.unit_vector()
         return int(np.argmax(np.abs(v)))
 
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """Exact coordinates times their least common denominator, as the
+        flat Python-int tuple (re0, im0, re1, im1, re2, im2), together with
+        its squared Euclidean norm.  Computed once per exact point."""
+        form = self._integer_cache
+        if form is None:
+            parts = [part for c in self.coords for part in (c.re, c.im)]
+            den = math.lcm(*(part.denominator for part in parts))
+            ints = tuple(part.numerator * (den // part.denominator) for part in parts)
+            form = (ints, sum(v * v for v in ints))
+            object.__setattr__(self, "_integer_cache", form)
+        return form
+
     def scaled_integer_coords(self) -> tuple[ComplexRational, ComplexRational, ComplexRational]:
         """Rescale an exact point so all components are Gaussian integers
         with no common integer factor.  Keeps orbit coordinates small."""
         if not self.exact:
             raise GeometryError("scaled_integer_coords needs an exact point")
-        den = 1
-        for c in self.coords:
-            den = den * c.re_den // math.gcd(den, c.re_den)
-            den = den * c.im_den // math.gcd(den, c.im_den)
-        ints = []
-        for c in self.coords:
-            ints.append((c.re_num * (den // c.re_den), c.im_num * (den // c.im_den)))
-        g = 0
-        for a, b in ints:
-            g = math.gcd(g, abs(a))
-            g = math.gcd(g, abs(b))
-        if g == 0:
-            g = 1
-        return tuple(ComplexRational(Fraction(a // g), Fraction(b // g)) for a, b in ints)
+        ints, _ = self._integer_form()
+        g = math.gcd(*ints) or 1
+        return tuple(
+            ComplexRational(Fraction(ints[k] // g), Fraction(ints[k + 1] // g))
+            for k in (0, 2, 4)
+        )
 
     def reduced(self) -> "ProjectivePoint":
         """Content-free Gaussian-integer representative of an exact point."""
@@ -255,12 +264,7 @@ class ProjectivePoint:
         """Projective equality: exact proportionality when both points are
         exact, chordal distance below eps otherwise."""
         if self.exact and other.exact:
-            p, q = self.coords, other.coords
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if not (p[i] * q[j] - p[j] * q[i]).is_zero():
-                        return False
-            return True
+            return _wedge_norm2(self._integer_form()[0], other._integer_form()[0]) == 0
         return proj_distance(self, other) < eps
 
     def __repr__(self):
@@ -271,26 +275,36 @@ class ProjectivePoint:
         return f"[{inner}]"
 
 
+def _wedge_norm2(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    """|a ^ b|^2 = sum over i < j of |a_i b_j - a_j b_i|^2 for Gaussian-integer
+    vectors given as flat (re0, im0, re1, im1, re2, im2) int tuples."""
+    total = 0
+    for i, j in ((0, 2), (0, 4), (2, 4)):
+        re = a[i] * b[j] - a[i + 1] * b[j + 1] - a[j] * b[i] + a[j + 1] * b[i + 1]
+        im = a[i] * b[j + 1] + a[i + 1] * b[j] - a[j] * b[i + 1] - a[j + 1] * b[i]
+        total += re * re + im * im
+    return total
+
+
 def proj_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     """Fubini-Study chordal distance on P^2, valued in [0, 1].
 
     dist(p, q) = |p ^ q| / (|p| |q|) = sqrt(1 - |<p_hat, q_hat>|^2),
     computed through the wedge product, which is stable at both distance
-    scales and admits exact 0 / 1 answers for exact inputs.
+    scales.  For two exact points the squared wedge and the squared norms
+    are Python ints on the points' Gaussian-integer forms, so 0 and 1 are
+    decided exactly; any other ratio is rounded once by correctly rounded
+    int / int division before the square root.
     """
     if p.exact and q.exact:
-        a, b = p.coords, q.coords
-        wedge = Fraction(0)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                wedge += (a[i] * b[j] - a[j] * b[i]).abs2()
-        n2 = sum(c.abs2() for c in a) * sum(c.abs2() for c in b)
-        ratio = wedge / n2
-        if ratio == 0:
+        (a, na), (b, nb) = p._integer_form(), q._integer_form()
+        wedge = _wedge_norm2(a, b)
+        n2 = na * nb
+        if wedge == 0:
             return 0.0
-        if ratio == 1:
+        if wedge == n2:
             return 1.0
-        return math.sqrt(float(ratio))
+        return math.sqrt(wedge / n2)
     u, v = p.unit_vector(), q.unit_vector()
     w0 = u[0] * v[1] - u[1] * v[0]
     w1 = u[0] * v[2] - u[2] * v[0]
@@ -529,11 +543,12 @@ def _sympy():
 
 def to_sympy(poly: HomogeneousPolynomial):
     sympy, gens = _sympy()
-    expr = sympy.Integer(0)
+    terms = []
     for (i, j, k), c in poly.terms.items():
         coeff = sympy.Rational(c.re_num, c.re_den) + sympy.I * sympy.Rational(c.im_num, c.im_den)
-        expr += coeff * gens[0] ** i * gens[1] ** j * gens[2] ** k
-    return expr
+        terms.append(coeff * gens[0] ** i * gens[1] ** j * gens[2] ** k)
+    # one n-ary Add: repeated `+=` re-flattens the growing sum, quadratic in terms
+    return sympy.Add(*terms)
 
 
 def from_sympy(expr) -> HomogeneousPolynomial:

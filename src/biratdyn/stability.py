@@ -135,6 +135,7 @@ class SeparationVerdict:
     through: int  # horizon checked (meaningful when holds)
     fails_at: int | None = None
     witness: ProjectivePoint | None = None
+    min_distance: float = math.inf  # over all orbit pairs; inf if a set is empty
 
     def __str__(self):
         if self.holds:
@@ -382,7 +383,8 @@ def check_orbit_separation(
     at which some forward-orbit point (of the inverse's indeterminacy set)
     comes within tolerance of some backward-orbit point (of the map's own
     indeterminacy set), where ``n`` is the larger of the two orbit steps
-    involved.  Returns a holding verdict with the horizon otherwise.
+    involved.  Returns a holding verdict with the horizon otherwise.  Either
+    verdict carries the tolerance-free :func:`separation_diagnostic` value.
     """
     if f.inverse is None:
         raise StabilityError("separation check needs the inverse map")
@@ -390,29 +392,23 @@ def check_orbit_separation(
     bwd = _orbit_points(
         exceptional_orbits(f.inverse, N, eps_indeterminacy=eps_indeterminacy)
     )
-    best = (math.inf, None, None)
+    fails_at, witness, min_distance = None, None, math.inf
     for i, p in fwd:
         for j, q in bwd:
             d = proj_distance(p, q)
+            min_distance = min(min_distance, d)
             stage = max(i, j)
-            if d < eps_indeterminacy and stage < best[0]:
-                best = (stage, p, d)
-    if best[1] is not None:
-        return SeparationVerdict(holds=False, through=N, fails_at=best[0], witness=best[1])
-    return SeparationVerdict(holds=True, through=N)
+            if d < eps_indeterminacy and (fails_at is None or stage < fails_at):
+                fails_at, witness = stage, p
+    return SeparationVerdict(holds=witness is None, through=N, fails_at=fails_at,
+                             witness=witness, min_distance=min_distance)
 
 
 def separation_diagnostic(f: RationalSurfaceMap, N: int) -> float:
     """Minimum chordal distance between the truncated forward orbit set of
     the inverse's indeterminacy points and the backward orbit set of the
     map's own; infinity when either set is empty."""
-    if f.inverse is None:
-        raise StabilityError("separation diagnostic needs the inverse map")
-    fwd = [p for _, p in _orbit_points(exceptional_orbits(f, N))]
-    bwd = [p for _, p in _orbit_points(exceptional_orbits(f.inverse, N))]
-    if not fwd or not bwd:
-        return math.inf
-    return min(proj_distance(p, q) for p in fwd for q in bwd)
+    return check_orbit_separation(f, N).min_distance
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from biratdyn.geometry import ProjectivePoint
+from biratdyn.geometry import ProjectivePoint, proj_distance
 from biratdyn.maps import compose
 from biratdyn.stability import (
     backward_summability,
@@ -132,6 +132,21 @@ class TestSeparation:
         assert separation_diagnostic(henon_map(), 20) == 1.0
         assert separation_diagnostic(cremona_involution(), 5) == 0.0
         assert separation_diagnostic(diagonal_scaling_map(), 5) == math.inf
+
+    @pytest.mark.parametrize(
+        "make_map, N, expected",
+        [(henon_map, 20, 1.0), (cremona_involution, 5, 0.0),
+         (diagonal_scaling_map, 5, math.inf), (lsigma_map, 6, 0.011223210254610594)],
+    )
+    def test_min_distance_is_all_pairs_minimum(self, make_map, N, expected):
+        f = make_map()
+        fwd = [e.point for o in exceptional_orbits(f, N).orbits for e in o.entries
+               if e.point is not None]
+        bwd = [e.point for o in exceptional_orbits(f.inverse, N).orbits for e in o.entries
+               if e.point is not None]
+        all_pairs = min((proj_distance(p, q) for p in fwd for q in bwd), default=math.inf)
+        v = check_orbit_separation(f, N)
+        assert v.min_distance == all_pairs == separation_diagnostic(f, N) == expected
 
 
 class TestSummabilityCore:
