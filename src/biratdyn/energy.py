@@ -29,6 +29,11 @@ these two densities:
 * ``pushforward_energy_check`` -- the change-of-variables identity
   relating |u ∘ f|_T on a source window to |u| against the pushed-forward
   form on the image window.
+
+The map's chart expression and its Jacobian come from ``maps.ChartMap``
+and chart points from ``maps.chart_embed``/``chart_coords``; this module
+reads the kernel's guard margins and raises ``ChartMeetsExceptionalSet``
+when a window degenerates.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .geometry import ProjectivePoint
-from .maps import RationalSurfaceMap
+from .maps import ChartMap, RationalSurfaceMap, chart_coords, chart_embed
 
 __all__ = [
     "EnergyError",
@@ -71,16 +76,6 @@ __all__ = [
 
 class EnergyError(Exception):
     """Base error for the discrete energy layer."""
-
-
-def embed_chart_point(chart_index: int, c1: complex, c2: complex) -> ProjectivePoint:
-    """Homogeneous point for affine coordinates (c1, c2) of a chart."""
-    vals: list[complex] = [0j, 0j, 0j]
-    others = [i for i in range(3) if i != chart_index]
-    vals[chart_index] = 1.0 + 0j
-    vals[others[0]] = complex(c1)
-    vals[others[1]] = complex(c2)
-    return ProjectivePoint.numeric_point(*vals)
 
 
 class NonPositiveT(EnergyError):
@@ -139,12 +134,8 @@ class GridChart:
 
     @property
     def affine_center(self) -> tuple[complex, complex]:
-        vec = self.center.unit_vector()
-        others = [i for i in range(3) if i != self.chart]
-        return (
-            complex(vec[others[0]] / vec[self.chart]),
-            complex(vec[others[1]] / vec[self.chart]),
-        )
+        c1, c2 = chart_coords(self.chart, self.center.unit_vector())
+        return complex(c1), complex(c2)
 
     @property
     def step(self) -> float:
@@ -174,10 +165,6 @@ class GridChart:
         z1 = ax0[:, None, None, None] + 1j * ax1[None, :, None, None]
         z2 = ax2[None, None, :, None] + 1j * ax3[None, None, None, :]
         return z1, z2
-
-    def embed(self, c1: complex, c2: complex) -> ProjectivePoint:
-        """Homogeneous point for chart coordinates (c1, c2)."""
-        return embed_chart_point(self.chart, c1, c2)
 
     def contains(self, c1: complex, c2: complex, pad: float = 1e-12) -> bool:
         a1, a2 = self.affine_center
@@ -750,98 +737,29 @@ def cauchy_diagnostic(
 # ---------------------------------------------------------------------------
 
 
-def _poly_on_grid(poly, hom) -> np.ndarray:
-    """Evaluate a homogeneous polynomial at (x, y, t) given as arrays or
-    scalars, looping over terms to keep intermediates node-sized."""
-    exps, coeffs = poly._numeric_tables() if poly.terms else (None, None)
-    if exps is None:
-        return np.complex128(0.0)
-    acc = None
-    for (e0, e1, e2), cf in zip(exps, coeffs):
-        term = np.complex128(cf)
-        if e0:
-            term = term * hom[0] ** int(e0)
-        if e1:
-            term = term * hom[1] ** int(e1)
-        if e2:
-            term = term * hom[2] ** int(e2)
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def _coeff_scale(poly) -> float:
     return max(abs(complex(c)) for c in poly.terms.values()) if poly.terms else 0.0
 
 
-class _ChartMapEvaluator:
-    """Vectorized chart-to-chart evaluation of a plane map with Jacobians."""
-
-    def __init__(self, f: RationalSurfaceMap, chart_in: int, chart_out: int):
-        self.f = f
-        self.chart_in = chart_in
-        self.chart_out = chart_out
-        self.in_vars = [i for i in range(3) if i != chart_in]
-        self.out_vars = [i for i in range(3) if i != chart_out]
-        self.dpolys = [
-            [f.components[i].derivative(v) for v in self.in_vars] for i in range(3)
-        ]
-        self.denominator_small = math.inf
-        self.denominator_large = 0.0
-        self.jacobian_small = math.inf
-        self.jacobian_large = 0.0
-
-    def hom(self, z1, z2):
-        vec: list = [None, None, None]
-        vec[self.chart_in] = 1.0
-        vec[self.in_vars[0]] = z1
-        vec[self.in_vars[1]] = z2
-        return vec
-
-    def __call__(self, z1, z2):
-        """Return image coordinates (w1, w2) in the target chart and the
-        2x2 Jacobian entries (J[l][j] = dw_l / dz_j)."""
-        hom = self.hom(z1, z2)
-        F = [_poly_on_grid(c, hom) for c in self.f.components]
-        D = np.asarray(F[self.chart_out])
-        absd = np.abs(D)
-        self.denominator_small = min(self.denominator_small, float(np.min(absd)))
-        self.denominator_large = max(self.denominator_large, float(np.max(absd)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w1 = F[self.out_vars[0]] / D
-            w2 = F[self.out_vars[1]] / D
-            dF = [
-                [_poly_on_grid(self.dpolys[i][j], hom) for j in range(2)]
-                for i in range(3)
-            ]
-            J = [[None, None], [None, None]]
-            for l, out in enumerate(self.out_vars):
-                for j in range(2):
-                    J[l][j] = (dF[out][j] * D - F[out] * dF[self.chart_out][j]) / (D * D)
-        det = np.abs(J[0][0] * J[1][1] - J[0][1] * J[1][0])
-        self.jacobian_small = min(self.jacobian_small, float(np.min(det)))
-        self.jacobian_large = max(self.jacobian_large, float(np.max(det)))
-        return w1, w2, J
-
-    def check_guards(self) -> None:
-        if self.denominator_small < 1e-9 * max(self.denominator_large, 1e-300):
-            raise ChartMeetsExceptionalSet(
-                "image of the window degenerates toward the target chart's line at infinity"
-            )
-        if self.jacobian_small < 1e-10 * max(self.jacobian_large, 1e-300):
-            raise ChartMeetsExceptionalSet(
-                "window meets the critical set: chart Jacobian degenerates"
-            )
+def _check_guards(chart_map: ChartMap) -> None:
+    """Raise when the margins seen by a chart map show its window
+    reaching the target chart's line at infinity or the critical set."""
+    if chart_map.denominator_small < 1e-9 * max(chart_map.denominator_large, 1e-300):
+        raise ChartMeetsExceptionalSet(
+            "image of the window degenerates toward the target chart's line at infinity"
+        )
+    if chart_map.jacobian_small < 1e-10 * max(chart_map.jacobian_large, 1e-300):
+        raise ChartMeetsExceptionalSet(
+            "window meets the critical set: chart Jacobian degenerates"
+        )
 
 
 def _indeterminacy_in_box(f: RationalSurfaceMap, chart: GridChart) -> None:
     for p in f.indeterminacy_set():
         vec = p.unit_vector()
-        pivot = vec[chart.chart]
-        if abs(pivot) <= 1e-12:
+        if abs(vec[chart.chart]) <= 1e-12:
             continue  # on the line at infinity of this chart
-        others = [i for i in range(3) if i != chart.chart]
-        c1 = complex(vec[others[0]] / pivot)
-        c2 = complex(vec[others[1]] / pivot)
+        c1, c2 = (complex(c) for c in chart_coords(chart.chart, vec))
         if chart.contains(c1, c2, pad=chart.step):
             raise ChartMeetsExceptionalSet(
                 f"indeterminacy point at chart coordinates ({c1:.4g}, {c2:.4g}) "
@@ -860,7 +778,7 @@ def _critical_proxy_min(f: RationalSurfaceMap, hom, current: float) -> float:
         scale = _coeff_scale(poly)
         if scale == 0.0:
             continue
-        vals = np.abs(_poly_on_grid(poly, hom)) / (scale * norms**poly.degree)
+        vals = np.abs(poly.evaluate_numeric(hom)) / (scale * norms**poly.degree)
         smallest = min(smallest, float(np.min(vals)))
     return smallest
 
@@ -928,14 +846,14 @@ def pushforward_energy_check(
 
     _indeterminacy_in_box(f, source_chart)
 
-    forward = _ChartMapEvaluator(f, chart_in, chart_out)
+    forward = ChartMap(f, chart_in, chart_out)
 
     # numeric roundtrip sanity of the attached inverse near the window
     c1, c2 = source_chart.affine_center
     probe1 = np.array([c1 + 0.37 * source_chart.halfwidth])
     probe2 = np.array([c2 + 0.23 * source_chart.halfwidth])
     w1p, w2p, _ = forward(probe1, probe2)
-    backward_probe = _ChartMapEvaluator(f.inverse, chart_out, chart_in)
+    backward_probe = ChartMap(f.inverse, chart_out, chart_in)
     s1p, s2p, _ = backward_probe(w1p, w2p)
     if np.all(np.isfinite([s1p[0], s2p[0]])):
         err = abs(s1p[0] - probe1[0]) + abs(s2p[0] - probe2[0])
@@ -953,7 +871,7 @@ def pushforward_energy_check(
     box_hi = np.full(4, -math.inf)
     for z1c, z2c in _chunks(source_chart):
         w1, w2, J = forward(z1c, z2c)
-        crit_min = _critical_proxy_min(f, forward.hom(z1c, z2c), crit_min)
+        crit_min = _critical_proxy_min(f, chart_embed(chart_in, z1c, z2c), crit_min)
         chiv = np.asarray(chi.value(z1c, z2c))
         u1 = np.asarray(u.d1(w1, w2))
         u2 = np.asarray(u.d2(w1, w2))
@@ -971,7 +889,7 @@ def pushforward_energy_check(
             for axis, vals in enumerate((w1b.real, w1b.imag, w2b.real, w2b.imag)):
                 box_lo[axis] = min(box_lo[axis], float(vals.min()))
                 box_hi[axis] = max(box_hi[axis], float(vals.max()))
-    forward.check_guards()
+    _check_guards(forward)
     if crit_min < 1e-2:
         raise ChartMeetsExceptionalSet(
             f"window approaches the critical set (normalized distance {crit_min:.2e})"
@@ -985,20 +903,24 @@ def pushforward_energy_check(
     mids = (box_lo + box_hi) / 2.0
     halfwidth = float(max((box_hi - box_lo) / 2.0)) * pad
     target_chart = GridChart(
-        center=embed_chart_point(chart_out, mids[0] + 1j * mids[1], mids[2] + 1j * mids[3]),
+        center=ProjectivePoint.numeric_point(
+            *chart_embed(chart_out, mids[0] + 1j * mids[1], mids[2] + 1j * mids[3])
+        ),
         chart=chart_out,
         halfwidth=halfwidth,
         resolution=target_resolution or source_chart.resolution,
     )
     _indeterminacy_in_box(f.inverse, target_chart)
 
-    backward = _ChartMapEvaluator(f.inverse, chart_out, chart_in)
+    backward = ChartMap(f.inverse, chart_out, chart_in)
     target_sum = 0.0
     crit_min_back = math.inf
     finite = True
     for y1c, y2c in _chunks(target_chart):
         s1, s2, K = backward(y1c, y2c)
-        crit_min_back = _critical_proxy_min(f.inverse, backward.hom(y1c, y2c), crit_min_back)
+        crit_min_back = _critical_proxy_min(
+            f.inverse, chart_embed(chart_out, y1c, y2c), crit_min_back
+        )
         chiv = np.asarray(chi.value(s1, s2))
         a, b, c = t_fn(s1, s2)
         # pushforward of T: matrix K^T M(s) conj(K) in target coordinates
@@ -1017,7 +939,7 @@ def pushforward_energy_check(
         density = np.broadcast_to(density, y1c.shape)
         finite = finite and bool(np.all(np.isfinite(density)))
         target_sum += float(np.sum(density))
-    backward.check_guards()
+    _check_guards(backward)
     if crit_min_back < 1e-2:
         raise ChartMeetsExceptionalSet(
             f"image window approaches the inverse critical set (normalized distance {crit_min_back:.2e})"

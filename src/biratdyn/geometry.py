@@ -10,6 +10,11 @@ is limited only by memory; floating objects use complex128 throughout.
 Chordal distances and proportionality between exact points are decided in
 Gaussian-integer arithmetic on denominator-free coordinates (Python ints),
 and a distance strictly between 0 and 1 is rounded to a float only once.
+
+`HomogeneousPolynomial.evaluate_numeric` is the package's one floating
+evaluator of a polynomial: one term loop over cached complex coefficients,
+run on three scalars or on three broadcast-compatible arrays.  Partial
+derivatives are memoized on the immutable polynomial.
 """
 
 from __future__ import annotations
@@ -321,7 +326,7 @@ class HomogeneousPolynomial:
     term dict.
     """
 
-    __slots__ = ("degree", "terms", "_numeric_cache")
+    __slots__ = ("degree", "terms", "_numeric_cache", "_derivatives")
 
     def __init__(self, degree: int, terms: Mapping[tuple[int, int, int], ComplexRational]):
         if degree < 0:
@@ -339,6 +344,7 @@ class HomogeneousPolynomial:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_numeric_cache", None)
+        object.__setattr__(self, "_derivatives", [None, None, None])
 
     def __setattr__(self, name, value):
         raise AttributeError("HomogeneousPolynomial is immutable")
@@ -413,18 +419,25 @@ class HomogeneousPolynomial:
         return result
 
     def derivative(self, var: int) -> "HomogeneousPolynomial":
-        """Partial derivative with respect to variable index 0, 1, or 2."""
+        """Partial derivative with respect to variable index 0, 1, or 2,
+        computed once per polynomial and variable."""
+        cached = self._derivatives[var]
+        if cached is not None:
+            return cached
         if self.degree == 0:
-            return HomogeneousPolynomial.zero(0)
-        out: dict[tuple[int, int, int], ComplexRational] = {}
-        for key, coeff in self.terms.items():
-            e = key[var]
-            if e == 0:
-                continue
-            new = list(key)
-            new[var] = e - 1
-            out[tuple(new)] = coeff * e
-        return HomogeneousPolynomial(self.degree - 1, out)
+            cached = HomogeneousPolynomial.zero(0)
+        else:
+            out: dict[tuple[int, int, int], ComplexRational] = {}
+            for key, coeff in self.terms.items():
+                e = key[var]
+                if e == 0:
+                    continue
+                new = list(key)
+                new[var] = e - 1
+                out[tuple(new)] = coeff * e
+            cached = HomogeneousPolynomial(self.degree - 1, out)
+        self._derivatives[var] = cached
+        return cached
 
     def evaluate_exact(self, coords: Sequence[ComplexRational]) -> ComplexRational:
         total = CR_ZERO
@@ -437,38 +450,38 @@ class HomogeneousPolynomial:
             total = total + coeff * pa[i] * pb[j] * pc[k]
         return total
 
-    def _numeric_tables(self):
-        cache = self._numeric_cache
-        if cache is None:
-            exps = np.array(sorted(self.terms.keys()), dtype=np.int64).reshape(-1, 3)
-            coeffs = np.array(
-                [complex(self.terms[tuple(e)]) for e in exps], dtype=np.complex128
-            )
-            cache = (exps, coeffs)
-            object.__setattr__(self, "_numeric_cache", cache)
-        return cache
+    def _numeric_terms(self) -> tuple:
+        """Cached (i, j, k, complex coefficient) rows in sorted key order."""
+        terms = self._numeric_cache
+        if terms is None:
+            terms = tuple((i, j, k, complex(c)) for (i, j, k), c in sorted(self.terms.items()))
+            object.__setattr__(self, "_numeric_cache", terms)
+        return terms
 
-    def evaluate_numeric(self, v) -> complex:
-        if not self.terms:
-            return 0j
-        exps, coeffs = self._numeric_tables()
-        v = np.asarray(v, dtype=np.complex128)
-        return complex((v[None, :] ** exps).prod(axis=1) @ coeffs)
+    def evaluate_numeric(self, v):
+        """Floating-point value at homogeneous coordinates v = (x, y, t).
 
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at an (m, 3) array of complex triples."""
-        points = np.asarray(points, dtype=np.complex128)
-        if not self.terms:
-            return np.zeros(points.shape[0], dtype=np.complex128)
-        exps, coeffs = self._numeric_tables()
-        return (points[:, None, :] ** exps[None, :, :]).prod(axis=2) @ coeffs
-
-    def evaluate(self, point: ProjectivePoint):
-        """Evaluate at homogeneous coordinates of a point (exactness follows
-        the point; note the value is representative-dependent)."""
-        if point.exact:
-            return self.evaluate_exact(point.coords)
-        return self.evaluate_numeric(point.coords)
+        v holds three scalars or three broadcast-compatible arrays; a 1-D
+        array is read as three scalars.  The value is the term sum of
+        cf * x**i * y**j * t**k with zero exponents skipped, so scalars stay
+        Python complex and arrays keep node-sized intermediates.  A term
+        involving only scalar coordinates stays scalar: batched callers
+        broadcast the result.
+        """
+        if isinstance(v, np.ndarray) and v.ndim == 1:
+            v = v.tolist()
+        x, y, t = v
+        acc = None
+        for i, j, k, cf in self._numeric_terms():
+            term = cf
+            if i:
+                term = term * x**i
+            if j:
+                term = term * y**j
+            if k:
+                term = term * t**k
+            acc = term if acc is None else acc + term
+        return 0j if acc is None else acc
 
     def leading_key(self) -> tuple[int, int, int]:
         if not self.terms:
@@ -518,10 +531,6 @@ def _power_table(base: ComplexRational, n: int) -> list[ComplexRational]:
     for _ in range(n):
         table.append(table[-1] * base)
     return table
-
-
-def evaluate(poly: HomogeneousPolynomial, point: ProjectivePoint):
-    return poly.evaluate(point)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .energy import _ChartMapEvaluator
 from .geometry import ProjectivePoint
-from .maps import RationalSurfaceMap
+from .maps import ChartMap, RationalSurfaceMap, chart_coords
 from .measure import WeightedPointCloud
 
 __all__ = [
@@ -163,19 +162,13 @@ class _CocycleStepper:
 
     def __init__(self, f: RationalSurfaceMap):
         self._f = f
-        self._evaluators: dict[tuple[int, int], _ChartMapEvaluator] = {}
+        self._evaluators: dict[tuple[int, int], ChartMap] = {}
 
-    def _evaluator(self, chart_in: int, chart_out: int) -> _ChartMapEvaluator:
+    def _evaluator(self, chart_in: int, chart_out: int) -> ChartMap:
         key = (chart_in, chart_out)
         if key not in self._evaluators:
-            self._evaluators[key] = _ChartMapEvaluator(self._f, chart_in, chart_out)
+            self._evaluators[key] = ChartMap(self._f, chart_in, chart_out)
         return self._evaluators[key]
-
-    @staticmethod
-    def _affine(v: np.ndarray, chart: int):
-        others = [i for i in range(3) if i != chart]
-        pivot = v[:, chart]
-        return v[:, others[0]] / pivot, v[:, others[1]] / pivot
 
     def step(self, v: np.ndarray, chart_in: Optional[np.ndarray] = None):
         """One cocycle step at a batch of unit representatives.
@@ -191,8 +184,9 @@ class _CocycleStepper:
         """
         m = v.shape[0]
         with np.errstate(all="ignore"):
+            # every term of a component of degree >= 1 involves a batch row
             image = np.stack(
-                [comp.evaluate_many(v) for comp in self._f.components], axis=1
+                [comp.evaluate_numeric(v.T) for comp in self._f.components], axis=1
             )
             norms = np.linalg.norm(image, axis=1)
             w = image / np.where(norms > 0, norms, 1.0)[:, None]
@@ -206,7 +200,7 @@ class _CocycleStepper:
                 idx = np.nonzero((chart_in == ci) & (chart_out == co) & ok)[0]
                 if idx.size == 0:
                     continue
-                z1, z2 = self._affine(v[idx], ci)
+                z1, z2 = chart_coords(ci, v[idx]).T
                 with np.errstate(all="ignore"):
                     w1, w2, jac = self._evaluator(ci, co)(z1, z2)
                 (j11, j12), (j21, j22) = jac

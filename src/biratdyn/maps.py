@@ -5,6 +5,12 @@ degree.  This module covers evaluation (with blowup and collapse
 detection), exact composition with coefficient-size caps, indeterminacy
 and critical loci, degree sequences under iteration, and first/second
 derivative data in affine charts and in the Fubini-Study metric.
+
+The affine charts of the plane are reached through one embedding pair,
+`chart_embed` and `chart_coords`, and every batched chart-to-chart
+evaluation (values, 2x2 Jacobian, guard margins) goes through one kernel,
+`ChartMap`; the potential, energy, saddle-search and cocycle layers share
+both.
 """
 
 from __future__ import annotations
@@ -624,41 +630,67 @@ def derivative_norm(f: RationalSurfaceMap, p: ProjectivePoint) -> float:
     return float(np.linalg.svd(M, compute_uv=False)[0])
 
 
-def chart_embed(chart: int, uv: np.ndarray) -> np.ndarray:
-    vec = np.empty(3, dtype=np.complex128)
+def chart_embed(chart: int, z1, z2) -> tuple:
+    """Homogeneous coordinates of the affine point (z1, z2) of a chart: a
+    triple with 1.0 at index ``chart``; z1 and z2 are scalars or arrays."""
+    if chart == 0:
+        return (1.0, z1, z2)
+    if chart == 1:
+        return (z1, 1.0, z2)
+    return (z1, z2, 1.0)
+
+
+def chart_coords(chart: int, v) -> np.ndarray:
+    """Affine coordinates in a chart of homogeneous vectors v[..., 0:3]:
+    the two other coordinates divided by coordinate ``chart``."""
+    v = np.asarray(v)
     others = [i for i in range(3) if i != chart]
-    vec[chart] = 1.0
-    vec[others[0]] = uv[0]
-    vec[others[1]] = uv[1]
-    return vec
+    return v[..., others] / v[..., chart, None]
 
 
-def chart_coords(chart: int, vec3: np.ndarray) -> np.ndarray:
-    others = [i for i in range(3) if i != chart]
-    return np.array([vec3[others[0]] / vec3[chart], vec3[others[1]] / vec3[chart]])
+class ChartMap:
+    """Chart expression of a plane map, evaluated in batches.
 
+    Takes source coordinates in chart ``chart_in`` to target coordinates in
+    chart ``chart_out`` together with the 2x2 Jacobian.  Guard margins are
+    the smallest and largest |denominator| (the target pivot coordinate of
+    F) and |det J| seen over all calls; they tell when a window meets the
+    target chart's line at infinity or the critical set.
+    """
 
-def chart_map_jacobian(
-    f: RationalSurfaceMap, vec3: np.ndarray, chart_in: int, chart_out: int
-) -> np.ndarray:
-    """2x2 complex Jacobian of the chart expression of f at the point with
-    homogeneous representative vec3 (source coordinates in chart_in,
-    target coordinates in chart_out)."""
-    rep = np.asarray(vec3, dtype=np.complex128) / vec3[chart_in]
-    in_vars = [i for i in range(3) if i != chart_in]
-    out_vars = [i for i in range(3) if i != chart_out]
-    Fv = f.evaluate_numeric(rep)
-    Fc = Fv[chart_out]
-    if abs(Fc) < 1e-300:
-        raise MapError("image leaves the requested target chart")
-    J = np.empty((2, 2), dtype=np.complex128)
-    for col, var in enumerate(in_vars):
-        dF = np.array(
-            [f.components[i].derivative(var).evaluate_numeric(rep) for i in range(3)]
-        )
-        for row, out in enumerate(out_vars):
-            J[row, col] = (dF[out] * Fc - Fv[out] * dF[chart_out]) / (Fc * Fc)
-    return J
+    def __init__(self, f: RationalSurfaceMap, chart_in: int, chart_out: int):
+        self.f = f
+        self.chart_in = chart_in
+        self.chart_out = chart_out
+        self.in_vars = [i for i in range(3) if i != chart_in]
+        self.out_vars = [i for i in range(3) if i != chart_out]
+        self.denominator_small = math.inf
+        self.denominator_large = 0.0
+        self.jacobian_small = math.inf
+        self.jacobian_large = 0.0
+
+    def __call__(self, z1, z2):
+        """Return image coordinates (w1, w2) in the target chart and the
+        2x2 Jacobian entries (J[l][j] = dw_l / dz_j)."""
+        hom = chart_embed(self.chart_in, z1, z2)
+        comps = self.f.components
+        F = [c.evaluate_numeric(hom) for c in comps]
+        D = np.asarray(F[self.chart_out])
+        absd = np.abs(D)
+        self.denominator_small = min(self.denominator_small, float(np.min(absd)))
+        self.denominator_large = max(self.denominator_large, float(np.max(absd)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w1 = F[self.out_vars[0]] / D
+            w2 = F[self.out_vars[1]] / D
+            dF = [[c.derivative(v).evaluate_numeric(hom) for v in self.in_vars] for c in comps]
+            J = [[None, None], [None, None]]
+            for l, out in enumerate(self.out_vars):
+                for j in range(2):
+                    J[l][j] = (dF[out][j] * D - F[out] * dF[self.chart_out][j]) / (D * D)
+        det = np.abs(J[0][0] * J[1][1] - J[0][1] * J[1][0])
+        self.jacobian_small = min(self.jacobian_small, float(np.min(det)))
+        self.jacobian_large = max(self.jacobian_large, float(np.max(det)))
+        return w1, w2, J
 
 
 def second_derivative_norm(f: RationalSurfaceMap, p: ProjectivePoint) -> float:

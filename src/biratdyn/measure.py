@@ -31,9 +31,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.stats import qmc
 
-from .energy import _ChartMapEvaluator
 from .geometry import HomogeneousPolynomial, ProjectivePoint, proj_distance
-from .maps import RationalSurfaceMap, apply
+from .maps import ChartMap, RationalSurfaceMap, apply, chart_embed
 
 __all__ = [
     "MeasureError",
@@ -355,7 +354,7 @@ class _AffineDynamics:
     """Batch evaluation of a chart self-map and its iterated derivative."""
 
     def __init__(self, f: RationalSurfaceMap, chart: int):
-        self._evaluator = _ChartMapEvaluator(f, chart, chart)
+        self._evaluator = ChartMap(f, chart, chart)
 
     def advance(self, x: np.ndarray, y: np.ndarray, n: int):
         """Apply the chart map ``n`` times, chaining 2x2 derivative blocks."""
@@ -586,12 +585,11 @@ def saddle_periodic_points(
 
     points = []
     for p in ordered:
-        q = ProjectivePoint.numeric_point(complex(p[0]), complex(p[1]), 1.0)
-        pn = q
         cx, cy = complex(p[0]), complex(p[1])
+        q = ProjectivePoint.numeric_point(*chart_embed(chart, cx, cy))
         for _ in range(period):
             cx, cy = dyn.step_point(cx, cy)
-        pn = ProjectivePoint.numeric_point(cx, cy, 1.0)
+        pn = ProjectivePoint.numeric_point(*chart_embed(chart, cx, cy))
         if proj_distance(q, pn) >= _CHORDAL_FIX_TOL:
             raise MeasureError(
                 f"periodic-point residual exceeds {_CHORDAL_FIX_TOL:g} at {q}"

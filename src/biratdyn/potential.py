@@ -25,13 +25,12 @@ import numpy as np
 
 from .cohomology import CohomologyLattice, SpectralData, spectral_data
 from .geometry import ProjectivePoint, proj_distance
-from .maps import RationalSurfaceMap, verify_inverse
+from .maps import RationalSurfaceMap, chart_embed
 
 __all__ = [
     "PotentialError",
     "OrbitHitIndeterminacy",
     "InsufficientSamples",
-    "PotentialEvaluator",
     "SingularityFit",
     "gamma_plus",
     "green_partial",
@@ -416,7 +415,7 @@ def green_partial_for_class(
 
 
 # ---------------------------------------------------------------------------
-# Grid export and evaluator facade
+# Grid export
 # ---------------------------------------------------------------------------
 
 
@@ -445,52 +444,9 @@ def green_grid(
     out = np.empty((resolution, resolution), dtype=float)
     for i, vv in enumerate(vs):
         for j, uu in enumerate(us):
-            coords = [0.0, 0.0, 0.0]
-            coords[chart] = 1.0
-            others = [k for k in range(3) if k != chart]
-            coords[others[0]] = uu
-            coords[others[1]] = vv
-            p = ProjectivePoint.numeric_point(*coords)
+            p = ProjectivePoint.numeric_point(*chart_embed(chart, uu, vv))
             try:
                 out[i, j] = green_partial(f, p, N, rho)
             except OrbitHitIndeterminacy:
                 out[i, j] = -math.inf
     return out
-
-
-@dataclass(frozen=True)
-class PotentialEvaluator:
-    """Bound evaluator for forward or backward Green data.
-
-    The backward direction drives everything through the inverse map
-    (same spectral weight, since forward and inverse spectral radii
-    agree); it therefore requires a verified inverse.
-    """
-
-    map: RationalSurfaceMap
-    rho: float
-    direction: str = "forward"
-    N: int = 25
-
-    def __post_init__(self):
-        if self.rho <= 1:
-            raise ValueError("spectral weight must exceed 1")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError("direction must be 'forward' or 'backward'")
-        if self.direction == "backward":
-            if self.map.inverse is None or not verify_inverse(self.map):
-                raise PotentialError("backward potentials need a verified inverse")
-
-    def _driver(self) -> RationalSurfaceMap:
-        return self.map if self.direction == "forward" else self.map.inverse
-
-    def gamma(self, p: ProjectivePoint) -> float:
-        return gamma_plus(self._driver(), p, self.rho)
-
-    def green(self, p: ProjectivePoint, N: int | None = None) -> float:
-        return green_partial(self._driver(), p, N if N is not None else self.N, self.rho)
-
-    def functional_residual(self, p: ProjectivePoint, N: int | None = None) -> float:
-        return green_functional_check(
-            self._driver(), p, N if N is not None else self.N, self.rho
-        )

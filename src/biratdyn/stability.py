@@ -289,8 +289,9 @@ def _orbit_of_point(
             distances.append(d)
             radii.append(encl)
             if point.exact:
-                # exact arithmetic decides membership outright
-                if hit is None and d == 0.0:
+                # exact arithmetic decides membership outright; a rounded
+                # distance of 0.0 can underflow for distinct points
+                if hit is None and any(point.same_point(q) for q in targets if q.exact):
                     hit = step
             elif straddle is None and d - encl < eps:
                 # a double or a ball near the set cannot certify membership
@@ -504,7 +505,8 @@ def _summability(table: OrbitTable, rho: float, N: int) -> SummabilityReport:
         if hit is not None or straddle is not None or not math.isfinite(step_min):
             break
         if step_min <= 0.0:
-            hit = n
+            # rounded to zero with no exact hit: membership is undecided
+            straddle = n
             break
         log_ds.append(math.log(min(step_min, 1.0)))
     return report_from_log_distances(

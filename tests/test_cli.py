@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -100,6 +101,15 @@ class TestInspect:
         doc["forward"][0] = [[0, 0, 2, 1, 0, 0, 1]]  # zero denominator
         bad.write_text(json.dumps(doc))
         assert run_cli("inspect", "--map", str(bad), "--out", str(tmp_path)) == 2
+
+    def test_wrong_inverse_exits_2(self, tmp_path):
+        # the inverse is verified once, when the map file is loaded
+        bad = tmp_path / "bad.map"
+        doc = read_json(corpus_path("henon"))
+        doc["inverse"] = read_json(corpus_path("cremona"))["forward"]
+        bad.write_text(json.dumps(doc))
+        assert run_cli("inspect", "--map", str(bad), "--out", str(tmp_path)) == 2
+        assert not (tmp_path / "inspect_henon.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -375,9 +385,13 @@ class TestConfigAndDispatch:
         capsys.readouterr()
 
     def test_module_entry_point(self, tmp_path):
+        # the child process imports the same biratdyn as this test
+        src = str(Path(biratdyn.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "biratdyn.cli", "inspect",
              "--map", str(corpus_path("henon")), "--out", str(tmp_path)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert (tmp_path / "inspect_henon.json").exists()

@@ -220,14 +220,6 @@ class TestHomogeneousPolynomial:
         b = (lam**3) * p.evaluate_numeric(v)
         assert abs(a - b) < 1e-12 * max(1.0, abs(b))
 
-    def test_evaluate_many_matches_single(self):
-        p = mono(1, 1, 0) + mono(0, 0, 2, CR(1, 2))
-        rng = np.random.default_rng(29)
-        pts = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
-        vals = p.evaluate_many(pts)
-        for row, val in zip(pts, vals):
-            assert abs(p.evaluate_numeric(row) - val) < 1e-13
-
 
 class TestPolyGcd:
     def test_monomial_gcd(self):

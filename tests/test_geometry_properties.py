@@ -1,5 +1,7 @@
 """Property tests: the exact chordal distance and the sympy bridge agree
-bit for bit with their straightforward reference formulas.
+bit for bit with their straightforward reference formulas, and the numeric
+polynomial evaluator agrees with exact evaluation and with itself across
+scalar and batched calls.
 
 The references below are the plain `Fraction` formulas: the chordal
 distance from ComplexRational cross products rounded through
@@ -10,6 +12,7 @@ Expr summed one term at a time.
 import math
 from fractions import Fraction
 
+import numpy as np
 import sympy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -135,3 +138,37 @@ class TestToSympy:
     @given(polynomials())
     def test_matches_termwise_sum(self, poly):
         assert to_sympy(poly) == naive_to_sympy(poly)
+
+
+def abs_term_sum(poly: HomogeneousPolynomial, v) -> float:
+    """Sum of the moduli of the terms at v: the scale of the rounding error
+    of a term-by-term floating evaluation."""
+    x, y, t = (abs(complex(c)) for c in v)
+    return sum(abs(complex(c)) * x**i * y**j * t**k for (i, j, k), c in poly.terms.items())
+
+
+class TestNumericEvaluation:
+    @SETTINGS
+    @given(polynomials(), points(20))
+    def test_scalar_matches_exact(self, poly, p):
+        v = np.array([complex(c) for c in p.coords])
+        value = poly.evaluate_numeric(v)
+        assert isinstance(value, complex)
+        exact = complex(poly.evaluate_exact(p.coords))
+        assert abs(value - exact) <= 1e-12 * abs_term_sum(poly, p.coords)
+
+    @SETTINGS
+    @given(polynomials(), st.integers(0, 2**32 - 1), st.integers(1, 9))
+    def test_batched_matches_scalar_rows(self, poly, seed, m):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
+        batched = np.broadcast_to(poly.evaluate_numeric(pts.T), (m,))
+        for row, val in zip(pts, batched):
+            scale = max(abs_term_sum(poly, row), 1e-300)
+            assert abs(poly.evaluate_numeric(row) - val) <= 1e-13 * scale
+        # a chart-style call mixes a scalar coordinate with arrays
+        z1, z2 = pts[:, 0], pts[:, 1]
+        mixed = np.broadcast_to(poly.evaluate_numeric((z1, 1.0, z2)), (m,))
+        for a, b, val in zip(z1, z2, mixed):
+            scale = max(abs_term_sum(poly, (a, 1.0, b)), 1e-300)
+            assert abs(poly.evaluate_numeric((complex(a), 1.0, complex(b))) - val) <= 1e-13 * scale

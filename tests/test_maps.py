@@ -18,14 +18,15 @@ from biratdyn.geometry import (
     ProjectivePoint,
     proj_distance,
 )
+from biratdyn.mapfile import corpus_path, load_map
 from biratdyn.maps import (
+    ChartMap,
     CoefficientOverflow,
     MapError,
     RationalSurfaceMap,
     apply,
     chart_coords,
     chart_embed,
-    chart_map_jacobian,
     compose,
     degree_sequence,
     derivative_norm,
@@ -331,20 +332,54 @@ class TestDerivatives:
         rng = np.random.default_rng(5)
         for _ in range(5):
             z = rng.normal(size=2) + 1j * rng.normal(size=2)
-            vec = chart_embed(2, z)
-            Fv = h.evaluate_numeric(vec)
+            Fv = h.evaluate_numeric(np.array(chart_embed(2, *z)))
             cout = int(np.argmax(np.abs(Fv)))
-            J = chart_map_jacobian(h, vec, 2, cout)
+            w1, w2, J = ChartMap(h, 2, cout)(z[:1], z[1:])
+            assert np.allclose([w1[0], w2[0]], chart_coords(cout, Fv), rtol=1e-14, atol=0)
+            J = np.array([[J[0][0][0], J[0][1][0]], [J[1][0][0], J[1][1][0]]])
             eps = 1e-6
 
             def cmap(uv):
-                return chart_coords(cout, h.evaluate_numeric(chart_embed(2, uv)))
+                return chart_coords(cout, h.evaluate_numeric(np.array(chart_embed(2, *uv))))
 
             for col in range(2):
                 dz = np.zeros(2, dtype=complex)
                 dz[col] = eps
                 fd = (cmap(z + dz) - cmap(z - dz)) / (2 * eps)
                 assert np.abs(J[:, col] - fd).max() < 1e-6 * max(1.0, np.abs(J).max())
+
+    @pytest.mark.parametrize("name", ["cremona", "henon", "linear", "lsigma"])
+    def test_chart_jacobians_on_corpus(self, name):
+        # every chart pair, for the corpus map and its inverse, against
+        # central differences of the scalar chart expression
+        f = load_map(corpus_path(name))
+        rng = np.random.default_rng(11)
+        z1 = rng.normal(size=6) + 1j * rng.normal(size=6)
+        z2 = rng.normal(size=6) + 1j * rng.normal(size=6)
+        eps = 1e-6
+        for g in (f, f.inverse):
+            for cin in range(3):
+                for cout in range(3):
+                    w1, w2, J = ChartMap(g, cin, cout)(z1, z2)
+
+                    def cmap(a, b):
+                        hom = np.array(chart_embed(cin, a, b))
+                        return chart_coords(cout, g.evaluate_numeric(hom))
+
+                    checked = 0
+                    for k in range(z1.size):
+                        F = g.evaluate_numeric(np.array(chart_embed(cin, z1[k], z2[k])))
+                        if abs(F[cout]) < 0.1 * np.linalg.norm(F):
+                            continue  # near the target chart's line at infinity
+                        checked += 1
+                        w = chart_coords(cout, F)
+                        assert np.allclose([w1[k], w2[k]], w, rtol=1e-13, atol=0)
+                        Jk = np.array([[J[r][c][k] for c in range(2)] for r in range(2)])
+                        for col, (d1, d2) in enumerate(((eps, 0), (0, eps))):
+                            up = cmap(z1[k] + d1, z2[k] + d2)
+                            fd = (up - cmap(z1[k] - d1, z2[k] - d2)) / (2 * eps)
+                            assert np.abs(Jk[:, col] - fd).max() < 1e-6 * max(1.0, np.abs(Jk).max())
+                    assert checked >= 1
 
     def test_second_derivative_identity_zero(self):
         rng = np.random.default_rng(7)

@@ -252,6 +252,14 @@ class TestSaddleSearch:
         assert hi == pytest.approx(2.0, abs=1e-10)
         assert lo == pytest.approx(0.5, abs=1e-10)
 
+    def test_saddle_found_in_chart_y(self):
+        # diag(4, 2, 1) acts on the chart y = 1 as (u, w) -> (2u, w/2): the
+        # saddle is the chart origin [0:1:0], not [0:0:1]
+        cloud = saddle_periodic_points(diagonal_scaling_map(), 1, chart=1)
+        assert cloud.size == 1
+        assert proj_distance(cloud.points[0], ProjectivePoint.exact_point(0, 1, 0)) < 1e-9
+        assert cloud.eigenvalue_moduli[0] == pytest.approx((2.0, 0.5), abs=1e-10)
+
     def test_expanding_and_neutral_maps_have_no_saddles(self):
         with pytest.raises(NoSaddlesFound):
             saddle_periodic_points(diagonal_scaling_map(), 1)

@@ -17,7 +17,6 @@ from biratdyn.potential import (
     DEFAULT_LELONG_RADII,
     InsufficientSamples,
     PotentialError,
-    PotentialEvaluator,
     gamma_plus,
     green_at_inverse_indeterminacy,
     green_functional_check,
@@ -57,6 +56,17 @@ class TestStepPotential:
 
     def test_henon_fixed_point_at_infinity(self):
         assert gamma_plus(henon_map(), P(0, 1, 0)) == 0.0
+
+    def test_inverse_map_potentials(self):
+        # the backward direction runs on the inverse map with the same
+        # weight; its indeterminacy point is [0:1:0]
+        h = henon_map()
+        assert gamma_plus(h.inverse, P(0, 1, 0), 2.0) == -math.inf
+        assert gamma_plus(h.inverse, P(1, 0, 0), 2.0) == 0.0
+        p = random_points(1, 43)[0]
+        assert math.isfinite(green_partial(h, p, 20, 2.0))
+        assert math.isfinite(green_partial(h.inverse, p, 20, 2.0))
+        assert green_functional_check(h, p, 20, 2.0) < 1e-8
 
     def test_minus_infinity_exactly_on_indeterminacy(self):
         assert gamma_plus(henon_map(), P(1, 0, 0)) == -math.inf
@@ -310,23 +320,3 @@ class TestBridgeAndGrid:
         X = np.vstack([np.ones(10), np.arange(1, 11)]).T
         (logC, log_t), *_ = np.linalg.lstsq(X, np.log(np.array(means[1:]) + 1e-300), rcond=None)
         assert math.exp(log_t) < 2.0
-
-
-class TestEvaluator:
-    def test_forward_backward(self):
-        h = henon_map()
-        ev_f = PotentialEvaluator(h, 2.0, "forward", 20)
-        ev_b = PotentialEvaluator(h, 2.0, "backward", 20)
-        assert ev_f.gamma(P(0, 1, 0)) == 0.0
-        # the inverse map's indeterminacy point is [0:1:0]
-        assert ev_b.gamma(P(0, 1, 0)) == -math.inf
-        assert ev_b.gamma(P(1, 0, 0)) == 0.0
-        p = random_points(1, 43)[0]
-        assert math.isfinite(ev_f.green(p)) and math.isfinite(ev_b.green(p))
-        assert ev_f.functional_residual(p) < 1e-8
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ValueError):
-            PotentialEvaluator(henon_map(), 0.5)
-        with pytest.raises(ValueError):
-            PotentialEvaluator(henon_map(), 2.0, "sideways")

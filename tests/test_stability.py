@@ -12,8 +12,14 @@ import math
 import pytest
 
 from biratdyn.geometry import ProjectivePoint, proj_distance
-from biratdyn.maps import compose
+from biratdyn.maps import DEFAULT_COEFF_BIT_CAP, EPS_EXCEPTIONAL, compose
 from biratdyn.stability import (
+    _SHADOW_COEFF_CACHE,
+    OrbitTable,
+    _Ball,
+    _orbit_of_point,
+    _step_ball,
+    _summability,
     backward_summability,
     check_orbit_separation,
     exceptional_orbits,
@@ -182,6 +188,35 @@ class TestSummabilityCore:
         assert doc["verdict"] in {"Converged", "Diverging", "Inconclusive"}
         assert all(isinstance(s, str) for s in doc["partial_sums"])
         assert float(doc["partial_sums"][1]) == rep.partial_sums[1]
+
+
+class TestExactHits:
+    def test_underflowing_distance_is_not_a_hit(self):
+        # the rounded distance is 0.0 but the points differ: only exact
+        # proportionality makes a hit, and the rounded zero is undecided
+        far, target = P(2**600, 1, 0), P(1, 0, 0)
+        assert proj_distance(far, target) == 0.0 and not far.same_point(target)
+        orb = _orbit_of_point(diagonal_scaling_map(), far, (target,), 3,
+                              DEFAULT_COEFF_BIT_CAP, EPS_EXCEPTIONAL)
+        assert orb.hit_index is None
+        table = OrbitTable(sources=(far,), targets=(target,), orbits=(orb,), horizon=3)
+        rep = _summability(table, 2.0, 3)
+        assert rep.hit_index is None
+        assert rep.straddle_index == 0
+        assert rep.verdict == "Inconclusive"
+
+
+class TestShadowBalls:
+    def test_coefficient_cache_stays_fixed(self):
+        # derivatives are memoized on the polynomial, so the id-keyed
+        # cache sees the same objects on every step
+        f = henon_map()
+        ball = _Ball.from_point(P(3, -2, 5))
+        _step_ball(f, ball)
+        size = len(_SHADOW_COEFF_CACHE)
+        for _ in range(20):
+            _step_ball(f, ball)
+        assert len(_SHADOW_COEFF_CACHE) == size
 
 
 class TestSummabilityOnMaps:
