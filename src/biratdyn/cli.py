@@ -82,12 +82,7 @@ from .measure import (
     saddle_cloud,
 )
 from .potential import OrbitHitIndeterminacy, PotentialError, green_functional_check, green_grid
-from .stability import (
-    StabilityError,
-    backward_summability,
-    check_orbit_separation,
-    forward_summability,
-)
+from .stability import StabilityError, check_orbit_separation, summability
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -261,9 +256,8 @@ def cmd_stability(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> in
     n = cfg.n_orbit
     tol = cfg.tolerance_indeterminacy
     sep = check_orbit_separation(f, n, eps_indeterminacy=tol)
-    fwd = forward_summability(f, rho, n, eps_indeterminacy=tol)
-    bwd = (backward_summability(f, rho, n, eps_indeterminacy=tol)
-           if f.inverse is not None else None)
+    fwd = summability(sep.forward, rho)
+    bwd = summability(sep.backward, rho)
     doc = _report_header("stability", cfg, f)
     doc["rho"] = rho
     doc["rho_source"] = rho_source
@@ -275,11 +269,11 @@ def cmd_stability(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> in
         "witness": None if sep.witness is None else str(sep.witness),
     }
     doc["forward"] = json.loads(fwd.to_json())
-    doc["backward"] = None if bwd is None else json.loads(bwd.to_json())
+    doc["backward"] = json.loads(bwd.to_json())
     doc["separation_diagnostic"] = sep.min_distance
     _write_json(out / f"stability_{_safe_name(f)}.json", doc)
     print(f"separation: {sep}")
-    print(f"forward: {fwd.verdict}" + ("" if bwd is None else f", backward: {bwd.verdict}"))
+    print(f"forward: {fwd.verdict}, backward: {bwd.verdict}")
     return EXIT_OK
 
 

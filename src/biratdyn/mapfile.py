@@ -10,7 +10,10 @@ integers the exact rational real and imaginary parts of the coefficient.
 Parsing is therefore lossless; saving is deterministic (sorted keys, sorted
 terms), so identical maps produce byte-identical files.  An optional
 ``lattice`` section records the cohomology lattice data (intersection form,
-pullback matrices, distinguished classes) as integer matrices.
+pullback matrices, distinguished classes) as integer matrices.  The section
+is informational: `load_map` never reads it.  A map file is outside input,
+so the growth rate is always re-certified from the map's own degree
+sequence, never taken from the file.
 """
 
 from __future__ import annotations
@@ -176,12 +179,8 @@ def map_from_payload(payload: dict) -> RationalSurfaceMap:
         inverse = _parse_triple(payload["inverse"], inv_degree, "inverse")
         inverse_map = RationalSurfaceMap(inverse, name=f"{name}^-1")
     f = RationalSurfaceMap(forward, inverse=inverse_map, name=name)
-    if inverse_map is not None:
-        if not verify_inverse(f):
-            raise MapFileError("inverse triple fails verification against the forward map")
-        # Wire the back-reference so orbits of the inverse map (which need
-        # *its* inverse, i.e. the forward triple) work on loaded maps too.
-        inverse_map.inverse = RationalSurfaceMap(forward, name=name)
+    if inverse_map is not None and not verify_inverse(f):
+        raise MapFileError("inverse triple fails verification against the forward map")
     return f
 
 
@@ -211,7 +210,8 @@ def write_corpus(directory: Union[str, Path]) -> list[Path]:
 
     Maps whose degree sequence is multiplicative get a lattice section; for
     the others (a dropping degree sequence means the hyperplane-class
-    pullback matrix does not represent the dynamics) it is omitted.
+    pullback matrix does not represent the dynamics) it is omitted.  The
+    section is for readers of the file only; `load_map` ignores it.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -264,6 +264,10 @@ class ExperimentConfig:
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
             raise MapFileError("seed must be an unsigned 64-bit integer")
+        for field_name in ("n_orbit", "n_series", "n_cocycle", "grid", "max_period", "chart"):
+            value = getattr(self, field_name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise MapFileError(f"{field_name} must be an integer")
         for field_name in ("n_orbit", "n_cocycle", "max_period"):
             if getattr(self, field_name) < 1:
                 raise MapFileError(f"{field_name} must be at least 1")

@@ -100,6 +100,10 @@ class RationalSurfaceMap:
     Jacobian determinant vanishes identically (non-dominant maps) are
     rejected.  An inverse triple may be attached; use `verify_inverse` to
     certify that it actually inverts the map.
+
+    A map and its inverse are one linked pair, ``f.inverse.inverse is f``:
+    ``inverse=g`` links a ``g`` without inverse back to the new map, so the
+    exact loci cached on each object are computed once per direction.
     """
 
     def __init__(
@@ -138,6 +142,8 @@ class RationalSurfaceMap:
         self._contractions: Optional[list[tuple[HomogeneousPolynomial, Optional[ProjectivePoint]]]] = None
         if not self._dominant():
             raise MapError("Jacobian determinant vanishes identically: map is not dominant")
+        if inverse is not None and inverse.inverse is None:
+            inverse.inverse = self
 
     def _dominant(self) -> bool:
         """Dominance test: a numeric nonzero Jacobian determinant at a random
@@ -191,10 +197,6 @@ class RationalSurfaceMap:
                 total += abs(complex(v)) ** 2
         return math.sqrt(total) if total > 0 else 1.0
 
-    def with_name(self, name: str) -> "RationalSurfaceMap":
-        self.name = name
-        return self
-
     def __repr__(self):
         label = self.name or "map"
         return f"RationalSurfaceMap({label}, degree={self.degree})"
@@ -206,9 +208,6 @@ class RationalSurfaceMap:
         components).  Exact coordinates where the points are Gaussian
         rational, floating points with residual certification otherwise."""
         if self._indeterminacy is None:
-            g = poly_gcd(list(self.components))
-            if g.degree > 0:
-                raise PositiveDimensionalLocus("components share a common curve")
             self._indeterminacy = _common_zeros(self.components, self.coeff_scale())
         return list(self._indeterminacy)
 

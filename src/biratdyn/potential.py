@@ -66,10 +66,6 @@ class InsufficientSamples(PotentialError):
     pass
 
 
-def _unit_lift(p: ProjectivePoint) -> np.ndarray:
-    return p.unit_vector()
-
-
 def _exact_on_indeterminacy(f: RationalSurfaceMap, p: ProjectivePoint) -> bool:
     if not p.exact:
         return False
@@ -86,7 +82,7 @@ def gamma_plus(f: RationalSurfaceMap, p: ProjectivePoint, rho: float | None = No
         rho = float(f.degree)
     if _exact_on_indeterminacy(f, p):
         return -math.inf
-    v = _unit_lift(p)
+    v = p.unit_vector()
     w = f.evaluate_numeric(v)
     norm = float(np.linalg.norm(w))
     if norm == 0.0:
@@ -107,7 +103,7 @@ def _normalized_orbit_logs(f: RationalSurfaceMap, p: ProjectivePoint, N: int):
     logs = []
     if _exact_on_indeterminacy(f, p):
         return [p.unit_vector()], [-math.inf]
-    v = _unit_lift(p)
+    v = p.unit_vector()
     scale = f.coeff_scale()
     for j in range(N):
         pts.append(v)

@@ -44,6 +44,7 @@ __all__ = [
     "StabilityError",
     "exceptional_orbits",
     "check_orbit_separation",
+    "summability",
     "forward_summability",
     "backward_summability",
     "separation_diagnostic",
@@ -136,6 +137,8 @@ class SeparationVerdict:
     fails_at: int | None = None
     witness: ProjectivePoint | None = None
     min_distance: float = math.inf  # over all orbit pairs; inf if a set is empty
+    forward: OrbitTable | None = field(default=None, compare=False, repr=False)
+    backward: OrbitTable | None = field(default=None, compare=False, repr=False)
 
     def __str__(self):
         if self.holds:
@@ -385,16 +388,17 @@ def check_orbit_separation(
     comes within tolerance of some backward-orbit point (of the map's own
     indeterminacy set), where ``n`` is the larger of the two orbit steps
     involved.  Returns a holding verdict with the horizon otherwise.  Either
-    verdict carries the tolerance-free :func:`separation_diagnostic` value.
+    verdict carries the tolerance-free :func:`separation_diagnostic` value
+    and the two orbit tables it was decided on (``forward`` for I(f^-1)
+    under f, ``backward`` for I(f) under f^-1).
     """
     if f.inverse is None:
         raise StabilityError("separation check needs the inverse map")
-    fwd = _orbit_points(exceptional_orbits(f, N, eps_indeterminacy=eps_indeterminacy))
-    bwd = _orbit_points(
-        exceptional_orbits(f.inverse, N, eps_indeterminacy=eps_indeterminacy)
-    )
+    forward = exceptional_orbits(f, N, eps_indeterminacy=eps_indeterminacy)
+    backward = exceptional_orbits(f.inverse, N, eps_indeterminacy=eps_indeterminacy)
+    bwd = _orbit_points(backward)
     fails_at, witness, min_distance = None, None, math.inf
-    for i, p in fwd:
+    for i, p in _orbit_points(forward):
         for j, q in bwd:
             d = proj_distance(p, q)
             min_distance = min(min_distance, d)
@@ -402,7 +406,8 @@ def check_orbit_separation(
             if d < eps_indeterminacy and (fails_at is None or stage < fails_at):
                 fails_at, witness = stage, p
     return SeparationVerdict(holds=witness is None, through=N, fails_at=fails_at,
-                             witness=witness, min_distance=min_distance)
+                             witness=witness, min_distance=min_distance,
+                             forward=forward, backward=backward)
 
 
 def separation_diagnostic(f: RationalSurfaceMap, N: int) -> float:
@@ -475,7 +480,11 @@ def report_from_log_distances(
     )
 
 
-def _summability(table: OrbitTable, rho: float, N: int) -> SummabilityReport:
+def summability(table: OrbitTable, rho: float) -> SummabilityReport:
+    """Weighted log-distance series over an orbit table's horizon: term
+    ``n`` is ``rho**(-n)`` times the log of the least step-``n`` distance
+    from the table's orbits to its targets."""
+    N = table.horizon
     if not table.sources:
         return report_from_log_distances([0.0] * N, rho, N, vacuous=True)
     hit = None
@@ -535,8 +544,8 @@ def forward_summability(
     of algebraic stability; hitting the set at a finite stage makes the
     series diverge to minus infinity.
     """
-    table = exceptional_orbits(f, N, bit_cap=bit_cap, eps_indeterminacy=eps_indeterminacy)
-    return _summability(table, rho, N)
+    return summability(exceptional_orbits(
+        f, N, bit_cap=bit_cap, eps_indeterminacy=eps_indeterminacy), rho)
 
 
 def backward_summability(
@@ -550,7 +559,5 @@ def backward_summability(
     """Mirror of :func:`forward_summability` driven by the inverse map."""
     if f.inverse is None:
         raise StabilityError("backward summability needs the inverse map")
-    table = exceptional_orbits(
-        f.inverse, N, bit_cap=bit_cap, eps_indeterminacy=eps_indeterminacy
-    )
-    return _summability(table, rho, N)
+    return summability(exceptional_orbits(
+        f.inverse, N, bit_cap=bit_cap, eps_indeterminacy=eps_indeterminacy), rho)

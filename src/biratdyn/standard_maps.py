@@ -46,9 +46,7 @@ def henon_map(c=Fraction(-3, 2), delta=Fraction(1, 4)) -> RationalSurfaceMap:
         (T * T) * delta,
     ]
     inv = RationalSurfaceMap(backward, name="henon-inverse")
-    fwd = RationalSurfaceMap(forward, inverse=inv, name="henon")
-    inv.inverse = RationalSurfaceMap(forward, name="henon")
-    return fwd
+    return RationalSurfaceMap(forward, inverse=inv, name="henon")
 
 
 def linear_map(matrix, name: str = "linear") -> RationalSurfaceMap:
@@ -87,9 +85,7 @@ def linear_map(matrix, name: str = "linear") -> RationalSurfaceMap:
         ]
 
     inv = RationalSurfaceMap(rows_to_comps(adj), name=f"{name}-inverse")
-    fwd = RationalSurfaceMap(rows_to_comps(m), inverse=inv, name=name)
-    inv.inverse = RationalSurfaceMap(rows_to_comps(m), name=name)
-    return fwd
+    return RationalSurfaceMap(rows_to_comps(m), inverse=inv, name=name)
 
 
 def diagonal_scaling_map() -> RationalSurfaceMap:
@@ -120,7 +116,7 @@ def lsigma_map() -> RationalSurfaceMap:
     fwd = compose(L, sigma, name="lsigma")
     bwd = compose(sigma.inverse, L.inverse, name="lsigma-inverse")
     fwd.inverse = bwd
-    bwd.inverse = compose(L, sigma, name="lsigma")
+    bwd.inverse = fwd
     return fwd
 
 

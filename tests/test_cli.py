@@ -28,7 +28,7 @@ import pytest
 
 import biratdyn
 from biratdyn.cli import main
-from biratdyn.mapfile import corpus_path
+from biratdyn.mapfile import MapFileError, corpus_path, load_config
 
 
 def run_cli(*argv: str) -> int:
@@ -150,6 +150,32 @@ class TestStability:
                        "--out", str(tmp_path))
         assert code == 3
         assert not (tmp_path / "stability_linear.json").exists()
+
+    def test_each_orbit_table_built_once(self, tmp_path, monkeypatch):
+        import biratdyn.stability as stability
+
+        calls = []
+        build = stability.exceptional_orbits
+
+        def counting(f, N, **kwargs):
+            calls.append(f.name)
+            return build(f, N, **kwargs)
+
+        monkeypatch.setattr(stability, "exceptional_orbits", counting)
+        code = run_cli("stability", "--map", str(corpus_path("henon")),
+                       "--out", str(tmp_path), "--iters", "5")
+        assert code == 0
+        assert len(calls) == 2
+
+    def test_lattice_section_is_not_trusted(self, tmp_path):
+        payload = read_json(corpus_path("henon"))
+        payload["lattice"]["Mf"] = [[3]]
+        tampered = tmp_path / "henon.map"
+        tampered.write_text(json.dumps(payload))
+        code = run_cli("stability", "--map", str(tampered),
+                       "--out", str(tmp_path), "--iters", "5")
+        assert code == 0
+        assert read_json(tmp_path / "stability_henon.json")["rho"] == 2.0
 
     def test_iters_controls_orbit_length(self, tmp_path):
         code = run_cli("stability", "--map", str(corpus_path("henon")),
@@ -370,6 +396,18 @@ class TestConfigAndDispatch:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"sed": 1}))
         assert run_cli("inspect", "--map", str(corpus_path("henon")),
+                       "--config", str(cfg), "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_orbit", 2.5), ("n_series", 2.5), ("n_cocycle", 2.5),
+        ("grid", 16.5), ("max_period", 2.0), ("chart", 2.0),
+    ])
+    def test_non_integer_config_value_exits_2(self, tmp_path, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        with pytest.raises(MapFileError, match=field):
+            load_config(cfg)
+        assert run_cli("stability", "--map", str(corpus_path("henon")),
                        "--config", str(cfg), "--out", str(tmp_path)) == 2
 
     def test_invalid_seed_exits_2(self, tmp_path):

@@ -16,6 +16,7 @@ from biratdyn.mapfile import (
     ExperimentConfig,
     MapFileError,
     ParseError,
+    corpus_path,
     load_config,
     load_map,
     map_payload,
@@ -57,6 +58,12 @@ class TestRoundtrip:
         terms = {tuple(t[:3]): tuple(t[3:]) for t in payload["forward"][1]}
         assert terms[(0, 0, 2)] == (-3, 2, 0, 1)
         assert terms[(1, 0, 1)] == (-1, 4, 0, 1)
+
+    def test_factories_reproduce_bundled_corpus(self, corpus_dir):
+        bundled = sorted(corpus_path("henon").parent.glob("*.map"))
+        assert [p.name for p in bundled] == sorted(p.name for p in corpus_dir.glob("*.map"))
+        for path in bundled:
+            assert (corpus_dir / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_save_is_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "a.map", tmp_path / "b.map"

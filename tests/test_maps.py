@@ -179,6 +179,20 @@ class TestInverse:
         with pytest.raises(MapError):
             verify_inverse(f)
 
+    @pytest.mark.parametrize("factory", [
+        henon_map, lsigma_map, diagonal_scaling_map, rational_rotation_map,
+        cremona_involution,
+    ])
+    def test_factory_inverse_links_back(self, factory):
+        f = factory()
+        assert f.inverse.inverse is f
+
+    @pytest.mark.parametrize("name", ["cremona", "henon", "linear", "lsigma"])
+    def test_loaded_inverse_links_back(self, name):
+        f = load_map(corpus_path(name))
+        assert f.inverse is not None
+        assert f.inverse.inverse is f
+
 
 class TestIndeterminacy:
     def test_sigma_three_coordinate_points(self):

@@ -19,7 +19,6 @@ from biratdyn.stability import (
     _Ball,
     _orbit_of_point,
     _step_ball,
-    _summability,
     backward_summability,
     check_orbit_separation,
     exceptional_orbits,
@@ -27,6 +26,7 @@ from biratdyn.stability import (
     partial_sums_from_log_distances,
     report_from_log_distances,
     separation_diagnostic,
+    summability,
 )
 from biratdyn.standard_maps import (
     cremona_involution,
@@ -47,7 +47,7 @@ def twisted_involution():
     fwd = compose(L, sig, name="twisted-cremona")
     bwd = compose(sig, L.inverse, name="twisted-cremona-inverse")
     fwd.inverse = bwd
-    bwd.inverse = compose(L, sig, name="twisted-cremona")
+    bwd.inverse = fwd
     return fwd
 
 
@@ -200,7 +200,7 @@ class TestExactHits:
                               DEFAULT_COEFF_BIT_CAP, EPS_EXCEPTIONAL)
         assert orb.hit_index is None
         table = OrbitTable(sources=(far,), targets=(target,), orbits=(orb,), horizon=3)
-        rep = _summability(table, 2.0, 3)
+        rep = summability(table, 2.0)
         assert rep.hit_index is None
         assert rep.straddle_index == 0
         assert rep.verdict == "Inconclusive"
