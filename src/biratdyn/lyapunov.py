@@ -231,14 +231,14 @@ def step_norm(f: RationalSurfaceMap, p: ProjectivePoint) -> float:
 
 
 def _chordal_to_points(v: np.ndarray, targets: list[np.ndarray]) -> np.ndarray:
-    """Chordal distance from each batch row to the nearest target point."""
-    if not targets:
-        return np.full(v.shape[0], np.inf)
+    """Chordal distance from each unit batch row to the nearest unit target,
+    by the wedge form ``|v ^ q|`` of ``geometry.proj_distance``, which keeps
+    its digits at small distances where ``sqrt(1 - |<v, q>|^2)`` cancels."""
     best = np.full(v.shape[0], np.inf)
     for q in targets:
-        inner = np.abs(v @ np.conj(q)) ** 2
-        d = np.sqrt(np.maximum(0.0, 1.0 - inner))
-        best = np.minimum(best, d)
+        wedge = [v[:, i] * q[j] - v[:, j] * q[i] for i, j in ((0, 1), (0, 2), (1, 2))]
+        d = np.sqrt(sum(np.abs(w) ** 2 for w in wedge))
+        best = np.minimum(best, np.minimum(d, 1.0))
     return best
 
 

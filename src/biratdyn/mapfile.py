@@ -21,12 +21,12 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from .cohomology import SpectralError, lattice_for_plane_map
-from .geometry import ComplexRational, HomogeneousPolynomial, poly_gcd
+from .geometry import ComplexRational, HomogeneousPolynomial
 from .maps import RationalSurfaceMap, verify_inverse
 from .standard_maps import STANDARD_MAPS
 
@@ -138,17 +138,21 @@ def _parse_component(rows, degree: int, where: str) -> HomogeneousPolynomial:
     return HomogeneousPolynomial(degree, terms)
 
 
-def _parse_triple(data, degree: int, where: str) -> tuple[HomogeneousPolynomial, ...]:
+def _map_from_triple(data, degree: int, where: str, **kwargs) -> RationalSurfaceMap:
+    """Build the map of a component triple; ``kwargs`` go to the map.  The
+    map divides out a common factor, which shows as a drop in degree."""
     if not isinstance(data, list) or len(data) != 3:
         raise MapFileError(f"{where}: expected exactly 3 polynomial components")
     comps = tuple(
         _parse_component(rows, degree, f"{where}[{idx}]")
         for idx, rows in enumerate(data)
     )
-    g = poly_gcd(list(comps))
-    if g.degree > 0:
-        raise MapFileError(f"{where}: components share a common factor of degree {g.degree}")
-    return comps
+    f = RationalSurfaceMap(comps, **kwargs)
+    if f.degree < degree:
+        raise MapFileError(
+            f"{where}: components share a common factor of degree {degree - f.degree}"
+        )
+    return f
 
 
 def _triple_degree(data, where: str) -> int:
@@ -172,15 +176,12 @@ def map_from_payload(payload: dict) -> RationalSurfaceMap:
     degree = payload["degree"]
     if not isinstance(degree, int) or degree < 1:
         raise MapFileError("degree must be a positive integer")
-    forward = _parse_triple(payload["forward"], degree, "forward")
-    inverse_map: Optional[RationalSurfaceMap] = None
+    f = _map_from_triple(payload["forward"], degree, "forward", name=name)
     if payload.get("inverse") is not None:
         inv_degree = _triple_degree(payload["inverse"], "inverse")
-        inverse = _parse_triple(payload["inverse"], inv_degree, "inverse")
-        inverse_map = RationalSurfaceMap(inverse, name=f"{name}^-1")
-    f = RationalSurfaceMap(forward, inverse=inverse_map, name=name)
-    if inverse_map is not None and not verify_inverse(f):
-        raise MapFileError("inverse triple fails verification against the forward map")
+        _map_from_triple(payload["inverse"], inv_degree, "inverse", inverse=f, name=f"{name}^-1")
+        if not verify_inverse(f):
+            raise MapFileError("inverse triple fails verification against the forward map")
     return f
 
 
@@ -262,7 +263,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if not isinstance(self.seed, int) or not (0 <= self.seed < 2**64):
+        if type(self.seed) is not int or not (0 <= self.seed < 2**64):
             raise MapFileError("seed must be an unsigned 64-bit integer")
         for field_name in ("n_orbit", "n_series", "n_cocycle", "grid", "max_period", "chart"):
             value = getattr(self, field_name)

@@ -8,10 +8,10 @@ point clouds that stand in for the measure.
 
 The search runs a vectorized complex Newton iteration on the fixed-point
 equations of the ``n``-th chart iterate, started from scrambled Sobol
-points.  Converged solutions are deduplicated projectively, filtered to
-minimal period, classified by the eigenvalue moduli of the orbit
-derivative, completed to full orbits, and certified by a sampled Krawczyk
-contraction bound before they are reported.  Weights are exact rationals,
+points.  Converged isolated solutions are deduplicated, filtered to minimal
+period, classified by the eigenvalue moduli of the orbit derivative,
+certified by a sampled Krawczyk contraction bound, and completed to full
+orbits before they are reported.  Weights are exact rationals,
 uniform across points, and always sum to 1.
 
 Cloud diagnostics mirror how such a measure is used: averages of bounded
@@ -364,7 +364,8 @@ class _AffineDynamics:
         c = np.zeros_like(x)
         d = np.ones_like(x)
         with np.errstate(all="ignore"):
-            for _ in range(n):
+            # an empty batch skips the evaluator, whose guard margins need a point
+            for _ in range(n if x.size else 0):
                 w1, w2, jac = self._evaluator(w1, w2)
                 (j11, j12), (j21, j22) = jac
                 a, b, c, d = (
@@ -398,22 +399,35 @@ class _AffineDynamics:
             y = np.where(ok, y - dy, np.nan)
         return x, y
 
-    def residual(self, x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-        w1, w2, _ = self.advance(x, y, n)
+    def isolated_roots(self, x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+        """The ``(x, y)`` rows that are isolated fixed points of the n-th iterate.
+
+        A row is kept when its fixed-point residual is below 1e-10 and
+        ``|det(Df^n - I)|`` exceeds ``_EXPANSION_GAP**2``.  Every saddle
+        clears that bound (both ``|lambda - 1|`` exceed the gap), while a
+        curve of periodic points, where ``Df^n - I`` is singular, is dropped
+        before it can flood the deduplication.
+        """
+        w1, w2, (a, b, c, d) = self.advance(x, y, n)
         with np.errstate(all="ignore"):
-            return np.abs(w1 - x) + np.abs(w2 - y)
+            res = np.abs(w1 - x) + np.abs(w2 - y)
+            det = (a - 1.0) * (d - 1.0) - b * c
+        ok = (res < _RESIDUAL_TOL) & (np.abs(det) > _EXPANSION_GAP**2)
+        return np.stack([x[ok], y[ok]], axis=1)
 
-    def derivative_matrix(self, x: complex, y: complex, n: int) -> np.ndarray:
-        ax = np.array([x], dtype=complex)
-        ay = np.array([y], dtype=complex)
-        _, _, (a, b, c, d) = self.advance(ax, ay, n)
-        return np.array([[a[0], b[0]], [c[0], d[0]]], dtype=complex)
+    def orbit_table(self, roots: np.ndarray, steps: int) -> np.ndarray:
+        """Forward images ``table[k] = f^k(roots)`` for ``k = 0..steps``."""
+        table = [roots]
+        for _ in range(steps):
+            x, y, _ = self.advance(table[-1][:, 0], table[-1][:, 1], 1)
+            table.append(np.stack([x, y], axis=1))
+        return np.stack(table)
 
-    def step_point(self, x: complex, y: complex) -> tuple[complex, complex]:
-        w1, w2, _ = self.advance(
-            np.array([x], dtype=complex), np.array([y], dtype=complex), 1
-        )
-        return complex(w1[0]), complex(w2[0])
+    def multipliers(self, roots: np.ndarray, n: int):
+        """``f^n`` images and the stacked 2x2 derivatives ``Df^n`` at each root."""
+        w1, w2, (a, b, c, d) = self.advance(roots[:, 0], roots[:, 1], n)
+        jac = np.stack([np.stack([a, b], axis=-1), np.stack([c, d], axis=-1)], axis=-2)
+        return np.stack([w1, w2], axis=-1), jac
 
 
 def _dedupe_affine(pts: list[np.ndarray], tol: float = _DEDUPE_TOL) -> list[np.ndarray]:
@@ -425,82 +439,64 @@ def _dedupe_affine(pts: list[np.ndarray], tol: float = _DEDUPE_TOL) -> list[np.n
     return unique
 
 
-def _minimal_period(dyn: _AffineDynamics, p: np.ndarray, n: int) -> int:
-    x, y = complex(p[0]), complex(p[1])
-    cx, cy = x, y
-    for k in range(1, n):
-        cx, cy = dyn.step_point(cx, cy)
-        if n % k == 0 and abs(cx - x) + abs(cy - y) < _DEDUPE_TOL:
-            return k
-    return n
+def _inverses(m: np.ndarray) -> np.ndarray:
+    """Batched matrix inverses; a matrix LAPACK finds singular comes back NaN."""
+    try:
+        return np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return np.stack([_inverses(row) for row in m]) if m.ndim > 2 else np.full_like(m, np.nan)
 
 
-def _certify_contraction(dyn: _AffineDynamics, p: np.ndarray, n: int) -> bool:
-    """Sampled Krawczyk contraction bound on a small box around a root.
+def _certify_contraction(
+    dyn: _AffineDynamics, roots: np.ndarray, images: np.ndarray, jac: np.ndarray, n: int
+) -> np.ndarray:
+    """Sampled Krawczyk contraction bound on a small box around each root.
 
     With ``Y`` the inverse derivative of ``F = f^n - id`` at the candidate,
-    the orbit is accepted when ``|Y F(p)| + r max |I - Y DF| < r`` over
-    derivative samples at box corners of radius ``r``.  Quadratic Newton
-    convergence makes the margin wide at genuine simple roots.
+    a root is accepted when ``|Y F(p)| + r max |I - Y DF| < r`` over
+    derivative samples at the 16 box corners of radius ``r``.  Quadratic
+    Newton convergence makes the margin wide at genuine simple roots.
+    ``images`` and ``jac`` are ``f^n`` and ``Df^n`` at the roots.
     """
     r = _CERTIFY_RADIUS
-    x, y = complex(p[0]), complex(p[1])
-    w1, w2, _ = dyn.advance(np.array([x]), np.array([y]), n)
-    fvec = np.array([w1[0] - x, w2[0] - y])
-    df = dyn.derivative_matrix(x, y, n) - np.eye(2)
-    try:
-        yinv = np.linalg.inv(df)
-    except np.linalg.LinAlgError:
-        return False
-    eta = float(np.max(np.abs(yinv @ fvec)))
-    kappa = 0.0
-    for sx in (1, -1, 1j, -1j):
-        for sy in (1, -1, 1j, -1j):
-            sample = dyn.derivative_matrix(x + r * sx, y + r * sy, n) - np.eye(2)
-            gap = np.eye(2) - yinv @ sample
-            kappa = max(kappa, float(np.max(np.abs(gap).sum(axis=1))))
+    eye = np.eye(2)
+    yinv = _inverses(jac - eye)
+    eta = np.max(np.abs(yinv @ (images - roots)[:, :, None]), axis=(1, 2))
+    sides = (1, -1, 1j, -1j)
+    corners = np.array([(r * sx, r * sy) for sx in sides for sy in sides], dtype=complex)
+    boxes = (roots[:, None, :] + corners).reshape(-1, 2)
+    _, samples = dyn.multipliers(boxes, n)
+    gap = eye - yinv[:, None] @ (samples.reshape(-1, 16, 2, 2) - eye)
+    kappa = np.max(np.abs(gap).sum(axis=-1), axis=(1, 2))
     return eta + kappa * r < r
 
 
 def _sort_key(p: np.ndarray):
-    return (
-        round(p[0].real, 9),
-        round(p[0].imag, 9),
-        round(p[1].real, 9),
-        round(p[1].imag, 9),
-    )
+    return tuple(round(part, 9) for z in p for part in (z.real, z.imag))
 
 
-def _group_orbits(
-    dyn: _AffineDynamics, pts: list[np.ndarray], n: int
-) -> list[list[np.ndarray]]:
+def _group_orbits(table: np.ndarray, n: int) -> list[tuple[int, list[int]]]:
     """Partition periodic points into complete forward orbits.
 
-    Points whose orbit is not fully present (up to the dedupe tolerance)
-    are dropped; a partial orbit would bias the uniform weighting.
+    ``table[k, i]`` is the k-th image of point ``i``.  Each orbit is a start
+    point and, for ``k = 0..n-1``, the point its k-th image matched.  Points
+    whose orbit is not fully present (up to the dedupe tolerance) are
+    dropped; a partial orbit would bias the uniform weighting.
     """
-    remaining = sorted(pts, key=_sort_key)
-    orbits: list[list[np.ndarray]] = []
+    pts = table[0]
+    remaining = sorted(range(len(pts)), key=lambda i: _sort_key(pts[i]))
+    orbits: list[tuple[int, list[int]]] = []
     while remaining:
         start = remaining.pop(0)
-        orbit = [start]
-        cx, cy = complex(start[0]), complex(start[1])
-        complete = True
-        for _ in range(n - 1):
-            cx, cy = dyn.step_point(cx, cy)
-            img = np.array([cx, cy])
-            match = None
-            for q in remaining:
-                if np.max(np.abs(img - q)) < 10 * _DEDUPE_TOL:
-                    match = q
-                    break
-            if match is None:
-                complete = False
+        matched = [start]
+        for k in range(1, n):
+            near = np.max(np.abs(pts[remaining] - table[k, start]), axis=1)
+            hits = np.nonzero(near < 10 * _DEDUPE_TOL)[0]
+            if not hits.size:
                 break
-            remaining = [q for q in remaining if q is not match]
-            orbit.append(img)
-        if complete and len(orbit) == n:
-            orbits.append(orbit)
+            matched.append(remaining.pop(int(hits[0])))
+        if len(matched) == n:
+            orbits.append((start, matched))
     return orbits
 
 
@@ -517,13 +513,14 @@ def saddle_periodic_points(
     """Locate all saddle orbits of the given minimal period in a chart.
 
     Sobol-seeded Newton runs search the complex box ``|x|, |y| <= radius``
-    for fixed points of the ``period``-th iterate; rounds of starts continue
-    until three consecutive rounds find nothing new or the budget is spent.
-    Candidates are deduplicated at chordal distance 1e-7, reduced to minimal
-    period, completed to full orbits, certified by a sampled contraction
-    bound, and classified as saddles when the orbit-derivative eigenvalue
-    moduli straddle 1 by more than 1e-6.  Raises :class:`NoSaddlesFound`
-    when nothing survives.
+    for isolated fixed points of the ``period``-th iterate; rounds of starts
+    continue until three consecutive rounds find nothing new or the budget
+    is spent.  Candidates are deduplicated at distance 1e-7, reduced to
+    minimal period, classified as saddles when the orbit-derivative
+    eigenvalue moduli straddle 1 by more than 1e-6, certified by a sampled
+    contraction bound, and completed to full orbits.  All of these stages
+    read one forward-orbit table of the found roots.  Raises
+    :class:`NoSaddlesFound` when nothing survives.
     """
     if not isinstance(period, int) or period < 1:
         raise MeasureError("period must be a positive integer")
@@ -543,64 +540,61 @@ def saddle_periodic_points(
         x = (2 * u[:, 0] - 1) * radius + 1j * (2 * u[:, 1] - 1) * radius
         y = (2 * u[:, 2] - 1) * radius + 1j * (2 * u[:, 3] - 1) * radius
         x, y = dyn.newton(x, y, period)
-        res = dyn.residual(x, y, period)
-        good = np.isfinite(res) & (res < _RESIDUAL_TOL)
         before = len(found)
-        found = _dedupe_affine(found + list(np.stack([x[good], y[good]], axis=1)))
+        found = _dedupe_affine(found + list(dyn.isolated_roots(x, y, period)))
         if found:
             # orbit completion: polish the forward images of every find so a
             # single converged point recovers its whole cycle
-            xs = np.array([p[0] for p in found])
-            ys = np.array([p[1] for p in found])
+            xs, ys = np.array(found).T
             for _ in range(period - 1):
                 xs, ys, _ = dyn.advance(xs, ys, 1)
                 px, py = dyn.newton(xs.copy(), ys.copy(), period, iters=10)
-                pres = dyn.residual(px, py, period)
-                keep = np.isfinite(pres) & (pres < _RESIDUAL_TOL)
-                found = _dedupe_affine(
-                    found + list(np.stack([px[keep], py[keep]], axis=1))
-                )
+                found = _dedupe_affine(found + list(dyn.isolated_roots(px, py, period)))
         quiet = quiet + 1 if len(found) == before else 0
         if quiet >= 3:
             break
 
-    minimal = [p for p in found if _minimal_period(dyn, p, period) == period]
+    table = dyn.orbit_table(np.array(found, dtype=complex).reshape(-1, 2), 2 * period - 1)
+    for k in range(1, period):
+        if period % k == 0:  # drop the points of smaller period k
+            shift = np.abs(table[k] - table[0])
+            table = table[:, ~(shift[:, 0] + shift[:, 1] < _DEDUPE_TOL)]
 
-    saddles: list[np.ndarray] = []
-    moduli: dict[tuple, tuple[float, float]] = {}
-    for p in minimal:
-        m = dyn.derivative_matrix(complex(p[0]), complex(p[1]), period)
-        lo, hi = np.sort(np.abs(np.linalg.eigvals(m)))
-        if hi > 1.0 + _EXPANSION_GAP and lo < 1.0 - _EXPANSION_GAP:
-            if _certify_contraction(dyn, p, period):
-                saddles.append(p)
-                moduli[_sort_key(p)] = (float(hi), float(lo))
+    images, jac = dyn.multipliers(table[0], period)
+    lo, hi = np.sort(np.abs(np.linalg.eigvals(jac)), axis=1).T
+    saddle = (hi > 1.0 + _EXPANSION_GAP) & (lo < 1.0 - _EXPANSION_GAP)
+    saddle[saddle] = _certify_contraction(
+        dyn, table[0, saddle], images[saddle], jac[saddle], period
+    )
+    table, lo, hi = table[:, saddle], lo[saddle], hi[saddle]
 
-    orbits = _group_orbits(dyn, saddles, period)
-    ordered = [p for orbit in orbits for p in orbit]
-    if not ordered:
+    orbits = _group_orbits(table, period)
+    if not orbits:
         raise NoSaddlesFound(
             f"no saddle orbits of period {period} found for {f.name!r}"
         )
 
-    points = []
-    for p in ordered:
-        cx, cy = complex(p[0]), complex(p[1])
-        q = ProjectivePoint.numeric_point(*chart_embed(chart, cx, cy))
-        for _ in range(period):
-            cx, cy = dyn.step_point(cx, cy)
-        pn = ProjectivePoint.numeric_point(*chart_embed(chart, cx, cy))
-        if proj_distance(q, pn) >= _CHORDAL_FIX_TOL:
-            raise MeasureError(
-                f"periodic-point residual exceeds {_CHORDAL_FIX_TOL:g} at {q}"
+    # each orbit point is the k-th image of its orbit's start and takes the
+    # moduli of the root it matched; its n-th image must close up
+    points, moduli = [], []
+    for start, matched in orbits:
+        for k, j in enumerate(matched):
+            q, image = (
+                ProjectivePoint.numeric_point(*chart_embed(chart, *map(complex, table[s, start])))
+                for s in (k, k + period)
             )
-        points.append(q)
+            if proj_distance(q, image) >= _CHORDAL_FIX_TOL:
+                raise MeasureError(
+                    f"periodic-point residual exceeds {_CHORDAL_FIX_TOL:g} at {q}"
+                )
+            points.append(q)
+            moduli.append((float(hi[j]), float(lo[j])))
 
     cloud = WeightedPointCloud.uniform(
         tuple(points),
         provenance=f"SaddleOrbits({period})",
         periods=(period,) * len(points),
-        eigenvalue_moduli=tuple(moduli[_sort_key(p)] for p in ordered),
+        eigenvalue_moduli=tuple(moduli),
         seed=seed,
     )
     forbidden = list(f.indeterminacy_set())

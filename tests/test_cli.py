@@ -285,6 +285,19 @@ class TestMeasure:
         assert "seed=4242" in head
         assert read_json(tmp_path / "measure_henon.json")["seed"] == 4242
 
+    def test_involution_exits_3_in_bounded_time(self, tmp_path):
+        # every point of the Cremona involution has period 2; these roots are
+        # not isolated and must not flood the search at the default cut-off
+        src = str(Path(biratdyn.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "biratdyn.cli", "measure",
+             "--map", str(corpus_path("cremona")), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert "no saddle orbits" in proc.stderr
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert self.run_measure(a) == 0
@@ -421,6 +434,14 @@ class TestConfigAndDispatch:
     def test_no_arguments_exits_2(self, capsys):
         assert run_cli() == 2
         capsys.readouterr()
+
+    def test_boolean_seed_in_config_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": True}))
+        with pytest.raises(MapFileError, match="seed"):
+            load_config(cfg)
+        assert run_cli("inspect", "--map", str(corpus_path("henon")),
+                       "--config", str(cfg), "--out", str(tmp_path)) == 2
 
     def test_module_entry_point(self, tmp_path):
         # the child process imports the same biratdyn as this test

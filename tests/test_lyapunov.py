@@ -35,6 +35,7 @@ from biratdyn.lyapunov import (
     IntegrabilityReport,
     LyapunovError,
     LyapunovEstimate,
+    _chordal_to_points,
     cocycle_exponents,
     hyperbolicity_verdict,
     integrability_partial,
@@ -183,6 +184,22 @@ class TestExclusion:
         # the surviving point is the fixed saddle: chi+ approximates the log
         # of its expanding multiplier up to the O(1/n) non-normality error
         assert est.chi_plus == pytest.approx(math.log(2.0 + math.sqrt(3.75)), abs=0.02)
+
+    def test_small_distances_keep_their_digits(self):
+        # rows at exact chordal distance r from a non-coordinate unit vector,
+        # written sqrt(1 - r^2) c + r v with v a unit vector orthogonal to c
+        c = np.array([1 + 2j, -0.5 + 0.25j, 0.75 - 1j])
+        c /= np.linalg.norm(c)
+        rng = np.random.default_rng(20)
+        radii = np.geomspace(1e-10, 1e-7, 200)
+        rows = []
+        for r in radii:
+            v = rng.normal(size=3) + 1j * rng.normal(size=3)
+            v -= np.vdot(c, v) * c
+            v /= np.linalg.norm(v)
+            rows.append(math.sqrt(1.0 - r * r) * c + r * v)
+        d = _chordal_to_points(np.array(rows), [c])
+        assert np.all(np.abs(d - radii) <= 1e-6 * radii)
 
     def test_all_orbits_excluded_raises(self, henon):
         cloud = WeightedPointCloud.uniform(

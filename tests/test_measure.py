@@ -29,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from biratdyn import measure
 from biratdyn.geometry import ProjectivePoint, proj_distance
 from biratdyn.measure import (
     IndeterminateEncounter,
@@ -269,6 +270,19 @@ class TestSaddleSearch:
     def test_period_validation(self, henon):
         with pytest.raises(MeasureError):
             saddle_periodic_points(henon, 0)
+
+    def test_no_single_point_advance(self, henon, monkeypatch):
+        # after the Newton rounds every stage steps all candidates at once
+        sizes = []
+        advance = measure._AffineDynamics.advance
+
+        def counted(self, x, y, n):
+            sizes.append(np.size(x))
+            return advance(self, x, y, n)
+
+        monkeypatch.setattr(measure._AffineDynamics, "advance", counted)
+        assert saddle_cloud(henon, 4, seed=7).size == 2 + 6 + 12
+        assert sizes and 1 not in sizes
 
 
 class TestMergedClouds:
