@@ -70,7 +70,7 @@ from .lyapunov import (
     hyperbolicity_verdict,
 )
 from .mapfile import ExperimentConfig, MapFileError, load_config, load_map, map_payload
-from .maps import RationalSurfaceMap, chart_embed, degree_sequence
+from .maps import DEGREE_CHECK_ITERATES, RationalSurfaceMap, chart_embed, degree_sequence
 from .measure import (
     IndeterminateEncounter,
     MeasureError,
@@ -229,7 +229,7 @@ def _grid_csv(grid: np.ndarray, cfg: ExperimentConfig) -> str:
 def cmd_inspect(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> int:
     """Exact structure report of a map from ``load_map``, which has already
     verified any attached inverse (a failing one ends the run with exit 2)."""
-    seq = degree_sequence(f, 5)
+    seq = degree_sequence(f, DEGREE_CHECK_ITERATES)
     doc = _report_header("inspect", cfg, f)
     doc["degree"] = f.degree
     doc["degree_sequence"] = {

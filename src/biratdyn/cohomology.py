@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import RationalSurfaceMap, apply, degree_sequence
+from .maps import DEGREE_CHECK_ITERATES, RationalSurfaceMap, apply, degree_sequence
 
 __all__ = [
     "CohomologyLattice",
@@ -265,22 +265,22 @@ def remainder_growth_constant(L: CohomologyLattice, vec, t: float, n_max: int = 
     return float(best)
 
 
-def lattice_for_plane_map(f: RationalSurfaceMap, n_check: int = 5) -> CohomologyLattice:
+def lattice_for_plane_map(f: RationalSurfaceMap) -> CohomologyLattice:
     """Rank-one lattice of the projective plane for a degree-stable map.
 
     The hyperplane class generates, the form is ``(1)``, and both actions
     are multiplication by the algebraic degree.  This identification is
     only valid when degrees are multiplicative, so the degree sequence is
-    checked through ``n_check`` iterates first; a dropping sequence raises
-    :class:`SpectralError`.  The contracted-curve classes are the degrees
-    of the critical factors of the inverse.  For a multiplicative sequence
-    the degree-growth estimate of the spectral radius, ``d_n^(1/n)``,
-    equals the algebraic degree exactly, so the cross-check between the
-    two is exact by construction.
+    checked through ``DEGREE_CHECK_ITERATES`` iterates first; a dropping
+    sequence raises :class:`SpectralError`.  The contracted-curve classes
+    are the degrees of the critical factors of the inverse.  For a
+    multiplicative sequence the degree-growth estimate of the spectral
+    radius, ``d_n^(1/n)``, equals the algebraic degree exactly, so the
+    cross-check between the two is exact by construction.
     """
     if f.inverse is None:
         raise SpectralError("plane lattice generation needs the inverse map")
-    seq = degree_sequence(f, n_check)
+    seq = degree_sequence(f, DEGREE_CHECK_ITERATES)
     if not seq.is_multiplicative:
         raise SpectralError(
             f"degree sequence {seq.degrees} drops at iterate {seq.first_drop}; "
@@ -298,9 +298,7 @@ def lattice_for_plane_map(f: RationalSurfaceMap, n_check: int = 5) -> Cohomology
     )
 
 
-def indeterminacy_image_positivity(
-    f: RationalSurfaceMap, L: CohomologyLattice, sd: SpectralData | None = None
-):
+def indeterminacy_image_positivity(f: RationalSurfaceMap, L: CohomologyLattice):
     """Pairings of the expanding class with the images of indeterminacy points.
 
     Each indeterminacy point of a plane map blows up to a curve; on the
@@ -310,8 +308,7 @@ def indeterminacy_image_positivity(
     """
     if L.rank != 1:
         raise SpectralError("image positivity check is implemented for the plane lattice")
-    if sd is None:
-        sd = spectral_data(L)
+    sd = spectral_data(L)
     values = []
     for p in f.indeterminacy_set():
         img = apply(f, p)

@@ -73,6 +73,21 @@ __all__ = [
     "pushforward_energy_check",
 ]
 
+# node eigenvalues of a positive form may dip this far below zero by rounding
+_POSITIVITY_TOL = 1e-12
+# central-difference step of the numeric complex Hessian
+_HESSIAN_STEP = 1e-5
+# half-width of the band in which ``regularize`` smooths max(u, -j)
+_SMOOTHING_WIDTH = 0.25
+# a regularizing sequence decays when its last consecutive distance is at
+# most this fraction of the first, or below the floor
+_DECAY_FACTOR = 0.25
+_DECAY_FLOOR = 1e-9
+# change of variables: cutoff support as a fraction of the source box, and
+# the margin of the target box around the cutoff's image
+_WINDOW_SCALE = 0.6
+_TARGET_PAD = 1.15
+
 
 class EnergyError(Exception):
     """Base error for the discrete energy layer."""
@@ -216,11 +231,11 @@ class DiscreteForm11:
         rad = np.sqrt(((self.a - self.c) / 2.0) ** 2 + np.abs(self.b) ** 2)
         return float(np.min(mid - rad))
 
-    def require_positive(self, tol: float = 1e-12) -> None:
+    def require_positive(self) -> None:
         worst = self.min_eigenvalue()
-        if worst < -tol:
+        if worst < -_POSITIVITY_TOL:
             raise NonPositiveT(
-                f"form has a node eigenvalue {worst:.3e} below -{tol:.0e}"
+                f"form has a node eigenvalue {worst:.3e} below -{_POSITIVITY_TOL:.0e}"
             )
 
     def mass_density(self) -> np.ndarray:
@@ -493,7 +508,7 @@ def bump_function(center: Sequence[complex], widths: Sequence[float]) -> ChartFu
 
 
 def complex_hessian(
-    fn: ChartFunction, z1: np.ndarray, z2: np.ndarray, step: float = 1e-5
+    fn: ChartFunction, z1: np.ndarray, z2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Complex Hessian entries (h11, h12, h22) of a real chart function:
     analytic closures when available, otherwise central differences of the
@@ -504,6 +519,8 @@ def complex_hessian(
             np.asarray(fn.h12(z1, z2)),
             np.asarray(fn.h22(z1, z2)),
         )
+
+    step = _HESSIAN_STEP
 
     def dbar(closure, var):
         if var == 1:
@@ -638,7 +655,7 @@ def _m_slope(t: np.ndarray, delta: float) -> np.ndarray:
     return np.clip((t + delta) / (2.0 * delta), 0.0, 1.0)
 
 
-def regularize(u: ChartFunction, j: float, delta: float = 0.25) -> ChartFunction:
+def regularize(u: ChartFunction, j: float, delta: float = _SMOOTHING_WIDTH) -> ChartFunction:
     """Level-j smooth majorant u_j = m(u + j) - j of a function with log
     poles: u_j = u where u >= -j + delta, u_j = -j where u <= -j - delta,
     and u_j decreases pointwise as j increases."""
@@ -686,9 +703,6 @@ def cauchy_diagnostic(
     T: DiscreteForm11,
     chart: GridChart,
     levels: Iterable[float],
-    delta: float = 0.25,
-    decay_factor: float = 0.25,
-    floor: float = 1e-9,
 ) -> CauchyDiagnostic:
     """Seminorm distance matrix of the regularized levels of ``u`` against
     ``T``.  Uses the chain rule grad(u_j) = m'(u + j) grad(u), so only one
@@ -710,7 +724,7 @@ def cauchy_diagnostic(
     usable = np.isfinite(uval) & np.isfinite(density)
     density = np.where(usable, density, 0.0)
 
-    weights = [_m_slope(uval + j, delta) for j in level_list]
+    weights = [_m_slope(uval + j, _SMOOTHING_WIDTH) for j in level_list]
     vol = chart.cell_volume
     n = len(level_list)
     matrix = np.zeros((n, n))
@@ -722,7 +736,7 @@ def cauchy_diagnostic(
             val = math.sqrt(max(float(np.sum(diff**2 * density)) * vol, 0.0))
             matrix[i, k] = matrix[k, i] = val
     consecutive = tuple(float(matrix[i, i + 1]) for i in range(n - 1))
-    decays = consecutive[-1] <= max(decay_factor * consecutive[0], floor)
+    decays = consecutive[-1] <= max(_DECAY_FACTOR * consecutive[0], _DECAY_FLOOR)
     return CauchyDiagnostic(
         levels=level_list,
         matrix=matrix,
@@ -825,35 +839,32 @@ def pushforward_energy_check(
     T,
     source_chart: GridChart,
     *,
-    window_scale: float = 0.6,
-    pad: float = 1.15,
-    target_chart_index: Optional[int] = None,
     target_resolution: Optional[int] = None,
 ) -> PushforwardCheck:
     """Dual-route seminorm check across a biholomorphic window of ``f``.
 
-    A smooth cutoff supported on ``window_scale`` times the source box
-    weights both integrals; the identity is exact in the continuum, so the
-    relative discrepancy measures pure quadrature error.  Raises
+    Both windows lie in the source box's chart.  A smooth cutoff supported
+    on ``_WINDOW_SCALE`` times the source box weights both integrals; the
+    identity is exact in the continuum, so the relative discrepancy
+    measures pure quadrature error.  Raises
     ``ChartMeetsExceptionalSet`` when the window or its image touches the
     indeterminacy or critical loci, where the premises fail.
     """
     if f.inverse is None:
         raise EnergyError("map has no attached inverse; the target-side integral needs one")
     t_fn = _as_form_function(T)
-    chart_in = source_chart.chart
-    chart_out = chart_in if target_chart_index is None else target_chart_index
+    chart = source_chart.chart
 
     _indeterminacy_in_box(f, source_chart)
 
-    forward = ChartMap(f, chart_in, chart_out)
+    forward = ChartMap(f, chart, chart)
 
     # numeric roundtrip sanity of the attached inverse near the window
     c1, c2 = source_chart.affine_center
     probe1 = np.array([c1 + 0.37 * source_chart.halfwidth])
     probe2 = np.array([c2 + 0.23 * source_chart.halfwidth])
     w1p, w2p, _ = forward(probe1, probe2)
-    backward_probe = ChartMap(f.inverse, chart_out, chart_in)
+    backward_probe = ChartMap(f.inverse, chart, chart)
     s1p, s2p, _ = backward_probe(w1p, w2p)
     if np.all(np.isfinite([s1p[0], s2p[0]])):
         err = abs(s1p[0] - probe1[0]) + abs(s2p[0] - probe2[0])
@@ -861,7 +872,7 @@ def pushforward_energy_check(
             raise EnergyError("attached inverse fails a numeric roundtrip near the window")
 
     sc1, sc2 = source_chart.affine_center
-    widths = (window_scale * source_chart.halfwidth,) * 4
+    widths = (_WINDOW_SCALE * source_chart.halfwidth,) * 4
     chi = bump_function((sc1, sc2), widths)
 
     source_sum = 0.0
@@ -871,7 +882,7 @@ def pushforward_energy_check(
     box_hi = np.full(4, -math.inf)
     for z1c, z2c in _chunks(source_chart):
         w1, w2, J = forward(z1c, z2c)
-        crit_min = _critical_proxy_min(f, chart_embed(chart_in, z1c, z2c), crit_min)
+        crit_min = _critical_proxy_min(f, chart_embed(chart, z1c, z2c), crit_min)
         chiv = np.asarray(chi.value(z1c, z2c))
         u1 = np.asarray(u.d1(w1, w2))
         u2 = np.asarray(u.d2(w1, w2))
@@ -901,25 +912,25 @@ def pushforward_energy_check(
     source_value = source_sum * source_chart.cell_volume
 
     mids = (box_lo + box_hi) / 2.0
-    halfwidth = float(max((box_hi - box_lo) / 2.0)) * pad
+    halfwidth = float(max((box_hi - box_lo) / 2.0)) * _TARGET_PAD
     target_chart = GridChart(
         center=ProjectivePoint.numeric_point(
-            *chart_embed(chart_out, mids[0] + 1j * mids[1], mids[2] + 1j * mids[3])
+            *chart_embed(chart, mids[0] + 1j * mids[1], mids[2] + 1j * mids[3])
         ),
-        chart=chart_out,
+        chart=chart,
         halfwidth=halfwidth,
         resolution=target_resolution or source_chart.resolution,
     )
     _indeterminacy_in_box(f.inverse, target_chart)
 
-    backward = ChartMap(f.inverse, chart_out, chart_in)
+    backward = ChartMap(f.inverse, chart, chart)
     target_sum = 0.0
     crit_min_back = math.inf
     finite = True
     for y1c, y2c in _chunks(target_chart):
         s1, s2, K = backward(y1c, y2c)
         crit_min_back = _critical_proxy_min(
-            f.inverse, chart_embed(chart_out, y1c, y2c), crit_min_back
+            f.inverse, chart_embed(chart, y1c, y2c), crit_min_back
         )
         chiv = np.asarray(chi.value(s1, s2))
         a, b, c = t_fn(s1, s2)

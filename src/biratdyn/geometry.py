@@ -26,6 +26,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 VARIABLE_NAMES = ("x", "y", "t")
+# chordal distance below which two points, one of them numeric, are equal
+_SAME_POINT_EPS = 1e-9
 
 
 class GeometryError(ValueError):
@@ -265,12 +267,12 @@ class ProjectivePoint:
             return 64
         return max(c.bit_size() for c in self.coords)
 
-    def same_point(self, other: "ProjectivePoint", eps: float = 1e-9) -> bool:
+    def same_point(self, other: "ProjectivePoint") -> bool:
         """Projective equality: exact proportionality when both points are
-        exact, chordal distance below eps otherwise."""
+        exact, chordal distance below _SAME_POINT_EPS otherwise."""
         if self.exact and other.exact:
             return _wedge_norm2(self._integer_form()[0], other._integer_form()[0]) == 0
-        return proj_distance(self, other) < eps
+        return proj_distance(self, other) < _SAME_POINT_EPS
 
     def __repr__(self):
         if self.exact:

@@ -3,7 +3,7 @@
 A map is a triple of coprime homogeneous polynomials over Q(i) of common
 degree.  This module covers evaluation (with blowup and collapse
 detection), exact composition with coefficient-size caps, indeterminacy
-and critical loci, degree sequences under iteration, and first/second
+and critical loci, degree sequences under iteration, and
 derivative data in affine charts and in the Fubini-Study metric.
 
 The affine charts of the plane are reached through one embedding pair,
@@ -42,6 +42,8 @@ DEFAULT_COEFF_BIT_CAP = 1 << 16
 EPS_EXCEPTIONAL = 1e-6
 # tolerance for numeric indeterminacy detection at unit representatives
 EPS_INDETERMINACY = 1e-9
+# iterates f^1..f^N composed to decide whether the degrees are multiplicative
+DEGREE_CHECK_ITERATES = 5
 
 
 class MapError(ValueError):
@@ -230,14 +232,6 @@ class RationalSurfaceMap:
             self._contractions = out
         return list(self._contractions)
 
-    # -- application --------------------------------------------------------
-
-    def apply(self, p: ProjectivePoint, eps_indeterminacy: float = EPS_INDETERMINACY) -> MapImage:
-        return apply(self, p, eps_indeterminacy)
-
-    def __call__(self, p: ProjectivePoint) -> MapImage:
-        return apply(self, p)
-
 
 def apply(
     f: RationalSurfaceMap, p: ProjectivePoint, eps_indeterminacy: float = EPS_INDETERMINACY
@@ -413,25 +407,21 @@ def is_identity(f: RationalSurfaceMap) -> bool:
     return (c0 * y == c1 * x) and (c0 * t == c2 * x) and (c1 * t == c2 * y)
 
 
-def verify_inverse(f: RationalSurfaceMap, bit_cap: int = DEFAULT_COEFF_BIT_CAP) -> bool:
+def verify_inverse(f: RationalSurfaceMap) -> bool:
     """Certify the attached inverse: both compositions reduce to the
     identity map."""
     if f.inverse is None:
         raise MapError("no inverse attached")
-    return is_identity(compose(f, f.inverse, bit_cap)) and is_identity(
-        compose(f.inverse, f, bit_cap)
-    )
+    return is_identity(compose(f, f.inverse)) and is_identity(compose(f.inverse, f))
 
 
-def degree_sequence(
-    f: RationalSurfaceMap, length: int, bit_cap: int = DEFAULT_COEFF_BIT_CAP
-) -> DegreeSequence:
+def degree_sequence(f: RationalSurfaceMap, length: int) -> DegreeSequence:
     """Degrees of the reduced iterates f, f^2, ..., f^length.
 
     The sequence is multiplicative (d_n = d_1^n) exactly when no iterate
     picks up a common factor; first_drop records the first n where
-    multiplicativity fails.  If exact coefficients exceed the bit cap the
-    sequence is truncated and marked."""
+    multiplicativity fails.  If exact coefficients exceed
+    DEFAULT_COEFF_BIT_CAP bits the sequence is truncated and marked."""
     if length < 1:
         raise MapError("need length >= 1")
     degrees = [f.degree]
@@ -439,7 +429,7 @@ def degree_sequence(
     truncated_at = None
     for n in range(2, length + 1):
         try:
-            current = compose(f, current, bit_cap)
+            current = compose(f, current)
         except CoefficientOverflow:
             truncated_at = n
             break
@@ -670,14 +660,12 @@ class ChartMap:
 
     def __call__(self, z1, z2):
         """Return image coordinates (w1, w2) in the target chart and the
-        2x2 Jacobian entries (J[l][j] = dw_l / dz_j)."""
+        2x2 Jacobian entries (J[l][j] = dw_l / dz_j).  An empty batch gives
+        empty results and leaves the guard margins as they were."""
         hom = chart_embed(self.chart_in, z1, z2)
         comps = self.f.components
         F = [c.evaluate_numeric(hom) for c in comps]
         D = np.asarray(F[self.chart_out])
-        absd = np.abs(D)
-        self.denominator_small = min(self.denominator_small, float(np.min(absd)))
-        self.denominator_large = max(self.denominator_large, float(np.max(absd)))
         with np.errstate(divide="ignore", invalid="ignore"):
             w1 = F[self.out_vars[0]] / D
             w2 = F[self.out_vars[1]] / D
@@ -686,53 +674,13 @@ class ChartMap:
             for l, out in enumerate(self.out_vars):
                 for j in range(2):
                     J[l][j] = (dF[out][j] * D - F[out] * dF[self.chart_out][j]) / (D * D)
+        if np.broadcast(z1, z2).size == 0:
+            return w1, w2, J
+        absd = np.abs(D)
+        self.denominator_small = min(self.denominator_small, float(np.min(absd)))
+        self.denominator_large = max(self.denominator_large, float(np.max(absd)))
         det = np.abs(J[0][0] * J[1][1] - J[0][1] * J[1][0])
         self.jacobian_small = min(self.jacobian_small, float(np.min(det)))
         self.jacobian_large = max(self.jacobian_large, float(np.max(det)))
         return w1, w2, J
 
-
-def second_derivative_norm(f: RationalSurfaceMap, p: ProjectivePoint) -> float:
-    """Frobenius norm of the second derivative tensor of the chart
-    expression of f at p (source chart from p, target chart from f(p))."""
-    z = p.unit_vector()
-    Fz = f.evaluate_numeric(z)
-    if np.linalg.norm(Fz) < 1e-300:
-        return math.inf
-    chart_in = int(np.argmax(np.abs(z)))
-    chart_out = int(np.argmax(np.abs(Fz)))
-    rep = z / z[chart_in]
-    in_vars = [i for i in range(3) if i != chart_in]
-    out_vars = [i for i in range(3) if i != chart_out]
-    Fv = f.evaluate_numeric(rep)
-    R = Fv[chart_out]
-    dF = {v: np.array([f.components[i].derivative(v).evaluate_numeric(rep) for i in range(3)]) for v in in_vars}
-    d2F = {}
-    for a in in_vars:
-        for b in in_vars:
-            if (b, a) in d2F:
-                d2F[(a, b)] = d2F[(b, a)]
-            else:
-                d2F[(a, b)] = np.array(
-                    [
-                        f.components[i].derivative(a).derivative(b).evaluate_numeric(rep)
-                        for i in range(3)
-                    ]
-                )
-    total = 0.0
-    for out in out_vars:
-        P = Fv[out]
-        for a in in_vars:
-            for b in in_vars:
-                Pa, Pb = dF[a][out], dF[b][out]
-                Ra, Rb = dF[a][chart_out], dF[b][chart_out]
-                Pab = d2F[(a, b)][out]
-                Rab = d2F[(a, b)][chart_out]
-                val = (
-                    Pab / R
-                    - (Pa * Rb + Pb * Ra) / R**2
-                    - P * Rab / R**2
-                    + 2 * P * Ra * Rb / R**3
-                )
-                total += abs(val) ** 2
-    return math.sqrt(total)

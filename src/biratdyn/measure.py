@@ -55,11 +55,13 @@ __all__ = [
     "tube_observable",
 ]
 
-# Search defaults.  A round of Sobol starts is drawn, Newton-polished, and
-# merged with earlier finds; rounds stop early once three consecutive rounds
-# add nothing new.
+# Search settings.  A round of Sobol starts in the complex box
+# |x|, |y| <= _SEARCH_RADIUS is drawn, Newton-polished, and merged with
+# earlier finds; rounds stop early once three consecutive rounds add
+# nothing new.
 _ROUND_SIZE = 4096
 _MAX_ROUNDS = 16
+_SEARCH_RADIUS = 2.5
 _NEWTON_ITERS = 60
 _NEWTON_BOX = 50.0
 _RESIDUAL_TOL = 1e-10
@@ -67,6 +69,13 @@ _DEDUPE_TOL = 1e-7
 _EXPANSION_GAP = 1e-6
 _CERTIFY_RADIUS = 1e-7
 _CHORDAL_FIX_TOL = 1e-9
+# ball-mass decay: radii base * rho^(-k/2) for k < _BALL_STEPS, at up to
+# _BALL_CENTERS atoms
+_BALL_BASE_RADIUS = 0.9
+_BALL_STEPS = 9
+_BALL_CENTERS = 7
+# cloud agreement: means may differ by this many summed standard errors
+_AGREEMENT_FACTOR = 3.0
 
 
 class MeasureError(Exception):
@@ -364,8 +373,7 @@ class _AffineDynamics:
         c = np.zeros_like(x)
         d = np.ones_like(x)
         with np.errstate(all="ignore"):
-            # an empty batch skips the evaluator, whose guard margins need a point
-            for _ in range(n if x.size else 0):
+            for _ in range(n):
                 w1, w2, jac = self._evaluator(w1, w2)
                 (j11, j12), (j21, j22) = jac
                 a, b, c, d = (
@@ -430,11 +438,11 @@ class _AffineDynamics:
         return np.stack([w1, w2], axis=-1), jac
 
 
-def _dedupe_affine(pts: list[np.ndarray], tol: float = _DEDUPE_TOL) -> list[np.ndarray]:
+def _dedupe_affine(pts: list[np.ndarray]) -> list[np.ndarray]:
     unique: list[np.ndarray] = []
     for p in pts:
         p = np.asarray(p)
-        if not any(np.max(np.abs(p - q)) < tol for q in unique):
+        if not any(np.max(np.abs(p - q)) < _DEDUPE_TOL for q in unique):
             unique.append(p)
     return unique
 
@@ -504,18 +512,16 @@ def saddle_periodic_points(
     f: RationalSurfaceMap,
     period: int,
     *,
-    budget: int = _ROUND_SIZE * _MAX_ROUNDS,
     seed: int = 2026,
-    radius: float = 2.5,
     chart: int = 2,
-    eps_indeterminacy: float = 1e-6,
 ) -> WeightedPointCloud:
     """Locate all saddle orbits of the given minimal period in a chart.
 
-    Sobol-seeded Newton runs search the complex box ``|x|, |y| <= radius``
-    for isolated fixed points of the ``period``-th iterate; rounds of starts
-    continue until three consecutive rounds find nothing new or the budget
-    is spent.  Candidates are deduplicated at distance 1e-7, reduced to
+    Sobol-seeded Newton runs search the complex box
+    ``|x|, |y| <= _SEARCH_RADIUS`` for isolated fixed points of the
+    ``period``-th iterate; rounds of ``_ROUND_SIZE`` starts continue until
+    three consecutive rounds find nothing new or ``_MAX_ROUNDS`` rounds are
+    spent.  Candidates are deduplicated at distance 1e-7, reduced to
     minimal period, classified as saddles when the orbit-derivative
     eigenvalue moduli straddle 1 by more than 1e-6, certified by a sampled
     contraction bound, and completed to full orbits.  All of these stages
@@ -524,21 +530,16 @@ def saddle_periodic_points(
     """
     if not isinstance(period, int) or period < 1:
         raise MeasureError("period must be a positive integer")
-    if budget < 1:
-        raise MeasureError("search budget must be positive")
     dyn = _AffineDynamics(f, chart)
 
     found: list[np.ndarray] = []
     quiet = 0
-    rounds = max(1, math.ceil(budget / _ROUND_SIZE))
-    for rnd in range(rounds):
-        count = min(_ROUND_SIZE, budget - rnd * _ROUND_SIZE)
-        if count <= 0:
-            break
+    for rnd in range(_MAX_ROUNDS):
         engine = qmc.Sobol(d=4, scramble=True, seed=seed + 1000 * period + rnd)
-        u = engine.random(count)
-        x = (2 * u[:, 0] - 1) * radius + 1j * (2 * u[:, 1] - 1) * radius
-        y = (2 * u[:, 2] - 1) * radius + 1j * (2 * u[:, 3] - 1) * radius
+        u = engine.random(_ROUND_SIZE)
+        r = _SEARCH_RADIUS
+        x = (2 * u[:, 0] - 1) * r + 1j * (2 * u[:, 1] - 1) * r
+        y = (2 * u[:, 2] - 1) * r + 1j * (2 * u[:, 3] - 1) * r
         x, y = dyn.newton(x, y, period)
         before = len(found)
         found = _dedupe_affine(found + list(dyn.isolated_roots(x, y, period)))
@@ -600,7 +601,7 @@ def saddle_periodic_points(
     forbidden = list(f.indeterminacy_set())
     if f.inverse is not None:
         forbidden += list(f.inverse.indeterminacy_set())
-    cloud.check_clear_of([q.numeric() for q in forbidden], eps=eps_indeterminacy)
+    cloud.check_clear_of([q.numeric() for q in forbidden])
     return cloud
 
 
@@ -608,10 +609,7 @@ def saddle_cloud(
     f: RationalSurfaceMap,
     max_period: int,
     *,
-    budget: int = _ROUND_SIZE * _MAX_ROUNDS,
     seed: int = 2026,
-    radius: float = 2.5,
-    chart: int = 2,
 ) -> WeightedPointCloud:
     """Uniform cloud over all saddle orbit points of period <= max_period.
 
@@ -626,9 +624,7 @@ def saddle_cloud(
     moduli: list[tuple[float, float]] = []
     for n in range(1, max_period + 1):
         try:
-            part = saddle_periodic_points(
-                f, n, budget=budget, seed=seed, radius=radius, chart=chart
-            )
+            part = saddle_periodic_points(f, n, seed=seed)
         except NoSaddlesFound:
             continue
         points.extend(part.points)
@@ -750,10 +746,6 @@ class BallMassReport:
 def ball_mass_decay(
     cloud: WeightedPointCloud,
     rho: float,
-    *,
-    base_radius: float = 0.9,
-    steps: int = 9,
-    n_centers: int = 7,
 ) -> BallMassReport:
     """Fit the decay exponent of ball masses ``mu(B(x, base * rho^(-k/2)))``.
 
@@ -764,9 +756,9 @@ def ball_mass_decay(
     if rho <= 1:
         raise MeasureError("rho must exceed 1")
     n = cloud.size
-    radii = [base_radius * rho ** (-k / 2.0) for k in range(steps)]
-    stride = max(1, n // n_centers)
-    centers = cloud.points[::stride][:n_centers]
+    radii = [_BALL_BASE_RADIUS * rho ** (-k / 2.0) for k in range(_BALL_STEPS)]
+    stride = max(1, n // _BALL_CENTERS)
+    centers = cloud.points[::stride][:_BALL_CENTERS]
     weights = [float(w) for w in cloud.weights]
     floor = 1.5 / n
     mass_rows: list[list[float]] = []
@@ -785,7 +777,7 @@ def ball_mass_decay(
     if not slopes:
         raise MeasureError("cloud too sparse to resolve any ball-mass decay")
     mean_masses = tuple(
-        float(np.mean([row[k] for row in mass_rows])) for k in range(steps)
+        float(np.mean([row[k] for row in mass_rows])) for k in range(_BALL_STEPS)
     )
     return BallMassReport(
         radii=tuple(radii),
@@ -814,13 +806,11 @@ def cloud_agreement(
     cloud_a: WeightedPointCloud,
     cloud_b: WeightedPointCloud,
     observables: Sequence[Observable],
-    *,
-    factor: float = 3.0,
 ) -> tuple[AgreementRow, ...]:
     """Standard-error agreement gate between two clouds.
 
     For each observable the weighted means must differ by at most
-    ``factor * (se_a + se_b)`` where ``se`` is the weighted standard error
+    ``_AGREEMENT_FACTOR * (se_a + se_b)`` where ``se`` is the weighted standard error
     ``sqrt(sum w_i^2 (phi_i - mean)^2)``.  This is the operative quality
     check between clouds built from consecutive period cutoffs.
     """
@@ -837,7 +827,7 @@ def cloud_agreement(
         mean_a, se_a = stats(cloud_a, phi)
         mean_b, se_b = stats(cloud_b, phi)
         gap = abs(mean_a - mean_b)
-        limit = factor * (se_a + se_b) + 1e-12
+        limit = _AGREEMENT_FACTOR * (se_a + se_b) + 1e-12
         rows.append(
             AgreementRow(
                 name=phi.name,

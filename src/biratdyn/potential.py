@@ -47,6 +47,10 @@ __all__ = [
 ]
 
 _ORBIT_FLOOR = 1e-13
+# seed of the sphere samples around a center
+_SHELL_SEED = 20260825
+# the Lelong slope is fitted over this many smallest shells
+_LELONG_FIT_LAST = 4
 
 
 class PotentialError(Exception):
@@ -254,7 +258,6 @@ def singularity_fit(
     *,
     rho: float | None = None,
     samples_per_shell: int = 128,
-    seed: int = 20260825,
 ) -> SingularityFit:
     """Least-squares log-singularity envelope of the step potential at an
     indeterminacy point, from spherical-shell samples."""
@@ -267,7 +270,7 @@ def singularity_fit(
     logs_d = []
     vals = []
     for r in radii:
-        for p in shell_points(q, r, samples_per_shell, seed):
+        for p in shell_points(q, r, samples_per_shell, _SHELL_SEED):
             g = gamma_plus(f, p, rho)
             if not math.isfinite(g):
                 continue
@@ -295,7 +298,7 @@ def singularity_fit(
     )
 
 
-def shell_means(fn, center: ProjectivePoint, radii, *, samples_per_shell: int = 256, seed: int = 20260825):
+def shell_means(fn, center: ProjectivePoint, radii, *, samples_per_shell: int = 256, seed: int = _SHELL_SEED):
     """Mean of a pointwise function over chordal spheres around a center."""
     means = []
     for r in radii:
@@ -307,7 +310,7 @@ def shell_means(fn, center: ProjectivePoint, radii, *, samples_per_shell: int = 
     return means
 
 
-def lelong_estimate(radii, means, *, fit_last: int = 4) -> float:
+def lelong_estimate(radii, means) -> float:
     """Slope of shell means against ``log r`` over the smallest radii.
 
     The slope of the spherical average of a potential as the radius
@@ -316,12 +319,12 @@ def lelong_estimate(radii, means, *, fit_last: int = 4) -> float:
     below at zero.
     """
     radii = [float(r) for r in radii]
-    if len(radii) < fit_last or len(means) != len(radii):
+    if len(radii) < _LELONG_FIT_LAST or len(means) != len(radii):
         raise InsufficientSamples("need at least as many shells as the fit window")
     order = np.argsort(radii)  # ascending: smallest radii first
-    lr = np.log(np.array(radii)[order][:fit_last])
-    mv = np.array(means, dtype=float)[order][:fit_last]
-    X = np.vstack([np.ones(fit_last), lr]).T
+    lr = np.log(np.array(radii)[order][:_LELONG_FIT_LAST])
+    mv = np.array(means, dtype=float)[order][:_LELONG_FIT_LAST]
+    X = np.vstack([np.ones(_LELONG_FIT_LAST), lr]).T
     (_, slope), *_ = np.linalg.lstsq(X, mv, rcond=None)
     return max(float(slope), 0.0)
 
@@ -335,19 +338,17 @@ def green_lelong_estimate(
     N: int,
     *,
     rho: float | None = None,
-    radii=DEFAULT_LELONG_RADII,
     samples_per_shell: int = 256,
-    seed: int = 20260825,
 ) -> float:
-    """Lelong slope of the truncated Green potential at a point."""
+    """Lelong slope of the truncated Green potential at a point, over the
+    shells of ``DEFAULT_LELONG_RADII``."""
     means = shell_means(
         lambda p: green_partial(f, p, N, rho),
         center,
-        radii,
+        DEFAULT_LELONG_RADII,
         samples_per_shell=samples_per_shell,
-        seed=seed,
     )
-    return lelong_estimate(radii, means)
+    return lelong_estimate(DEFAULT_LELONG_RADII, means)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ __all__ = [
     "summability",
     "forward_summability",
     "backward_summability",
-    "separation_diagnostic",
     "partial_sums_from_log_distances",
     "report_from_log_distances",
 ]
@@ -388,7 +387,8 @@ def check_orbit_separation(
     comes within tolerance of some backward-orbit point (of the map's own
     indeterminacy set), where ``n`` is the larger of the two orbit steps
     involved.  Returns a holding verdict with the horizon otherwise.  Either
-    verdict carries the tolerance-free :func:`separation_diagnostic` value
+    verdict carries the tolerance-free ``min_distance``, the least chordal
+    distance between the two orbit sets (infinity when either is empty),
     and the two orbit tables it was decided on (``forward`` for I(f^-1)
     under f, ``backward`` for I(f) under f^-1).
     """
@@ -408,13 +408,6 @@ def check_orbit_separation(
     return SeparationVerdict(holds=witness is None, through=N, fails_at=fails_at,
                              witness=witness, min_distance=min_distance,
                              forward=forward, backward=backward)
-
-
-def separation_diagnostic(f: RationalSurfaceMap, N: int) -> float:
-    """Minimum chordal distance between the truncated forward orbit set of
-    the inverse's indeterminacy points and the backward orbit set of the
-    map's own; infinity when either set is empty."""
-    return check_orbit_separation(f, N).min_distance
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +527,6 @@ def forward_summability(
     N: int,
     *,
     bit_cap: int = DEFAULT_COEFF_BIT_CAP,
-    eps_indeterminacy: float = EPS_EXCEPTIONAL,
 ) -> SummabilityReport:
     """Weighted log-distance series along forward exceptional orbits.
 
@@ -544,20 +536,11 @@ def forward_summability(
     of algebraic stability; hitting the set at a finite stage makes the
     series diverge to minus infinity.
     """
-    return summability(exceptional_orbits(
-        f, N, bit_cap=bit_cap, eps_indeterminacy=eps_indeterminacy), rho)
+    return summability(exceptional_orbits(f, N, bit_cap=bit_cap), rho)
 
 
-def backward_summability(
-    f: RationalSurfaceMap,
-    rho: float,
-    N: int,
-    *,
-    bit_cap: int = DEFAULT_COEFF_BIT_CAP,
-    eps_indeterminacy: float = EPS_EXCEPTIONAL,
-) -> SummabilityReport:
+def backward_summability(f: RationalSurfaceMap, rho: float, N: int) -> SummabilityReport:
     """Mirror of :func:`forward_summability` driven by the inverse map."""
     if f.inverse is None:
         raise StabilityError("backward summability needs the inverse map")
-    return summability(exceptional_orbits(
-        f.inverse, N, bit_cap=bit_cap, eps_indeterminacy=eps_indeterminacy), rho)
+    return summability(exceptional_orbits(f.inverse, N), rho)

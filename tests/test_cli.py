@@ -454,3 +454,31 @@ class TestConfigAndDispatch:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert (tmp_path / "inspect_henon.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# every subcommand on every corpus map
+# ---------------------------------------------------------------------------
+
+#: exit 3 where the spectral radius is 1 (linear), the degrees drop
+#: (lyapunov cremona), or the one-chart saddle search finds no saddle
+#: (measure linear, measure cremona)
+MATRIX_PRECONDITION = {
+    ("stability", "linear"), ("green", "linear"), ("measure", "linear"),
+    ("lyapunov", "linear"), ("measure", "cremona"), ("lyapunov", "cremona"),
+}
+SMALL_BUDGET = ("--iters", "5", "--grid", "8", "--max-period", "1", "--seed", "7")
+
+
+class TestCommandMatrix:
+    @pytest.mark.parametrize("name", ["cremona", "henon", "linear", "lsigma"])
+    @pytest.mark.parametrize("command", ["inspect", "stability", "green", "measure",
+                                         "lyapunov"])
+    def test_exit_code(self, command, name, tmp_path, capsys):
+        code = run_cli(command, "--map", str(corpus_path(name)),
+                       "--out", str(tmp_path), *SMALL_BUDGET)
+        capsys.readouterr()
+        assert code == (3 if (command, name) in MATRIX_PRECONDITION else 0)
+
+    def test_energy_selftest_exit_code(self, tmp_path):
+        assert run_cli("energy-selftest", "--out", str(tmp_path), "--iters", "1") == 0

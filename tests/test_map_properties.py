@@ -1,0 +1,68 @@
+"""Property tests on generated maps f = L o sigma: sigma the Cremona
+involution, L an invertible integer matrix with entries in {-1, 0, 1, 2}.
+
+Every such map is birational with the exact inverse sigma o L^-1, and its
+exceptional points are exact: I(f^-1) is the three columns of L and I(f)
+the three coordinate points.  So the degree drops of f are decided by
+exceptional orbits alone (algebraic stability: Fornaess-Sibony 1995,
+Diller-Favre 2001 Thm 1.14): deg f^n = 2^n for every n <= N exactly when no
+p in I(f^-1) has f^k(p) in I(f) for some k <= N - 2, and the first drop is
+at n = k + 2 for the least such k.  The composition route
+(`degree_sequence`) and the orbit route (`exceptional_orbits`) are checked
+against each other on random maps, with the inverse and associativity
+identities alongside.
+"""
+
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from biratdyn.maps import compose, degree_sequence, verify_inverse
+from biratdyn.stability import exceptional_orbits
+from biratdyn.standard_maps import cremona_involution, linear_map
+
+SETTINGS = settings(max_examples=20, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+matrices = st.lists(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=3, max_size=3),
+                    min_size=3, max_size=3)
+
+
+def det3(m) -> int:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def same_map(f, g) -> bool:
+    """Projective equality of two maps: proportional component triples."""
+    a, b = f.components, g.components
+    return f.degree == g.degree and all(
+        a[i] * b[j] == a[j] * b[i] for i in range(3) for j in range(i + 1, 3))
+
+
+def twisted(m):
+    """L o sigma with its inverse sigma o L^-1 linked both ways."""
+    sig = cremona_involution()
+    L = linear_map(m, name="L")
+    f = compose(L, sig, name="L-sigma")
+    g = compose(sig, L.inverse, name="sigma-Linv")
+    f.inverse = g
+    g.inverse = f
+    return L, sig, f
+
+
+@SETTINGS
+@given(matrices)
+def test_generated_map_identities_and_degree_drops(m):
+    assume(det3(m) != 0)
+    L, sig, f = twisted(m)
+    assert verify_inverse(f)
+    assert same_map(compose(compose(L, sig), L), compose(L, compose(sig, L)))
+
+    N = 4
+    table = exceptional_orbits(f, N - 1)
+    assert all(orb.source.exact for orb in table.orbits)
+    hits = [orb.hit_index for orb in table.orbits
+            if orb.hit_index is not None and orb.hit_index <= N - 2]
+    expected = 2 + min(hits) if hits else None
+    assert degree_sequence(f, N).first_drop == expected

@@ -32,7 +32,6 @@ from biratdyn.maps import (
     derivative_norm,
     identity_map,
     is_identity,
-    second_derivative_norm,
     verify_inverse,
 )
 from biratdyn.standard_maps import (
@@ -53,6 +52,55 @@ def mono(i, j, k, c=1):
 
 def points_equal(p, q, eps=1e-12):
     return proj_distance(p if p.exact else p, q) < eps if not (p.exact and q.exact) else p.same_point(q)
+
+
+def second_derivative_norm(f, p):
+    """Frobenius norm of the second derivative tensor of the chart
+    expression of f at p (source chart from p, target chart from f(p)).
+
+    An oracle for the log-singularity envelope: the package needs only
+    first derivatives."""
+    z = p.unit_vector()
+    Fz = f.evaluate_numeric(z)
+    if np.linalg.norm(Fz) < 1e-300:
+        return math.inf
+    chart_in = int(np.argmax(np.abs(z)))
+    chart_out = int(np.argmax(np.abs(Fz)))
+    rep = z / z[chart_in]
+    in_vars = [i for i in range(3) if i != chart_in]
+    out_vars = [i for i in range(3) if i != chart_out]
+    Fv = f.evaluate_numeric(rep)
+    R = Fv[chart_out]
+    dF = {v: np.array([f.components[i].derivative(v).evaluate_numeric(rep) for i in range(3)]) for v in in_vars}
+    d2F = {}
+    for a in in_vars:
+        for b in in_vars:
+            if (b, a) in d2F:
+                d2F[(a, b)] = d2F[(b, a)]
+            else:
+                d2F[(a, b)] = np.array(
+                    [
+                        f.components[i].derivative(a).derivative(b).evaluate_numeric(rep)
+                        for i in range(3)
+                    ]
+                )
+    total = 0.0
+    for out in out_vars:
+        P = Fv[out]
+        for a in in_vars:
+            for b in in_vars:
+                Pa, Pb = dF[a][out], dF[b][out]
+                Ra, Rb = dF[a][chart_out], dF[b][chart_out]
+                Pab = d2F[(a, b)][out]
+                Rab = d2F[(a, b)][chart_out]
+                val = (
+                    Pab / R
+                    - (Pa * Rb + Pb * Ra) / R**2
+                    - P * Rab / R**2
+                    + 2 * P * Ra * Rb / R**3
+                )
+                total += abs(val) ** 2
+    return math.sqrt(total)
 
 
 class TestConstruction:
@@ -394,6 +442,15 @@ class TestDerivatives:
                             fd = (up - cmap(z1[k] - d1, z2[k] - d2)) / (2 * eps)
                             assert np.abs(Jk[:, col] - fd).max() < 1e-6 * max(1.0, np.abs(Jk).max())
                     assert checked >= 1
+
+    def test_chart_map_empty_batch(self):
+        chart_map = ChartMap(henon_map(), 2, 2)
+        empty = np.empty(0, dtype=complex)
+        w1, w2, J = chart_map(empty, empty)
+        assert w1.shape == w2.shape == (0,)
+        assert all(np.shape(entry) == (0,) for row in J for entry in row)
+        assert chart_map.denominator_small == chart_map.jacobian_small == math.inf
+        assert chart_map.denominator_large == chart_map.jacobian_large == 0.0
 
     def test_second_derivative_identity_zero(self):
         rng = np.random.default_rng(7)

@@ -25,7 +25,6 @@ from biratdyn.stability import (
     forward_summability,
     partial_sums_from_log_distances,
     report_from_log_distances,
-    separation_diagnostic,
     summability,
 )
 from biratdyn.standard_maps import (
@@ -134,11 +133,6 @@ class TestSeparation:
         v = check_orbit_separation(diagonal_scaling_map(), 10)
         assert v.holds
 
-    def test_diagnostic_values(self):
-        assert separation_diagnostic(henon_map(), 20) == 1.0
-        assert separation_diagnostic(cremona_involution(), 5) == 0.0
-        assert separation_diagnostic(diagonal_scaling_map(), 5) == math.inf
-
     @pytest.mark.parametrize(
         "make_map, N, expected",
         [(henon_map, 20, 1.0), (cremona_involution, 5, 0.0),
@@ -152,7 +146,7 @@ class TestSeparation:
                if e.point is not None]
         all_pairs = min((proj_distance(p, q) for p in fwd for q in bwd), default=math.inf)
         v = check_orbit_separation(f, N)
-        assert v.min_distance == all_pairs == separation_diagnostic(f, N) == expected
+        assert v.min_distance == all_pairs == expected
 
 
 class TestSummabilityCore:
