@@ -49,7 +49,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .cohomology import NoExpansion, SpectralError, lattice_for_plane_map, spectral_data
+from .cohomology import NoExpansion, SpectralError, plane_expansion_rate
 from .energy import (
     DiscreteForm11,
     EnergyError,
@@ -74,7 +74,6 @@ from .maps import DEGREE_CHECK_ITERATES, RationalSurfaceMap, chart_embed, degree
 from .measure import (
     IndeterminateEncounter,
     MeasureError,
-    NoSaddlesFound,
     coordinate_observables,
     invariance_residual,
     measure_average,
@@ -89,9 +88,9 @@ EXIT_VALIDATION = 2
 EXIT_PRECONDITION = 3
 EXIT_INCONCLUSIVE = 4
 
-# Map-free growth-rate reference when the pullback lattice cannot certify
-# one (degree sequence drops): the algebraic degree, an a-priori upper
-# bound.  Summability at this most favorable rate is still a meaningful
+# Map-free growth-rate reference when no rate can be certified (degree
+# sequence drops): the algebraic degree, an a-priori upper bound.
+# Summability at this most favorable rate is still a meaningful
 # diagnostic; certification-grade commands refuse instead.
 _RHO_SPECTRAL = "spectral"
 _RHO_DEGREE = "algebraic-degree"
@@ -147,11 +146,6 @@ def _report_header(command: str, cfg: ExperimentConfig,
     return doc
 
 
-def _certified_rho(f: RationalSurfaceMap) -> float:
-    """Expansion rate from the pullback lattice; raises when uncertifiable."""
-    return float(spectral_data(lattice_for_plane_map(f)).rho)
-
-
 def _rho_with_fallback(f: RationalSurfaceMap) -> tuple[float, str]:
     """Certified rate when available, algebraic degree otherwise.
 
@@ -159,7 +153,7 @@ def _rho_with_fallback(f: RationalSurfaceMap) -> tuple[float, str]:
     no fallback can rescue a map with no expansion.
     """
     try:
-        return _certified_rho(f), _RHO_SPECTRAL
+        return plane_expansion_rate(f), _RHO_SPECTRAL
     except NoExpansion:
         raise
     except SpectralError:
@@ -364,7 +358,7 @@ def cmd_measure(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path,
 
 
 def cmd_lyapunov(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> int:
-    rho = _certified_rho(f)  # NoExpansion / SpectralError end the run
+    rho = plane_expansion_rate(f)  # NoExpansion / SpectralError end the run
     cloud = saddle_cloud(f, cfg.max_period, seed=cfg.seed)
     est = cocycle_exponents(f, cloud, cfg.n_cocycle,
                             exclusion_radius=cfg.tolerance_indeterminacy)

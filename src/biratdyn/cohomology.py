@@ -33,6 +33,7 @@ __all__ = [
     "class_decomposition",
     "remainder_growth_constant",
     "lattice_for_plane_map",
+    "plane_expansion_rate",
     "indeterminacy_image_positivity",
 ]
 
@@ -265,6 +266,35 @@ def remainder_growth_constant(L: CohomologyLattice, vec, t: float, n_max: int = 
     return float(best)
 
 
+def _require_multiplicative_degrees(f: RationalSurfaceMap) -> None:
+    """Raise :class:`SpectralError` unless f has an inverse and its degrees
+    are multiplicative through ``DEGREE_CHECK_ITERATES`` iterates, the
+    condition under which the algebraic degree is the spectral radius."""
+    if f.inverse is None:
+        raise SpectralError("plane lattice generation needs the inverse map")
+    seq = degree_sequence(f, DEGREE_CHECK_ITERATES)
+    if not seq.is_multiplicative:
+        raise SpectralError(
+            f"degree sequence {seq.degrees} drops at iterate {seq.first_drop}; "
+            "the algebraic degree does not represent the spectral radius"
+        )
+
+
+def plane_expansion_rate(f: RationalSurfaceMap) -> float:
+    """Spectral radius of the plane map's action on the hyperplane class.
+
+    The same certificate as ``spectral_data(lattice_for_plane_map(f)).rho``
+    without building the lattice: the degrees must be multiplicative, and
+    then the rate is the algebraic degree.  Raises :class:`NoExpansion` for
+    degree one and :class:`SpectralError` when the rate is uncertifiable.
+    """
+    _require_multiplicative_degrees(f)
+    rho = float(f.degree)
+    if rho <= 1:
+        raise NoExpansion(f"spectral radius {rho!r} is not above 1")
+    return rho
+
+
 def lattice_for_plane_map(f: RationalSurfaceMap) -> CohomologyLattice:
     """Rank-one lattice of the projective plane for a degree-stable map.
 
@@ -278,14 +308,7 @@ def lattice_for_plane_map(f: RationalSurfaceMap) -> CohomologyLattice:
     radius, ``d_n^(1/n)``, equals the algebraic degree exactly, so the
     cross-check between the two is exact by construction.
     """
-    if f.inverse is None:
-        raise SpectralError("plane lattice generation needs the inverse map")
-    seq = degree_sequence(f, DEGREE_CHECK_ITERATES)
-    if not seq.is_multiplicative:
-        raise SpectralError(
-            f"degree sequence {seq.degrees} drops at iterate {seq.first_drop}; "
-            "the algebraic degree does not represent the spectral radius"
-        )
+    _require_multiplicative_degrees(f)
     d = f.degree
     curves = tuple((factor.degree,) for factor, _ in f.inverse.critical_set())
     return CohomologyLattice(

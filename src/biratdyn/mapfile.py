@@ -8,24 +8,20 @@ inverse components) of a plane map as lists of 7-integer terms
 with ``(i, j, k)`` the exponents of ``(x, y, t)`` and the remaining four
 integers the exact rational real and imaginary parts of the coefficient.
 Parsing is therefore lossless; saving is deterministic (sorted keys, sorted
-terms), so identical maps produce byte-identical files.  An optional
-``lattice`` section records the cohomology lattice data (intersection form,
-pullback matrices, distinguished classes) as integer matrices.  The section
-is informational: `load_map` never reads it.  A map file is outside input,
-so the growth rate is always re-certified from the map's own degree
-sequence, never taken from the file.
+terms), so identical maps produce byte-identical files.  A file carries
+only the map.  It is outside input, so derived data such as the growth
+rate is always re-certified from the map itself; `load_map` ignores any
+other key, such as the ``lattice`` section that older files carry.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Union
 
-import numpy as np
-
-from .cohomology import SpectralError, lattice_for_plane_map
 from .geometry import ComplexRational, HomogeneousPolynomial
 from .maps import RationalSurfaceMap, verify_inverse
 from .standard_maps import STANDARD_MAPS
@@ -86,7 +82,7 @@ def _triple_payload(f: RationalSurfaceMap) -> list[list[list[int]]]:
     return [_component_terms(c) for c in f.components]
 
 
-def map_payload(f: RationalSurfaceMap, *, lattice: bool = False) -> dict:
+def map_payload(f: RationalSurfaceMap) -> dict:
     """JSON-ready dictionary describing a map (losslessly)."""
     payload: dict = {
         "format": FORMAT_TAG,
@@ -96,18 +92,6 @@ def map_payload(f: RationalSurfaceMap, *, lattice: bool = False) -> dict:
     }
     if f.inverse is not None:
         payload["inverse"] = _triple_payload(f.inverse)
-    if lattice:
-        L = lattice_for_plane_map(f)
-        payload["lattice"] = {
-            "rank": int(L.rank),
-            "Q": np.asarray(L.Q, dtype=int).tolist(),
-            "Mf": np.asarray(L.Mf, dtype=int).tolist(),
-            "Mfinv": np.asarray(L.Mfinv, dtype=int).tolist(),
-            "curve_classes": [
-                np.asarray(v, dtype=int).tolist() for v in L.curve_classes
-            ],
-            "beta_class": np.asarray(L.beta_class, dtype=int).tolist(),
-        }
     return payload
 
 
@@ -185,10 +169,10 @@ def map_from_payload(payload: dict) -> RationalSurfaceMap:
     return f
 
 
-def save_map(f: RationalSurfaceMap, path: Union[str, Path], *, lattice: bool = False) -> Path:
+def save_map(f: RationalSurfaceMap, path: Union[str, Path]) -> Path:
     """Write a map file; byte-identical output for identical maps."""
     path = Path(path)
-    payload = map_payload(f, lattice=lattice)
+    payload = map_payload(f)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
@@ -207,23 +191,11 @@ def load_map(path: Union[str, Path]) -> RationalSurfaceMap:
 
 
 def write_corpus(directory: Union[str, Path]) -> list[Path]:
-    """Write the bundled example maps to a directory.
-
-    Maps whose degree sequence is multiplicative get a lattice section; for
-    the others (a dropping degree sequence means the hyperplane-class
-    pullback matrix does not represent the dynamics) it is omitted.  The
-    section is for readers of the file only; `load_map` ignores it.
-    """
+    """Write the bundled example maps to a directory."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, factory in STANDARD_MAPS.items():
-        f = factory()
-        try:
-            written.append(save_map(f, directory / f"{name}.map", lattice=True))
-        except SpectralError:
-            written.append(save_map(f, directory / f"{name}.map", lattice=False))
-    return written
+    return [save_map(factory(), directory / f"{name}.map")
+            for name, factory in STANDARD_MAPS.items()]
 
 
 def corpus_path(name: str) -> Path:
@@ -236,6 +208,12 @@ def corpus_path(name: str) -> Path:
 
 # ---------------------------------------------------------------------------
 # experiment configuration
+
+
+def _finite_real(value) -> bool:
+    """A finite int or float; JSON ``true``/``false`` are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -262,6 +240,8 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
+        if len(self.center) != 2 or not all(_finite_real(c) for c in self.center):
+            raise MapFileError("center must be a pair of finite reals")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if type(self.seed) is not int or not (0 <= self.seed < 2**64):
             raise MapFileError("seed must be an unsigned 64-bit integer")
@@ -276,14 +256,14 @@ class ExperimentConfig:
             raise MapFileError("n_series must be nonnegative")
         if self.grid < 8:
             raise MapFileError("grid resolution must be at least 8")
-        if not self.tolerance_indeterminacy > 0:
-            raise MapFileError("tolerance_indeterminacy must be positive")
+        for field_name in ("tolerance_indeterminacy", "halfwidth"):
+            value = getattr(self, field_name)
+            if not _finite_real(value):
+                raise MapFileError(f"{field_name} must be a finite real")
+            if not value > 0:
+                raise MapFileError(f"{field_name} must be positive")
         if self.chart not in (0, 1, 2):
             raise MapFileError("chart must be 0, 1, or 2")
-        if not self.halfwidth > 0:
-            raise MapFileError("halfwidth must be positive")
-        if len(self.center) != 2:
-            raise MapFileError("center must be a pair of reals")
 
     def to_json(self) -> str:
         data = asdict(self)

@@ -16,7 +16,7 @@ both.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -24,10 +24,8 @@ import numpy as np
 
 from .geometry import (
     ComplexRational,
-    GeometryError,
     HomogeneousPolynomial,
     ProjectivePoint,
-    from_sympy,
     poly_divide_exact,
     poly_factor,
     poly_gcd,
@@ -233,31 +231,36 @@ class RationalSurfaceMap:
         return list(self._contractions)
 
 
-def apply(
-    f: RationalSurfaceMap, p: ProjectivePoint, eps_indeterminacy: float = EPS_INDETERMINACY
-) -> MapImage:
-    """Apply f at p.
+def image_point(f: RationalSurfaceMap, p: ProjectivePoint) -> Optional[ProjectivePoint]:
+    """Image of p under f, or None at an indeterminacy point.
 
-    Returns a Point image away from the exceptional loci; a Blowup marker
-    (with total image curve when the inverse is attached) at indeterminacy
-    points; a Collapsed marker with the image point on contracted critical
-    curves.  Numeric points use eps_indeterminacy at unit representatives
-    for the indeterminacy test.
+    An exact p is indeterminate exactly when all components vanish there,
+    and otherwise maps to the reduced exact image.  A numeric p is taken as
+    indeterminate when the image of its unit representative has norm below
+    ``EPS_INDETERMINACY`` times the coefficient scale.
     """
     if p.exact:
         vals = f.evaluate_exact(p.coords)
         if all(v.is_zero() for v in vals):
-            return _blowup_image(f, p)
-        image = ProjectivePoint(vals, exact=True).reduced()
-        on_curve = _contracted_factor_through(f, p)
-        if on_curve is not None:
-            return MapImage(kind="collapsed", point=image, curve=on_curve)
-        return MapImage(kind="point", point=image)
-    z = p.unit_vector()
-    vals = f.evaluate_numeric(z)
-    if np.linalg.norm(vals) < eps_indeterminacy * f.coeff_scale():
+            return None
+        return ProjectivePoint(vals, exact=True).reduced()
+    vals = f.evaluate_numeric(p.unit_vector())
+    if np.linalg.norm(vals) < EPS_INDETERMINACY * f.coeff_scale():
+        return None
+    return ProjectivePoint(vals, exact=False)
+
+
+def apply(f: RationalSurfaceMap, p: ProjectivePoint) -> MapImage:
+    """Apply f at p, labelling the exceptional cases.
+
+    Returns a Point image away from the exceptional loci; a Blowup marker
+    (with total image curve when the inverse is attached) where
+    `image_point` finds p indeterminate; a Collapsed marker with the image
+    point on contracted critical curves.
+    """
+    image = image_point(f, p)
+    if image is None:
         return _blowup_image(f, p)
-    image = ProjectivePoint(vals, exact=False)
     on_curve = _contracted_factor_through(f, p)
     if on_curve is not None:
         return MapImage(kind="collapsed", point=image, curve=on_curve)

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .geometry import HomogeneousPolynomial, ProjectivePoint, proj_distance
-from .maps import ChartMap, RationalSurfaceMap, apply, chart_embed
+from .maps import ChartMap, RationalSurfaceMap, chart_embed, image_point
 
 __all__ = [
     "MeasureError",
@@ -438,9 +438,11 @@ class _AffineDynamics:
         return np.stack([w1, w2], axis=-1), jac
 
 
-def _dedupe_affine(pts: list[np.ndarray]) -> list[np.ndarray]:
-    unique: list[np.ndarray] = []
-    for p in pts:
+def _dedupe_affine(found: list[np.ndarray], new: np.ndarray) -> list[np.ndarray]:
+    """``found``, already pairwise separated, followed by each new point
+    that is not within ``_DEDUPE_TOL`` (max-abs) of a point kept before it."""
+    unique = list(found)
+    for p in new:
         p = np.asarray(p)
         if not any(np.max(np.abs(p - q)) < _DEDUPE_TOL for q in unique):
             unique.append(p)
@@ -542,7 +544,7 @@ def saddle_periodic_points(
         y = (2 * u[:, 2] - 1) * r + 1j * (2 * u[:, 3] - 1) * r
         x, y = dyn.newton(x, y, period)
         before = len(found)
-        found = _dedupe_affine(found + list(dyn.isolated_roots(x, y, period)))
+        found = _dedupe_affine(found, dyn.isolated_roots(x, y, period))
         if found:
             # orbit completion: polish the forward images of every find so a
             # single converged point recovers its whole cycle
@@ -550,7 +552,7 @@ def saddle_periodic_points(
             for _ in range(period - 1):
                 xs, ys, _ = dyn.advance(xs, ys, 1)
                 px, py = dyn.newton(xs.copy(), ys.copy(), period, iters=10)
-                found = _dedupe_affine(found + list(dyn.isolated_roots(px, py, period)))
+                found = _dedupe_affine(found, dyn.isolated_roots(px, py, period))
         quiet = quiet + 1 if len(found) == before else 0
         if quiet >= 3:
             break
@@ -665,12 +667,12 @@ def measure_average(
 
 
 def _image_point(f: RationalSurfaceMap, p: ProjectivePoint) -> ProjectivePoint:
-    image = apply(f, p)
-    if image.point is None:
+    image = image_point(f, p)
+    if image is None:
         raise IndeterminateEncounter(
             f"cloud point {p} hit the indeterminacy locus of {f.name!r}"
         )
-    return image.point
+    return image
 
 
 def invariance_residual(

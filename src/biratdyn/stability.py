@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import mpmath
 
@@ -32,7 +31,7 @@ from .maps import (
     DEFAULT_COEFF_BIT_CAP,
     EPS_EXCEPTIONAL,
     RationalSurfaceMap,
-    apply,
+    image_point,
 )
 
 __all__ = [
@@ -63,11 +62,11 @@ class StabilityError(Exception):
 
 @dataclass(frozen=True)
 class OrbitEntry:
-    """One orbit step: a point, a collapse through a contracted curve, or
-    an indeterminate encounter (which truncates the orbit)."""
+    """One orbit step: a point, or an indeterminate encounter (which
+    truncates the orbit)."""
 
     step: int
-    kind: str  # "point" | "collapsed" | "indeterminate"
+    kind: str  # "point" | "indeterminate"
     point: ProjectivePoint | None
     enclosure_radius: float = 0.0
 
@@ -281,7 +280,6 @@ def _orbit_of_point(
     switchover = None
     hit = None
     straddle = None
-    I_f = f.indeterminacy_set()
 
     def record(step, kind, point, encl):
         nonlocal hit, straddle
@@ -313,21 +311,17 @@ def _orbit_of_point(
             p = current.numeric_point()
             record(n, "point", p, current.radius() * 2.0)
             continue
-        if current.exact and any(current.same_point(q) for q in I_f if q.exact):
+        nxt = image_point(f, current)
+        if nxt is None:
             record(n, "indeterminate", None, 0.0)
             break
-        img = apply(f, current)
-        if img.kind == "blowup":
-            record(n, "indeterminate", None, 0.0)
-            break
-        nxt = img.point
         if nxt.exact and nxt.bit_size() > bit_cap:
             switchover = n
             current = _Ball.from_point(nxt)
-            record(n, img.kind, current.numeric_point(), current.radius() * 2.0)
+            record(n, "point", current.numeric_point(), current.radius() * 2.0)
             continue
         current = nxt
-        record(n, img.kind, nxt, 0.0)
+        record(n, "point", nxt, 0.0)
     return PointOrbit(
         source=source,
         entries=tuple(entries),

@@ -29,6 +29,7 @@ import pytest
 import biratdyn
 from biratdyn.cli import main
 from biratdyn.mapfile import MapFileError, corpus_path, load_config
+from biratdyn.maps import RationalSurfaceMap
 
 
 def run_cli(*argv: str) -> int:
@@ -169,7 +170,8 @@ class TestStability:
 
     def test_lattice_section_is_not_trusted(self, tmp_path):
         payload = read_json(corpus_path("henon"))
-        payload["lattice"]["Mf"] = [[3]]
+        payload["lattice"] = {"rank": 1, "Q": [[1]], "Mf": [[3]], "Mfinv": [[3]],
+                              "curve_classes": [[1]], "beta_class": [1]}
         tampered = tmp_path / "henon.map"
         tampered.write_text(json.dumps(payload))
         code = run_cli("stability", "--map", str(tampered),
@@ -423,6 +425,24 @@ class TestConfigAndDispatch:
         assert run_cli("stability", "--map", str(corpus_path("henon")),
                        "--config", str(cfg), "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("tolerance_indeterminacy", True), ("tolerance_indeterminacy", math.inf),
+        ("halfwidth", True), ("halfwidth", math.inf), ("halfwidth", math.nan),
+        ("center", [True, 0.0]), ("center", [0.0, -math.inf]),
+    ])
+    def test_boolean_or_non_finite_config_real_exits_2(self, tmp_path, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        with pytest.raises(MapFileError, match=field):
+            load_config(cfg)
+        assert run_cli("stability", "--map", str(corpus_path("henon")),
+                       "--config", str(cfg), "--out", str(tmp_path)) == 2
+
+    def test_infinite_tolerance_flag_exits_2(self, tmp_path):
+        assert run_cli("stability", "--map", str(corpus_path("henon")),
+                       "--out", str(tmp_path), "--tolerance-indeterminacy", "inf") == 2
+        assert not (tmp_path / "stability_henon.json").exists()
+
     def test_invalid_seed_exits_2(self, tmp_path):
         assert run_cli("inspect", "--map", str(corpus_path("henon")),
                        "--out", str(tmp_path), "--seed", "-1") == 2
@@ -474,11 +494,21 @@ class TestCommandMatrix:
     @pytest.mark.parametrize("name", ["cremona", "henon", "linear", "lsigma"])
     @pytest.mark.parametrize("command", ["inspect", "stability", "green", "measure",
                                          "lyapunov"])
-    def test_exit_code(self, command, name, tmp_path, capsys):
+    def test_exit_code(self, command, name, tmp_path, capsys, monkeypatch):
+        factored = []
+        critical_set = RationalSurfaceMap.critical_set
+
+        def counting(f):
+            factored.append(f.name)
+            return critical_set(f)
+
+        monkeypatch.setattr(RationalSurfaceMap, "critical_set", counting)
         code = run_cli(command, "--map", str(corpus_path(name)),
                        "--out", str(tmp_path), *SMALL_BUDGET)
         capsys.readouterr()
         assert code == (3 if (command, name) in MATRIX_PRECONDITION else 0)
+        # only inspect reports the critical set, so only inspect factors it
+        assert bool(factored) == (command == "inspect")
 
     def test_energy_selftest_exit_code(self, tmp_path):
         assert run_cli("energy-selftest", "--out", str(tmp_path), "--iters", "1") == 0

@@ -1,0 +1,45 @@
+"""Every module-level import in the package is used.
+
+An import that no code reads still costs load time and misleads readers
+about a module's dependencies.  A name counts as used when the module
+reads it anywhere (as a name or as the root of an attribute chain) or
+re-exports it through ``__all__``.  The package ``__init__`` only
+re-exports, so it is exempt.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import biratdyn
+
+MODULES = sorted(p for p in Path(biratdyn.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_level_imports_are_used(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_guard_flags_an_unused_import():
+    assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == ["math", "path"]

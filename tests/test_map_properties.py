@@ -11,12 +11,25 @@ at n = k + 2 for the least such k.  The composition route
 (`degree_sequence`) and the orbit route (`exceptional_orbits`) are checked
 against each other on random maps, with the inverse and associativity
 identities alongside.
+
+The same maps, and the bundled corpus, check the two shortcuts the
+command-line path takes: `image_point` against the labelled `apply`, and
+`plane_expansion_rate` against the spectral radius of the rank-one lattice.
 """
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from biratdyn.maps import compose, degree_sequence, verify_inverse
+from biratdyn.cohomology import (
+    SpectralError,
+    lattice_for_plane_map,
+    plane_expansion_rate,
+    spectral_data,
+)
+from biratdyn.geometry import ProjectivePoint
+from biratdyn.mapfile import corpus_path, load_map
+from biratdyn.maps import apply, compose, degree_sequence, image_point, verify_inverse
 from biratdyn.stability import exceptional_orbits
 from biratdyn.standard_maps import cremona_involution, linear_map
 
@@ -25,6 +38,8 @@ SETTINGS = settings(max_examples=20, deadline=None,
 
 matrices = st.lists(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=3, max_size=3),
                     min_size=3, max_size=3)
+triples = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+CORPUS = ["cremona", "henon", "linear", "lsigma"]
 
 
 def det3(m) -> int:
@@ -66,3 +81,52 @@ def test_generated_map_identities_and_degree_drops(m):
             if orb.hit_index is not None and orb.hit_index <= N - 2]
     expected = 2 + min(hits) if hits else None
     assert degree_sequence(f, N).first_drop == expected
+
+
+def check_image_point(f, triple):
+    """`image_point` is `apply(f, p).point` at a generic point and at every
+    exceptional point, each taken both exact and numeric."""
+    exact = [ProjectivePoint.exact_point(*triple),
+             *f.indeterminacy_set(), *f.inverse.indeterminacy_set()]
+    for p in exact + [q.numeric() for q in exact]:
+        got, want = image_point(f, p), apply(f, p).point
+        if want is None:
+            assert got is None
+        else:
+            assert got.exact == want.exact
+            assert all(a == b for a, b in zip(got.coords, want.coords))
+
+
+def check_expansion_rate(f):
+    """`plane_expansion_rate` returns the lattice route's rho or raises its
+    exception, class and message alike."""
+    try:
+        want = spectral_data(lattice_for_plane_map(f)).rho
+    except SpectralError as err:
+        with pytest.raises(SpectralError) as got:
+            plane_expansion_rate(f)
+        assert type(got.value) is type(err) and str(got.value) == str(err)
+    else:
+        assert plane_expansion_rate(f) == want
+
+
+@SETTINGS
+@given(matrices, triples)
+def test_generated_map_image_point(m, triple):
+    assume(det3(m) != 0)
+    check_image_point(twisted(m)[2], triple)
+
+
+# each example composes f five times on each route, so fewer of them
+@settings(SETTINGS, max_examples=6)
+@given(matrices)
+def test_generated_map_expansion_rate(m):
+    assume(det3(m) != 0)
+    check_expansion_rate(twisted(m)[2])
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_corpus_image_point_and_expansion_rate(name):
+    f = load_map(corpus_path(name))
+    check_image_point(f, (1, -2, 3))
+    check_expansion_rate(f)

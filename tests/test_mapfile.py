@@ -75,13 +75,6 @@ class TestRoundtrip:
         f = load_map(corpus_dir / "henon.map")
         assert verify_inverse(f)
 
-    def test_lattice_section_roundtrips(self, corpus_dir):
-        raw = json.loads((corpus_dir / "henon.map").read_text())
-        assert raw["lattice"]["rank"] == 1
-        assert raw["lattice"]["Q"] == [[1]]
-        assert raw["lattice"]["Mf"] == [[2]]
-        assert raw["lattice"]["beta_class"] == [1]
-
 
 class TestValidation:
     def test_malformed_json_raises_parse_error_with_position(self, tmp_path):
