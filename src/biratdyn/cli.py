@@ -565,12 +565,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_VALIDATION
     try:
         return _dispatch(args)
-    except (AllOrbitsExcluded, IndeterminateEncounter, StabilityError,
-            PotentialError) as exc:
+    except (AllOrbitsExcluded, IndeterminateEncounter, PotentialError) as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
+    # the only StabilityError that leaves a command is a missing inverse;
+    # failing shadow orbits are recorded as straddles inside the orbit table
     except (NoExpansion, SpectralError, MeasureError, LyapunovError,
-            EnergyError) as exc:
+            EnergyError, StabilityError) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except (MapFileError, GeometryError, ValueError, OSError) as exc:

@@ -11,9 +11,10 @@ Chordal distances and proportionality between exact points are decided in
 Gaussian-integer arithmetic on denominator-free coordinates (Python ints),
 and a distance strictly between 0 and 1 is rounded to a float only once.
 
-`HomogeneousPolynomial.evaluate_numeric` is the package's one floating
-evaluator of a polynomial: one term loop over cached complex coefficients,
-run on three scalars or on three broadcast-compatible arrays.  Partial
+`_term_sum` is the package's one term loop: exact values, floating values
+on three scalars or three broadcast-compatible arrays, 113-bit shadow
+balls, line restrictions and compositions all sum their terms through it,
+and only the coefficient rows and coordinate types differ.  Partial
 derivatives are memoized on the immutable polynomial.
 """
 
@@ -32,6 +33,19 @@ _SAME_POINT_EPS = 1e-9
 
 class GeometryError(ValueError):
     """Invalid geometric input (zero vector, inhomogeneous polynomial, ...)."""
+
+
+def _power(base, n: int, one):
+    """base**n for an integer n >= 0 by repeated squaring; n = 0 gives one."""
+    if n < 0:
+        raise GeometryError("negative power")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
 
 
 def _as_fraction(value) -> Fraction:
@@ -122,6 +136,9 @@ class ComplexRational:
     def __neg__(self):
         return ComplexRational(-self.re, -self.im)
 
+    def __pow__(self, n: int) -> "ComplexRational":
+        return _power(self, n, ComplexRational(1))
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = ComplexRational(other)
@@ -162,7 +179,6 @@ def _coerce(value) -> ComplexRational:
 
 
 CR_ZERO = ComplexRational(0)
-CR_ONE = ComplexRational(1)
 
 
 class ProjectivePoint:
@@ -408,17 +424,8 @@ class HomogeneousPolynomial:
 
     __rmul__ = __mul__
 
-    def pow(self, n: int) -> "HomogeneousPolynomial":
-        if n < 0:
-            raise GeometryError("negative power")
-        result = HomogeneousPolynomial.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+    def __pow__(self, n: int) -> "HomogeneousPolynomial":
+        return _power(self, n, HomogeneousPolynomial.constant(1))
 
     def derivative(self, var: int) -> "HomogeneousPolynomial":
         """Partial derivative with respect to variable index 0, 1, or 2,
@@ -442,15 +449,9 @@ class HomogeneousPolynomial:
         return cached
 
     def evaluate_exact(self, coords: Sequence[ComplexRational]) -> ComplexRational:
-        total = CR_ZERO
-        a, b, c = (_coerce(v) for v in coords)
-        # cache powers of each coordinate up to the needed exponent
-        pa = _power_table(a, self.degree)
-        pb = _power_table(b, self.degree)
-        pc = _power_table(c, self.degree)
-        for (i, j, k), coeff in self.terms.items():
-            total = total + coeff * pa[i] * pb[j] * pc[k]
-        return total
+        x, y, t = (_coerce(v) for v in coords)
+        acc = _term_sum(((*key, c) for key, c in self.terms.items()), x, y, t)
+        return CR_ZERO if acc is None else acc
 
     def _numeric_terms(self) -> tuple:
         """Cached (i, j, k, complex coefficient) rows in sorted key order."""
@@ -464,25 +465,15 @@ class HomogeneousPolynomial:
         """Floating-point value at homogeneous coordinates v = (x, y, t).
 
         v holds three scalars or three broadcast-compatible arrays; a 1-D
-        array is read as three scalars.  The value is the term sum of
-        cf * x**i * y**j * t**k with zero exponents skipped, so scalars stay
-        Python complex and arrays keep node-sized intermediates.  A term
-        involving only scalar coordinates stays scalar: batched callers
-        broadcast the result.
+        array is read as three scalars.  The value is `_term_sum` over the
+        cached complex rows, so scalars stay Python complex and arrays keep
+        node-sized intermediates.  A term involving only scalar coordinates
+        stays scalar: batched callers broadcast the result.
         """
         if isinstance(v, np.ndarray) and v.ndim == 1:
             v = v.tolist()
         x, y, t = v
-        acc = None
-        for i, j, k, cf in self._numeric_terms():
-            term = cf
-            if i:
-                term = term * x**i
-            if j:
-                term = term * y**j
-            if k:
-                term = term * t**k
-            acc = term if acc is None else acc + term
+        acc = _term_sum(self._numeric_terms(), x, y, t)
         return 0j if acc is None else acc
 
     def leading_key(self) -> tuple[int, int, int]:
@@ -528,11 +519,27 @@ class HomogeneousPolynomial:
         return " + ".join(bits)
 
 
-def _power_table(base: ComplexRational, n: int) -> list[ComplexRational]:
-    table = [CR_ONE]
-    for _ in range(n):
-        table.append(table[-1] * base)
-    return table
+def _term_sum(rows, x, y, t):
+    """Sum of cf * x**i * y**j * t**k over (i, j, k, cf) rows, in row order.
+
+    Zero exponents are skipped and the sum starts from the first term, so
+    no multiplication by one or addition to zero enters the result; None
+    when there are no rows.  The arithmetic is whatever the coefficients
+    and coordinates carry: Gaussian rationals, complex scalars or arrays,
+    mpmath numbers, numpy polynomials in a line parameter, or homogeneous
+    polynomials.
+    """
+    acc = None
+    for i, j, k, cf in rows:
+        term = cf
+        if i:
+            term = term * x**i
+        if j:
+            term = term * y**j
+        if k:
+            term = term * t**k
+        acc = term if acc is None else acc + term
+    return acc
 
 
 # ---------------------------------------------------------------------------

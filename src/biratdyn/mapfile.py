@@ -264,6 +264,8 @@ class ExperimentConfig:
                 raise MapFileError(f"{field_name} must be positive")
         if self.chart not in (0, 1, 2):
             raise MapFileError("chart must be 0, 1, or 2")
+        if not isinstance(self.out_dir, str):
+            raise MapFileError("out_dir must be a string")
 
     def to_json(self) -> str:
         data = asdict(self)

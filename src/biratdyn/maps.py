@@ -32,6 +32,7 @@ from .geometry import (
     proj_distance,
     to_sympy,
     _sympy,
+    _term_sum,
 )
 
 # hard cap on exact coefficient size; beyond this exact iteration stops
@@ -330,19 +331,23 @@ def _contraction_target(f: RationalSurfaceMap, factor: HomogeneousPolynomial):
     return None
 
 
+def _line_restriction(poly: HomogeneousPolynomial, a, b) -> np.ndarray:
+    """Coefficients of s -> poly(a + s b), constant term first, padded to
+    poly.degree + 1 entries."""
+    from numpy.polynomial import Polynomial
+
+    value = poly.evaluate_numeric([Polynomial([a[v], b[v]]) for v in range(3)])
+    coeffs = np.zeros(poly.degree + 1, dtype=np.complex128)
+    c = value.coef if isinstance(value, Polynomial) else [value]
+    coeffs[: len(c)] = c
+    return coeffs
+
+
 def _curve_line_intersections(poly: HomogeneousPolynomial, a: np.ndarray, b: np.ndarray):
-    """Solve poly(a + s b) = 0 for complex s (coefficients built exactly
-    from the sparse terms, roots numeric)."""
+    """Solve poly(a + s b) = 0 for complex s (roots numeric)."""
     from numpy.polynomial import polynomial as npoly
 
-    coeffs = np.zeros(poly.degree + 1, dtype=np.complex128)
-    for (i, j, k), c in poly.terms.items():
-        term = np.array([1.0 + 0j])
-        for var, e in ((0, i), (1, j), (2, k)):
-            lin = np.array([a[var], b[var]], dtype=np.complex128)
-            for _ in range(e):
-                term = npoly.polymul(term, lin)
-        coeffs[: len(term)] += complex(c) * term
+    coeffs = _line_restriction(poly, a, b)
     # strip negligible leading coefficients before root finding
     mags = np.abs(coeffs)
     if mags.max() == 0:
@@ -372,13 +377,10 @@ def compose(
     exceed bit_cap bits."""
     new_comps = []
     for comp in f.components:
-        acc = HomogeneousPolynomial.zero(comp.degree * g.degree)
-        for (i, j, k), c in comp.terms.items():
-            term = HomogeneousPolynomial.constant(c)
-            for gcomp, e in zip(g.components, (i, j, k)):
-                if e:
-                    term = term * gcomp.pow(e)
-            acc = acc + term
+        rows = ((*key, HomogeneousPolynomial.constant(c)) for key, c in comp.terms.items())
+        acc = _term_sum(rows, *g.components)
+        if acc is None:
+            acc = HomogeneousPolynomial.zero(comp.degree * g.degree)
         new_comps.append(acc)
         if acc.max_coeff_bits() > bit_cap:
             raise CoefficientOverflow(acc.max_coeff_bits(), bit_cap, "during composition")
@@ -526,14 +528,6 @@ def _solve_affine_pairs(exprs, u, v):
     return exact_pairs, numeric_v
 
 
-def _fiber_coeffs_chart0(poly: HomogeneousPolynomial, tval: complex) -> np.ndarray:
-    """Coefficients in y of poly(1, y, tval), highest degree first."""
-    coeffs = np.zeros(poly.degree + 1, dtype=np.complex128)
-    for (_i, j, k), c in poly.terms.items():
-        coeffs[j] += complex(c) * (tval**k)
-    return coeffs[::-1]
-
-
 def _common_zeros(components, coeff_scale: float) -> list[ProjectivePoint]:
     sympy, (X, Y, T) = _sympy()
     F = [to_sympy(c) for c in components]
@@ -548,9 +542,9 @@ def _common_zeros(components, coeff_scale: float) -> list[ProjectivePoint]:
         # back-substitute numerically: y-roots of the first component that
         # does not vanish identically on the fiber
         for comp in components:
-            coeffs = _fiber_coeffs_chart0(comp, tv)
+            coeffs = _line_restriction(comp, (1.0, 0.0, tv), (0.0, 1.0, 0.0))
             if np.abs(coeffs).max() > 1e-12 * max(coeff_scale, 1.0):
-                for yv in np.roots(coeffs):
+                for yv in np.roots(coeffs[::-1]):
                     numeric_candidates.append(np.array([1.0, yv, tv], dtype=np.complex128))
                 break
 

@@ -123,6 +123,14 @@ def _normalized_orbit_logs(f: RationalSurfaceMap, p: ProjectivePoint, N: int):
     return pts, logs
 
 
+def _weighted_sum(logs, rho: float) -> float:
+    """``sum_j rho**-j (logs[j] / rho)``, accumulated in index order."""
+    total = 0.0
+    for j, a in enumerate(logs):
+        total += rho ** (-j) * (a / rho)
+    return total
+
+
 def green_partial(f: RationalSurfaceMap, p: ProjectivePoint, N: int, rho: float | None = None) -> float:
     """Partial sum ``sum_{j<N} rho**-j gamma(f^j p)`` (possibly -inf).
 
@@ -137,9 +145,7 @@ def green_partial(f: RationalSurfaceMap, p: ProjectivePoint, N: int, rho: float 
     _, logs = _normalized_orbit_logs(f, p, N)
     if logs and logs[-1] == -math.inf:
         return -math.inf
-    total = 0.0
-    for j, a in enumerate(logs):
-        total += rho ** (-j) * (a / rho)
+    total = _weighted_sum(logs, rho)
     if rho == float(f.degree):
         tele = _telescoped_from_logs(logs, float(f.degree))
         denom = max(abs(total), abs(tele), 1e-9)
@@ -183,12 +189,8 @@ def green_functional_check(f: RationalSurfaceMap, p: ProjectivePoint, N: int, rh
     pts, logs = _normalized_orbit_logs(f, p, N + 1)
     if logs[-1] == -math.inf or logs[0] == -math.inf:
         raise OrbitHitIndeterminacy(len(logs) - 1, "orbit hit indeterminacy during check")
-    g_fp = 0.0
-    for j, a in enumerate(logs[1:]):
-        g_fp += rho ** (-j) * (a / rho)
-    g_p_long = 0.0
-    for j, a in enumerate(logs):
-        g_p_long += rho ** (-j) * (a / rho)
+    g_fp = _weighted_sum(logs[1:], rho)
+    g_p_long = _weighted_sum(logs, rho)
     gamma_p = logs[0] / rho
     return abs(g_fp - rho * (g_p_long - gamma_p))
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import mpmath
 
-from .geometry import ProjectivePoint, proj_distance
+from .geometry import ProjectivePoint, _term_sum, proj_distance
 from .maps import (
     DEFAULT_COEFF_BIT_CAP,
     EPS_EXCEPTIONAL,
@@ -164,11 +164,7 @@ class _Ball:
         # the double range, so floats are only taken after rescaling
         with mpmath.workprec(SHADOW_PRECISION_BITS):
             if p.exact:
-                mids = []
-                for c in p.coords:
-                    re = mpmath.mpf(c.re.numerator) / mpmath.mpf(c.re.denominator)
-                    im = mpmath.mpf(c.im.numerator) / mpmath.mpf(c.im.denominator)
-                    mids.append(mpmath.mpc(re, im))
+                mids = [_mpc(c) for c in p.coords]
                 scale = max(abs(m) for m in mids)
                 mids = [m / scale for m in mids]
                 rads = [float(abs(m)) * 2.0**-110 + 2.0**-120 for m in mids]
@@ -196,24 +192,11 @@ class _Ball:
         return sum(self.rads)
 
 
-# keyed by id; the stored polynomial reference keeps the id valid
-_SHADOW_COEFF_CACHE: dict = {}
-
-
-def _poly_mpc_coeffs(poly):
-    """Cache of (exponent, mpc coefficient, float |coefficient|) triples."""
-    entry = _SHADOW_COEFF_CACHE.get(id(poly))
-    if entry is not None and entry[0] is poly:
-        return entry[1]
-    with mpmath.workprec(SHADOW_PRECISION_BITS):
-        cached = []
-        for (i, j, k), c in sorted(poly.terms.items()):
-            re = mpmath.mpf(c.re.numerator) / mpmath.mpf(c.re.denominator)
-            im = mpmath.mpf(c.im.numerator) / mpmath.mpf(c.im.denominator)
-            coeff = mpmath.mpc(re, im)
-            cached.append(((i, j, k), coeff, float(abs(coeff))))
-    _SHADOW_COEFF_CACHE[id(poly)] = (poly, cached)
-    return cached
+def _mpc(c):
+    """A Gaussian rational as an mpmath complex at the working precision."""
+    re = mpmath.mpf(c.re.numerator) / mpmath.mpf(c.re.denominator)
+    im = mpmath.mpf(c.im.numerator) / mpmath.mpf(c.im.denominator)
+    return mpmath.mpc(re, im)
 
 
 def _eval_ball_poly(poly, ball: _Ball):
@@ -225,18 +208,21 @@ def _eval_ball_poly(poly, ball: _Ball):
     derivative's modulus on the whole ball.
     """
     with mpmath.workprec(SHADOW_PRECISION_BITS):
+        val = _term_sum([(*key, _mpc(c)) for key, c in sorted(poly.terms.items())], *ball.mids)
+        abs_rows = [
+            [(*key, float(abs(_mpc(c)))) for key, c in sorted(poly.derivative(var).terms.items())]
+            for var in range(3)
+        ]
+    if val is None:
         val = mpmath.mpc(0)
-        for (i, j, k), coeff, _ in _poly_mpc_coeffs(poly):
-            val += coeff * ball.mids[0] ** i * ball.mids[1] ** j * ball.mids[2] ** k
     outer = [float(abs(m)) + r for m, r in zip(ball.mids, ball.rads)]
     rad = 0.0
     for var in range(3):
         if ball.rads[var] == 0.0:
             continue
-        bound = 0.0
-        for (i, j, k), _, ac in _poly_mpc_coeffs(poly.derivative(var)):
-            bound += ac * outer[0] ** i * outer[1] ** j * outer[2] ** k
-        rad += bound * ball.rads[var]
+        bound = _term_sum(abs_rows[var], *outer)
+        if bound is not None:
+            rad += bound * ball.rads[var]
     # absorb the 113-bit arithmetic rounding, negligible next to rad
     rad += float(abs(val)) * 2.0**-100
     return val, rad

@@ -4,8 +4,8 @@ Each subcommand is exercised against the bundled map corpus through
 ``main(argv)``.  The tests freeze the externally visible contract:
 
 * exit codes — 0 success, 2 input validation, 3 precondition failure
-  (no expansion, no saddles, uncertifiable growth rate), 4 numeric
-  inconclusive;
+  (no expansion, no saddles, uncertifiable growth rate, missing
+  inverse), 4 numeric inconclusive;
 * report layout — every JSON report embeds the tool name and version,
   the seed, the active tolerances, and the exact map coefficients;
 * artifact formats — 16-bit big-endian binary PGM with an affine-scale
@@ -178,6 +178,16 @@ class TestStability:
                        "--out", str(tmp_path), "--iters", "5")
         assert code == 0
         assert read_json(tmp_path / "stability_henon.json")["rho"] == 2.0
+
+    @pytest.mark.parametrize("command", ["stability", "lyapunov"])
+    def test_missing_inverse_exits_3(self, command, tmp_path, capsys):
+        payload = read_json(corpus_path("henon"))
+        del payload["inverse"]
+        bare = tmp_path / "henon.map"
+        bare.write_text(json.dumps(payload))
+        assert run_cli(command, "--map", str(bare), "--out", str(tmp_path),
+                       "--iters", "5") == 3
+        assert "inverse" in capsys.readouterr().err
 
     def test_iters_controls_orbit_length(self, tmp_path):
         code = run_cli("stability", "--map", str(corpus_path("henon")),
@@ -437,6 +447,15 @@ class TestConfigAndDispatch:
             load_config(cfg)
         assert run_cli("stability", "--map", str(corpus_path("henon")),
                        "--config", str(cfg), "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("value", [5, True, ["out"]])
+    def test_non_string_out_dir_exits_2(self, tmp_path, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out_dir": value}))
+        with pytest.raises(MapFileError, match="out_dir"):
+            load_config(cfg)
+        assert run_cli("inspect", "--map", str(corpus_path("linear")),
+                       "--config", str(cfg)) == 2
 
     def test_infinite_tolerance_flag_exits_2(self, tmp_path):
         assert run_cli("stability", "--map", str(corpus_path("henon")),

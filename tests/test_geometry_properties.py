@@ -1,12 +1,14 @@
-"""Property tests: the exact chordal distance and the sympy bridge agree
-bit for bit with their straightforward reference formulas, and the numeric
-polynomial evaluator agrees with exact evaluation and with itself across
-scalar and batched calls.
+"""Property tests: the exact chordal distance, exact evaluation and the
+sympy bridge agree bit for bit with their straightforward reference
+formulas, the numeric polynomial evaluator agrees with exact evaluation and
+with itself across scalar and batched calls, and a line restriction agrees
+with evaluation along the line.
 
 The references below are the plain `Fraction` formulas: the chordal
 distance from ComplexRational cross products rounded through
-`float(Fraction)`, proportionality by three cross products, and a sympy
-Expr summed one term at a time.
+`float(Fraction)`, proportionality by three cross products, exact values
+from per-coordinate power tables, and a sympy Expr summed one term at a
+time.
 """
 
 import math
@@ -24,6 +26,7 @@ from biratdyn.geometry import (
     proj_distance,
     to_sympy,
 )
+from biratdyn.maps import _line_restriction
 
 CR = ComplexRational
 P = ProjectivePoint.exact_point
@@ -133,6 +136,36 @@ def polynomials(draw, max_degree: int = 6, max_terms: int = 25):
     return HomogeneousPolynomial(d, {key: draw(gaussian(30)) for key in chosen})
 
 
+def power_table_value(poly: HomogeneousPolynomial, coords) -> ComplexRational:
+    """Reference exact value: every power of each coordinate up to the
+    degree tabulated once, then one product per term."""
+    tables = []
+    for c in coords:
+        table = [CR(1)]
+        for _ in range(poly.degree):
+            table.append(table[-1] * c)
+        tables.append(table)
+    total = CR(0)
+    for (i, j, k), coeff in poly.terms.items():
+        total = total + coeff * tables[0][i] * tables[1][j] * tables[2][k]
+    return total
+
+
+class TestExactEvaluation:
+    @SETTINGS
+    @given(polynomials(), points(40))
+    def test_matches_power_table(self, poly, p):
+        assert poly.evaluate_exact(p.coords) == power_table_value(poly, p.coords)
+
+    @SETTINGS
+    @given(gaussian(40))
+    def test_power_matches_repeated_product(self, z):
+        product = CR(1)
+        for n in range(7):
+            assert z**n == product
+            product = product * z
+
+
 class TestToSympy:
     @settings(max_examples=60, deadline=None)
     @given(polynomials())
@@ -172,3 +205,18 @@ class TestNumericEvaluation:
         for a, b, val in zip(z1, z2, mixed):
             scale = max(abs_term_sum(poly, (a, 1.0, b)), 1e-300)
             assert abs(poly.evaluate_numeric((complex(a), 1.0, complex(b))) - val) <= 1e-13 * scale
+
+
+class TestLineRestriction:
+    @SETTINGS
+    @given(polynomials(), st.integers(0, 2**32 - 1))
+    def test_matches_evaluation_along_the_line(self, poly, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        coeffs = _line_restriction(poly, a, b)
+        assert coeffs.shape == (poly.degree + 1,)
+        for s in rng.normal(size=4) + 1j * rng.normal(size=4):
+            value = np.polynomial.polynomial.polyval(s, coeffs)
+            # expanding (a + s b)**e termwise sums moduli up to this scale
+            scale = abs_term_sum(poly, np.abs(a) + abs(s) * np.abs(b))
+            assert abs(value - poly.evaluate_numeric(a + s * b)) <= 1e-12 * max(scale, 1e-300)

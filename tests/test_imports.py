@@ -1,15 +1,21 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and importing the
+package leaves sympy unloaded.
 
 An import that no code reads still costs load time and misleads readers
 about a module's dependencies.  A name counts as used when the module
 reads it anywhere (as a name or as the root of an attribute chain) or
 re-exports it through ``__all__``.  The package ``__init__`` only
-re-exports, so it is exempt.
+re-exports, so it is exempt.  sympy is needed only for exact loci and
+gcds, and importing it takes about half a second, so it is loaded on
+first use.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +49,14 @@ def test_module_level_imports_are_used(path):
 
 def test_guard_flags_an_unused_import():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == ["math", "path"]
+
+
+def test_import_leaves_sympy_unloaded():
+    # a fresh interpreter: this test process may already have imported sympy
+    src = str(Path(biratdyn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, biratdyn; print('sympy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"

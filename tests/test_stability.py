@@ -8,15 +8,21 @@ making every weighted log-distance term exactly zero.
 
 import json
 import math
+from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from biratdyn.geometry import ProjectivePoint, proj_distance
+from biratdyn.geometry import ComplexRational, HomogeneousPolynomial, ProjectivePoint, proj_distance
 from biratdyn.maps import DEFAULT_COEFF_BIT_CAP, EPS_EXCEPTIONAL, compose
 from biratdyn.stability import (
-    _SHADOW_COEFF_CACHE,
+    SHADOW_PRECISION_BITS,
     OrbitTable,
+    StabilityError,
     _Ball,
+    _eval_ball_poly,
     _orbit_of_point,
     _step_ball,
     backward_summability,
@@ -200,17 +206,81 @@ class TestExactHits:
         assert rep.verdict == "Inconclusive"
 
 
+def _reference_rows(poly):
+    """(exponents, mpc coefficient, float |coefficient|) in sorted key order."""
+    rows = []
+    with mpmath.workprec(SHADOW_PRECISION_BITS):
+        for (i, j, k), c in sorted(poly.terms.items()):
+            re = mpmath.mpf(c.re.numerator) / mpmath.mpf(c.re.denominator)
+            im = mpmath.mpf(c.im.numerator) / mpmath.mpf(c.im.denominator)
+            coeff = mpmath.mpc(re, im)
+            rows.append(((i, j, k), coeff, float(abs(coeff))))
+    return rows
+
+
+def reference_eval_ball_poly(poly, ball):
+    """Reference ball evaluation: full products m**i * m**j * m**k per term,
+    accumulated from zero, value at 113 bits and bound in doubles."""
+    with mpmath.workprec(SHADOW_PRECISION_BITS):
+        val = mpmath.mpc(0)
+        for (i, j, k), coeff, _ in _reference_rows(poly):
+            val += coeff * ball.mids[0] ** i * ball.mids[1] ** j * ball.mids[2] ** k
+    outer = [float(abs(m)) + r for m, r in zip(ball.mids, ball.rads)]
+    rad = 0.0
+    for var in range(3):
+        if ball.rads[var] == 0.0:
+            continue
+        bound = 0.0
+        for (i, j, k), _, ac in _reference_rows(poly.derivative(var)):
+            bound += ac * outer[0] ** i * outer[1] ** j * outer[2] ** k
+        rad += bound * ball.rads[var]
+    rad += float(abs(val)) * 2.0**-100
+    return val, rad
+
+
+def _gaussian(bits):
+    part = st.builds(Fraction, st.integers(-(2**bits), 2**bits), st.integers(1, 2**bits))
+    return st.builds(ComplexRational, part, part)
+
+
+@st.composite
+def _ball_polynomials(draw):
+    d = draw(st.integers(0, 5))
+    keys = [(i, j, d - i - j) for i in range(d + 1) for j in range(d - i + 1)]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=12, unique=True))
+    return HomogeneousPolynomial(d, {key: draw(_gaussian(30)) for key in chosen})
+
+
+def _exact_balls(bits):
+    return (st.tuples(*[_gaussian(bits)] * 3)
+            .filter(lambda cs: not all(c.is_zero() for c in cs))
+            .map(lambda cs: _Ball.from_point(P(*cs))))
+
+
+BALL_SETTINGS = settings(max_examples=120, deadline=None,
+                         suppress_health_check=[HealthCheck.too_slow])
+
+
 class TestShadowBalls:
-    def test_coefficient_cache_stays_fixed(self):
-        # derivatives are memoized on the polynomial, so the id-keyed
-        # cache sees the same objects on every step
-        f = henon_map()
-        ball = _Ball.from_point(P(3, -2, 5))
-        _step_ball(f, ball)
-        size = len(_SHADOW_COEFF_CACHE)
-        for _ in range(20):
-            _step_ball(f, ball)
-        assert len(_SHADOW_COEFF_CACHE) == size
+    @BALL_SETTINGS
+    @given(_ball_polynomials(), _exact_balls(40))
+    def test_matches_reference_evaluation(self, poly, ball):
+        assert _eval_ball_poly(poly, ball) == reference_eval_ball_poly(poly, ball)
+
+    @BALL_SETTINGS
+    @given(_ball_polynomials(), _exact_balls(2000))
+    def test_matches_reference_at_2000_bit_points(self, poly, ball):
+        assert _eval_ball_poly(poly, ball) == reference_eval_ball_poly(poly, ball)
+
+    @BALL_SETTINGS
+    @given(_ball_polynomials(), _exact_balls(40))
+    def test_matches_reference_after_a_step(self, poly, ball):
+        # a stepped ball carries propagated radii and 113-bit midpoints
+        try:
+            stepped = _step_ball(henon_map(), ball)
+        except StabilityError:
+            assume(False)  # the ball meets the indeterminacy set
+        assert _eval_ball_poly(poly, stepped) == reference_eval_ball_poly(poly, stepped)
 
 
 class TestSummabilityOnMaps:
