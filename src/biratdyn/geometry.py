@@ -228,8 +228,12 @@ class ProjectivePoint:
         """Unit-norm complex128 representative."""
         if not self.exact:
             return self.coords
-        v = np.asarray([complex(c) for c in self.coords], dtype=np.complex128)
-        n = np.linalg.norm(v)
+        try:
+            v = np.asarray([complex(c) for c in self.coords], dtype=np.complex128)
+            with np.errstate(over="ignore"):
+                n = np.linalg.norm(v)
+        except OverflowError:  # a coordinate beyond the double range
+            n = math.inf
         if n < 1e-300 or not np.isfinite(n):
             # rescale exactly before converting: huge/tiny exact coords
             scale = max(max(abs(c.re), abs(c.im)) for c in self.coords)

@@ -41,7 +41,8 @@ DEFAULT_COEFF_BIT_CAP = 1 << 16
 EPS_EXCEPTIONAL = 1e-6
 # tolerance for numeric indeterminacy detection at unit representatives
 EPS_INDETERMINACY = 1e-9
-# iterates f^1..f^N composed to decide whether the degrees are multiplicative
+# iterates f^1..f^N checked for multiplicative degrees (by exceptional orbits,
+# composing only when an orbit meets the indeterminacy set)
 DEGREE_CHECK_ITERATES = 5
 
 
@@ -425,10 +426,45 @@ def degree_sequence(f: RationalSurfaceMap, length: int) -> DegreeSequence:
 
     The sequence is multiplicative (d_n = d_1^n) exactly when no iterate
     picks up a common factor; first_drop records the first n where
-    multiplicativity fails.  If exact coefficients exceed
-    DEFAULT_COEFF_BIT_CAP bits the sequence is truncated and marked."""
+    multiplicativity fails.
+
+    For a birational f the exceptional orbits decide this without
+    composing: d_n = d_1^n for every n <= length exactly when no point p of
+    I(f^-1) has f^k(p) in I(f) for some k <= length - 2, and the first drop
+    is at n = k + 2 (Fornaess-Sibony 1995; Diller-Favre 2001, Thm 1.14).
+    When the attached inverse (certified by `load_map`) has only exact
+    indeterminacy points and their exact orbits avoid I(f) that long, the
+    multiplicative sequence is returned at once.  Otherwise -- an orbit
+    hits I(f), a point is numeric, there is no inverse, or an orbit
+    coordinate exceeds DEFAULT_COEFF_BIT_CAP bits -- the iterates are
+    composed, so a dropping sequence reports its actual degrees.  If
+    composed coefficients exceed the bit cap the sequence is truncated and
+    marked."""
     if length < 1:
         raise MapError("need length >= 1")
+    if _exceptional_orbits_avoid_indeterminacy(f, length - 2):
+        return DegreeSequence([f.degree**n for n in range(1, length + 1)], True, None)
+    return _composed_degree_sequence(f, length)
+
+
+def _exceptional_orbits_avoid_indeterminacy(f: RationalSurfaceMap, last: int) -> bool:
+    """True when every point p of I(f^-1) is exact and f^k(p) is defined,
+    outside I(f) and within the bit cap for k = 0..last."""
+    if f.inverse is None:
+        return False
+    sources = f.inverse.indeterminacy_set()
+    if not all(p.exact for p in sources):
+        return False
+    for p in sources:
+        for _ in range(last + 1):
+            p = image_point(f, p)
+            if p is None or p.bit_size() > DEFAULT_COEFF_BIT_CAP:
+                return False
+    return True
+
+
+def _composed_degree_sequence(f: RationalSurfaceMap, length: int) -> DegreeSequence:
+    """`degree_sequence` by composing f with itself length - 1 times."""
     degrees = [f.degree]
     current = f
     truncated_at = None

@@ -442,10 +442,17 @@ def _dedupe_affine(found: list[np.ndarray], new: np.ndarray) -> list[np.ndarray]
     """``found``, already pairwise separated, followed by each new point
     that is not within ``_DEDUPE_TOL`` (max-abs) of a point kept before it."""
     unique = list(found)
-    for p in new:
-        p = np.asarray(p)
-        if not any(np.max(np.abs(p - q)) < _DEDUPE_TOL for q in unique):
-            unique.append(p)
+    if len(new) == 0:
+        return unique
+    # kept points are compacted in place into rows[:kept], one comparison
+    # against all of them per candidate
+    rows = np.array([*unique, *new])
+    kept = len(unique)
+    for p in rows[kept:]:
+        if not (np.max(np.abs(rows[:kept] - p), axis=1) < _DEDUPE_TOL).any():
+            rows[kept] = p
+            unique.append(rows[kept])
+            kept += 1
     return unique
 
 

@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import biratdyn
+from biratdyn import cli, maps
 from biratdyn.cli import main
 from biratdyn.mapfile import MapFileError, corpus_path, load_config
 from biratdyn.maps import RationalSurfaceMap
@@ -521,13 +522,32 @@ class TestCommandMatrix:
             factored.append(f.name)
             return critical_set(f)
 
+        loaded, composed = [], []
+        load_map, compose = cli.load_map, maps.compose
+
+        def loading(path):
+            f = load_map(path)
+            loaded.append(f)
+            return f
+
+        def composing(*args, **kwargs):
+            if loaded:
+                composed.append(args)
+            return compose(*args, **kwargs)
+
         monkeypatch.setattr(RationalSurfaceMap, "critical_set", counting)
+        monkeypatch.setattr(cli, "load_map", loading)
+        monkeypatch.setattr(maps, "compose", composing)
         code = run_cli(command, "--map", str(corpus_path(name)),
                        "--out", str(tmp_path), *SMALL_BUDGET)
         capsys.readouterr()
         assert code == (3 if (command, name) in MATRIX_PRECONDITION else 0)
         # only inspect reports the critical set, so only inspect factors it
         assert bool(factored) == (command == "inspect")
+        # degrees are decided by exceptional orbits after the load; only
+        # cremona's orbits meet its indeterminacy set, so only its degree
+        # checks compose (measure makes none)
+        assert bool(composed) == (name == "cremona" and command != "measure")
 
     def test_energy_selftest_exit_code(self, tmp_path):
         assert run_cli("energy-selftest", "--out", str(tmp_path), "--iters", "1") == 0

@@ -83,6 +83,12 @@ class TestProjectivePoint:
         v = P(3, 4, 12).unit_vector()
         assert abs(np.linalg.norm(v) - 1.0) < 1e-14
 
+    def test_unit_vector_beyond_double_range(self):
+        # float(2**2000) overflows, so the coordinates are rescaled exactly
+        v = P(2**2000, 3 * 2**1998, 1).unit_vector()
+        assert np.allclose(v, [0.8, 0.6, 0.0], rtol=0, atol=1e-15)
+        assert P(2**600, 1, 0).unit_vector()[0] == 1.0
+
     def test_chart_index(self):
         assert P(1, 0, 0).chart_index() == 0
         assert P(1, 5, 2).chart_index() == 1

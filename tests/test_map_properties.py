@@ -7,20 +7,28 @@ the three coordinate points.  So the degree drops of f are decided by
 exceptional orbits alone (algebraic stability: Fornaess-Sibony 1995,
 Diller-Favre 2001 Thm 1.14): deg f^n = 2^n for every n <= N exactly when no
 p in I(f^-1) has f^k(p) in I(f) for some k <= N - 2, and the first drop is
-at n = k + 2 for the least such k.  The composition route
-(`degree_sequence`) and the orbit route (`exceptional_orbits`) are checked
-against each other on random maps, with the inverse and associativity
-identities alongside.
+at n = k + 2 for the least such k.  `degree_sequence` decides by that
+orbit walk and composes only when an orbit meets I(f), so the composition
+loop (`_composed_degree_sequence`) is the oracle: both are checked against
+it on random L o sigma and Henon maps, with and without an attached
+inverse, and the oracle's first drop against the hits of
+`exceptional_orbits`.  The inverse and associativity identities ride
+alongside.
 
 The same maps, and the bundled corpus, check the two shortcuts the
 command-line path takes: `image_point` against the labelled `apply`, and
 `plane_expansion_rate` against the spectral radius of the rank-one lattice.
+A few fixed generated maps also run `inspect` and `stability` end to end.
 """
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from biratdyn import maps
+from biratdyn.cli import main
 from biratdyn.cohomology import (
     SpectralError,
     lattice_for_plane_map,
@@ -28,10 +36,18 @@ from biratdyn.cohomology import (
     spectral_data,
 )
 from biratdyn.geometry import ProjectivePoint
-from biratdyn.mapfile import corpus_path, load_map
-from biratdyn.maps import apply, compose, degree_sequence, image_point, verify_inverse
+from biratdyn.mapfile import corpus_path, load_map, save_map
+from biratdyn.maps import (
+    RationalSurfaceMap,
+    _composed_degree_sequence,
+    apply,
+    compose,
+    degree_sequence,
+    image_point,
+    verify_inverse,
+)
 from biratdyn.stability import exceptional_orbits
-from biratdyn.standard_maps import cremona_involution, linear_map
+from biratdyn.standard_maps import cremona_involution, henon_map, linear_map
 
 SETTINGS = settings(max_examples=20, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -39,6 +55,7 @@ SETTINGS = settings(max_examples=20, deadline=None,
 matrices = st.lists(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=3, max_size=3),
                     min_size=3, max_size=3)
 triples = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 CORPUS = ["cremona", "henon", "linear", "lsigma"]
 
 
@@ -66,8 +83,27 @@ def twisted(m):
     return L, sig, f
 
 
+def counted_degree_sequence(f, N):
+    """`degree_sequence(f, N)` and the number of compositions it made."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compose(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(maps, "compose", counting)
+        seq = degree_sequence(f, N)
+    return seq, len(calls)
+
+
 @SETTINGS
 @given(matrices)
+# first drop at 2, 3 and 4, and multiplicative through 4
+@example([[2, 2, 2], [0, 0, 2], [0, -1, 2]])
+@example([[1, 0, -1], [-1, 2, 2], [0, -1, -1]])
+@example([[0, -1, -1], [2, -1, 1], [-1, 0, 1]])
+@example([[0, 1, 2], [-1, -1, 2], [1, 2, -1]])
 def test_generated_map_identities_and_degree_drops(m):
     assume(det3(m) != 0)
     L, sig, f = twisted(m)
@@ -75,12 +111,39 @@ def test_generated_map_identities_and_degree_drops(m):
     assert same_map(compose(compose(L, sig), L), compose(L, compose(sig, L)))
 
     N = 4
+    oracle = _composed_degree_sequence(f, N)
+    seq, composed = counted_degree_sequence(f, N)
+    assert seq == oracle
+    # a multiplicative sequence is decided by the orbit walk alone
+    assert (composed == 0) == oracle.is_multiplicative
+
     table = exceptional_orbits(f, N - 1)
     assert all(orb.source.exact for orb in table.orbits)
     hits = [orb.hit_index for orb in table.orbits
             if orb.hit_index is not None and orb.hit_index <= N - 2]
     expected = 2 + min(hits) if hits else None
-    assert degree_sequence(f, N).first_drop == expected
+    assert oracle.first_drop == expected
+
+
+# each example composes f three times, twice over, so fewer of them
+@settings(SETTINGS, max_examples=6)
+@given(matrices)
+def test_generated_map_degree_sequence_without_inverse(m):
+    assume(det3(m) != 0)
+    f = twisted(m)[2]
+    bare = RationalSurfaceMap(f.components, name="bare")
+    seq, composed = counted_degree_sequence(bare, 4)
+    assert seq == _composed_degree_sequence(f, 4)
+    assert composed == 3
+
+
+@settings(SETTINGS, max_examples=6)
+@given(rationals, rationals.filter(bool))
+def test_generated_henon_degree_sequence(c, delta):
+    f = henon_map(c, delta)
+    seq, composed = counted_degree_sequence(f, 4)
+    assert seq == _composed_degree_sequence(f, 4)
+    assert seq.is_multiplicative and composed == 0
 
 
 def check_image_point(f, triple):
@@ -117,7 +180,7 @@ def test_generated_map_image_point(m, triple):
     check_image_point(twisted(m)[2], triple)
 
 
-# each example composes f five times on each route, so fewer of them
+# a dropping example composes f four times on each route, so fewer of them
 @settings(SETTINGS, max_examples=6)
 @given(matrices)
 def test_generated_map_expansion_rate(m):
@@ -130,3 +193,42 @@ def test_corpus_image_point_and_expansion_rate(name):
     f = load_map(corpus_path(name))
     check_image_point(f, (1, -2, 3))
     check_expansion_rate(f)
+
+
+#: seven L with entries in {-1, 0, 1, 2}: three whose degrees drop (at 2, 3
+#: and 2) and four multiplicative; in three of them an exact exceptional
+#: orbit outgrows the double range (1024 bits) within 20 steps
+SMOKE_MATRICES = [
+    [[2, 2, 2], [0, 0, 2], [0, -1, 2]],
+    [[1, 0, -1], [-1, 2, 2], [0, -1, -1]],
+    [[-1, -1, 0], [0, -1, 2], [1, 2, 0]],
+    [[1, 1, 0], [1, -1, -1], [-1, 2, -1]],
+    [[1, 2, -1], [-1, -1, 0], [0, -1, 2]],
+    [[2, 2, 2], [-1, 0, 1], [1, -1, 1]],
+    [[1, -1, 2], [-1, 0, 0], [-1, -1, -1]],
+]
+SMOKE_HENON = [(Fraction(1, 2), Fraction(-1)), (Fraction(-1), Fraction(1, 3)),
+               (Fraction(2), Fraction(3, 4))]
+
+
+@pytest.mark.parametrize("family,data", [
+    *(pytest.param("lsigma", m, id=f"lsigma{k}") for k, m in enumerate(SMOKE_MATRICES)),
+    *(pytest.param("henon", cd, id=f"henon{k}") for k, cd in enumerate(SMOKE_HENON)),
+])
+def test_generated_map_cli_smoke(family, data, tmp_path, capsys):
+    """`inspect` and `stability --iters 20` end with a documented exit code
+    on generated maps, not only on the corpus."""
+    f = twisted(data)[2] if family == "lsigma" else henon_map(*data)
+    path = save_map(f, tmp_path / "f.map")
+    for command in (["inspect"], ["stability", "--iters", "20"]):
+        assert main([*command, "--map", str(path), "--out", str(tmp_path)]) in (0, 2, 3, 4)
+    capsys.readouterr()
+
+
+def test_stability_orbit_beyond_double_range(tmp_path, capsys):
+    """An exact orbit of this multiplicative map reaches 39 886 bits by step
+    15; converting it to doubles once ended `stability --iters 20` in an
+    OverflowError traceback."""
+    path = save_map(twisted([[0, 1, 2], [-1, -1, 2], [1, 2, -1]])[2], tmp_path / "f.map")
+    assert main(["stability", "--map", str(path), "--out", str(tmp_path), "--iters", "20"]) == 0
+    capsys.readouterr()
