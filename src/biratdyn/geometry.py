@@ -190,7 +190,7 @@ class ProjectivePoint:
     `numeric()`.
     """
 
-    __slots__ = ("coords", "exact", "_integer_cache")
+    __slots__ = ("coords", "exact", "_integer_cache", "_unit_cache")
 
     def __init__(self, coords: Sequence, exact: bool | None = None):
         coords = tuple(coords)
@@ -212,6 +212,7 @@ class ProjectivePoint:
             object.__setattr__(self, "coords", v / n)
             object.__setattr__(self, "exact", False)
         object.__setattr__(self, "_integer_cache", None)
+        object.__setattr__(self, "_unit_cache", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjectivePoint is immutable")
@@ -225,9 +226,12 @@ class ProjectivePoint:
         return cls((a, b, c), exact=False)
 
     def unit_vector(self) -> np.ndarray:
-        """Unit-norm complex128 representative."""
+        """Unit-norm complex128 representative, read-only; computed once
+        per exact point."""
         if not self.exact:
             return self.coords
+        if self._unit_cache is not None:
+            return self._unit_cache
         try:
             v = np.asarray([complex(c) for c in self.coords], dtype=np.complex128)
             with np.errstate(over="ignore"):
@@ -240,7 +244,10 @@ class ProjectivePoint:
             cs = [c / ComplexRational(scale) for c in self.coords]
             v = np.asarray([complex(c) for c in cs], dtype=np.complex128)
             n = np.linalg.norm(v)
-        return v / n
+        v = v / n
+        v.flags.writeable = False
+        object.__setattr__(self, "_unit_cache", v)
+        return v
 
     def numeric(self) -> "ProjectivePoint":
         if not self.exact:
@@ -628,12 +635,22 @@ def poly_factor(poly: HomogeneousPolynomial) -> list[tuple[HomogeneousPolynomial
     sympy, gens = _sympy()
     if poly.is_zero():
         raise GeometryError("cannot factor the zero polynomial")
-    _, factors = sympy.factor_list(to_sympy(poly), *gens, extension=sympy.I)
+    # sympy's factoring over Q(i) can stall even on a product of rational
+    # linear forms ((y - t)(x - y)(x + t) ran for minutes), so a rational
+    # polynomial is split over Q first and only its factors of degree >= 2
+    # are split further over Q(i)
+    expr = to_sympy(poly)
+    if all(not c.im for c in poly.terms.values()):
+        _, factors = sympy.factor_list(expr, *gens)
+    else:
+        factors = [(expr, 1)]
     out = []
     for expr, mult in factors:
         f = from_sympy(expr)
-        if f.degree == 0:
-            continue
-        out.append((f.monic(), int(mult)))
+        parts = [(expr, 1)] if f.degree == 1 else sympy.factor_list(expr, *gens, extension=sympy.I)[1]
+        for part, k in parts:
+            g = from_sympy(part)
+            if g.degree > 0:
+                out.append((g.monic(), int(k) * int(mult)))
     out.sort(key=lambda fm: (fm[0].degree, sorted(fm[0].terms.keys()), fm[1]))
     return out

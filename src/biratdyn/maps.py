@@ -367,6 +367,23 @@ def _curve_line_intersections(poly: HomogeneousPolynomial, a: np.ndarray, b: np.
 # ---------------------------------------------------------------------------
 
 
+def _substitute(
+    f: RationalSurfaceMap, g: RationalSurfaceMap, bit_cap: int
+) -> list[HomogeneousPolynomial]:
+    """Components of f with g's components substituted, not reduced.
+    Raises CoefficientOverflow when a coefficient exceeds bit_cap bits."""
+    comps = []
+    for comp in f.components:
+        rows = ((*key, HomogeneousPolynomial.constant(c)) for key, c in comp.terms.items())
+        acc = _term_sum(rows, *g.components)
+        if acc is None:
+            acc = HomogeneousPolynomial.zero(comp.degree * g.degree)
+        comps.append(acc)
+        if acc.max_coeff_bits() > bit_cap:
+            raise CoefficientOverflow(acc.max_coeff_bits(), bit_cap, "during composition")
+    return comps
+
+
 def compose(
     f: RationalSurfaceMap,
     g: RationalSurfaceMap,
@@ -376,16 +393,7 @@ def compose(
     """Reduced composition f o g: substitute g into f, then divide out the
     common factor.  Raises CoefficientOverflow when exact coefficients
     exceed bit_cap bits."""
-    new_comps = []
-    for comp in f.components:
-        rows = ((*key, HomogeneousPolynomial.constant(c)) for key, c in comp.terms.items())
-        acc = _term_sum(rows, *g.components)
-        if acc is None:
-            acc = HomogeneousPolynomial.zero(comp.degree * g.degree)
-        new_comps.append(acc)
-        if acc.max_coeff_bits() > bit_cap:
-            raise CoefficientOverflow(acc.max_coeff_bits(), bit_cap, "during composition")
-    composed = RationalSurfaceMap(new_comps, name=name)
+    composed = RationalSurfaceMap(_substitute(f, g, bit_cap), name=name)
     if composed.components[0].max_coeff_bits() > bit_cap:
         raise CoefficientOverflow(composed.components[0].max_coeff_bits(), bit_cap, "after reduction")
     return composed
@@ -402,23 +410,28 @@ def identity_map() -> RationalSurfaceMap:
     )
 
 
-def is_identity(f: RationalSurfaceMap) -> bool:
-    """True when the map is projectively the identity [x : y : t]."""
-    if f.degree != 1:
+def is_identity(f: RationalSurfaceMap | Sequence[HomogeneousPolynomial]) -> bool:
+    """True when f, a map or a triple of components, is projectively the
+    identity [x : y : t]: the triple is nonzero and its three 2x2 minors
+    against (x, y, t) vanish, so it is h * (x, y, t) for a nonzero h."""
+    c0, c1, c2 = f.components if isinstance(f, RationalSurfaceMap) else f
+    if c0.is_zero() and c1.is_zero() and c2.is_zero():
         return False
     x = HomogeneousPolynomial.monomial(1, 0, 0)
     y = HomogeneousPolynomial.monomial(0, 1, 0)
     t = HomogeneousPolynomial.monomial(0, 0, 1)
-    c0, c1, c2 = f.components
     return (c0 * y == c1 * x) and (c0 * t == c2 * x) and (c1 * t == c2 * y)
 
 
 def verify_inverse(f: RationalSurfaceMap) -> bool:
-    """Certify the attached inverse: both compositions reduce to the
-    identity map."""
+    """Certify the attached inverse: both substitutions, f into its inverse
+    and back, are the identity up to a common factor (which is never
+    divided out)."""
     if f.inverse is None:
         raise MapError("no inverse attached")
-    return is_identity(compose(f, f.inverse)) and is_identity(compose(f.inverse, f))
+    g = f.inverse
+    return (is_identity(_substitute(f, g, DEFAULT_COEFF_BIT_CAP))
+            and is_identity(_substitute(g, f, DEFAULT_COEFF_BIT_CAP)))
 
 
 def degree_sequence(f: RationalSurfaceMap, length: int) -> DegreeSequence:
@@ -433,34 +446,42 @@ def degree_sequence(f: RationalSurfaceMap, length: int) -> DegreeSequence:
     I(f^-1) has f^k(p) in I(f) for some k <= length - 2, and the first drop
     is at n = k + 2 (Fornaess-Sibony 1995; Diller-Favre 2001, Thm 1.14).
     When the attached inverse (certified by `load_map`) has only exact
-    indeterminacy points and their exact orbits avoid I(f) that long, the
-    multiplicative sequence is returned at once.  Otherwise -- an orbit
-    hits I(f), a point is numeric, there is no inverse, or an orbit
-    coordinate exceeds DEFAULT_COEFF_BIT_CAP bits -- the iterates are
-    composed, so a dropping sequence reports its actual degrees.  If
-    composed coefficients exceed the bit cap the sequence is truncated and
-    marked."""
+    indeterminacy points and `orbit_walk`, the walker the stability
+    diagnostics also use, takes each of them length - 1 steps without
+    meeting I(f), the multiplicative sequence is returned at once.
+    Otherwise -- an orbit hits I(f), a point is numeric, there is no
+    inverse, or an orbit coordinate exceeds DEFAULT_COEFF_BIT_CAP bits --
+    the iterates are composed, so a dropping sequence reports its actual
+    degrees.  If composed coefficients exceed the bit cap the sequence is
+    truncated and marked."""
     if length < 1:
         raise MapError("need length >= 1")
-    if _exceptional_orbits_avoid_indeterminacy(f, length - 2):
-        return DegreeSequence([f.degree**n for n in range(1, length + 1)], True, None)
+    if f.inverse is not None:
+        sources = f.inverse.indeterminacy_set()
+        if all(p.exact for p in sources) and all(
+            orbit_walk(f, p, length - 1, DEFAULT_COEFF_BIT_CAP)[1] == "horizon" for p in sources
+        ):
+            return DegreeSequence([f.degree**n for n in range(1, length + 1)], True, None)
     return _composed_degree_sequence(f, length)
 
 
-def _exceptional_orbits_avoid_indeterminacy(f: RationalSurfaceMap, last: int) -> bool:
-    """True when every point p of I(f^-1) is exact and f^k(p) is defined,
-    outside I(f) and within the bit cap for k = 0..last."""
-    if f.inverse is None:
-        return False
-    sources = f.inverse.indeterminacy_set()
-    if not all(p.exact for p in sources):
-        return False
-    for p in sources:
-        for _ in range(last + 1):
-            p = image_point(f, p)
-            if p is None or p.bit_size() > DEFAULT_COEFF_BIT_CAP:
-                return False
-    return True
+def orbit_walk(
+    f: RationalSurfaceMap, p: ProjectivePoint, steps: int, bit_cap: int
+) -> tuple[list[ProjectivePoint], str]:
+    """The orbit p, f(p), ..., f^steps(p) stepped with `image_point`, and
+    how the walk ended: ``"horizon"`` after all steps; ``"indeterminate"``
+    when the last point listed lies in I(f), so its image is undefined;
+    ``"cap"`` when the last point listed is the first exact image with a
+    coordinate of more than bit_cap bits."""
+    points = [p]
+    for _ in range(steps):
+        q = image_point(f, points[-1])
+        if q is None:
+            return points, "indeterminate"
+        points.append(q)
+        if q.exact and q.bit_size() > bit_cap:
+            return points, "cap"
+    return points, "horizon"
 
 
 def _composed_degree_sequence(f: RationalSurfaceMap, length: int) -> DegreeSequence:

@@ -10,12 +10,15 @@ Three related checks on the exceptional orbits of a plane map:
   bounded below);
 * backward summability — the mirrored series driven by the inverse map.
 
-Orbits are computed exactly while coordinate sizes stay below a bit cap;
-past the cap they continue at 113-bit precision with per-coordinate error
-balls, and a verdict is downgraded to Inconclusive when an error enclosure
-straddles the indeterminacy tolerance.  The chordal metric is bounded by
-one, so every log term is nonpositive and partial sums are nonincreasing,
-which turns convergence into a testable Cauchy criterion.
+Orbits are walked in `maps` by `orbit_walk`, the same walker that decides
+degree stability, exactly while coordinate sizes stay below a bit cap;
+past the cap they continue here at 113-bit precision with per-coordinate
+error balls.  This module only measures the finished orbits: distances to
+the target set, the first exact hit, and the first step whose error
+enclosure straddles the indeterminacy tolerance, which downgrades a
+verdict to Inconclusive.  The chordal metric is bounded by one, so every
+log term is nonpositive and partial sums are nonincreasing, which turns
+convergence into a testable Cauchy criterion.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ from .maps import (
     DEFAULT_COEFF_BIT_CAP,
     EPS_EXCEPTIONAL,
     RationalSurfaceMap,
-    image_point,
+    orbit_walk,
 )
 
 __all__ = [
-    "OrbitEntry",
     "PointOrbit",
     "OrbitTable",
     "SummabilityReport",
@@ -61,24 +63,13 @@ class StabilityError(Exception):
 
 
 @dataclass(frozen=True)
-class OrbitEntry:
-    """One orbit step: a point, or an indeterminate encounter (which
-    truncates the orbit)."""
-
-    step: int
-    kind: str  # "point" | "indeterminate"
-    point: ProjectivePoint | None
-    enclosure_radius: float = 0.0
-
-
-@dataclass(frozen=True)
 class PointOrbit:
     source: ProjectivePoint
-    entries: tuple
-    distances: tuple  # chordal distance to the target set, one per point entry
+    points: tuple  # points[n] is step n; the orbit stops early only at I(f)
+    distances: tuple  # chordal distance to the target set, one per point
     distance_radii: tuple  # error halfwidths (0.0 for exact/plain numeric)
     switchover_index: int | None  # first step computed with shadow balls
-    hit_index: int | None  # first step whose distance enclosure sits below tolerance
+    hit_index: int | None  # first step at an exact point of the target set
     straddle_index: int | None  # first step whose enclosure straddles tolerance
 
 
@@ -160,19 +151,14 @@ class _Ball:
 
     @classmethod
     def from_point(cls, p: ProjectivePoint):
-        # normalize inside mpmath: raw exact coordinates may be far outside
-        # the double range, so floats are only taken after rescaling
+        """Ball around an exact point, normalized inside mpmath: raw exact
+        coordinates may be far outside the double range, so floats are
+        only taken after rescaling."""
         with mpmath.workprec(SHADOW_PRECISION_BITS):
-            if p.exact:
-                mids = [_mpc(c) for c in p.coords]
-                scale = max(abs(m) for m in mids)
-                mids = [m / scale for m in mids]
-                rads = [float(abs(m)) * 2.0**-110 + 2.0**-120 for m in mids]
-            else:
-                mids = [mpmath.mpc(z) for z in p.coords]
-                scale = max(abs(m) for m in mids)
-                mids = [m / scale for m in mids]
-                rads = [float(abs(m)) * 1e-15 + 1e-18 for m in mids]
+            mids = [_mpc(c) for c in p.coords]
+            scale = max(abs(m) for m in mids)
+            mids = [m / scale for m in mids]
+            rads = [float(abs(m)) * 2.0**-110 + 2.0**-120 for m in mids]
             return cls(mids, rads)
 
     @classmethod
@@ -260,57 +246,35 @@ def _orbit_of_point(
     bit_cap: int,
     eps: float,
 ) -> PointOrbit:
-    entries = []
-    distances = []
-    radii = []
-    switchover = None
-    hit = None
-    straddle = None
-
-    def record(step, kind, point, encl):
-        nonlocal hit, straddle
-        entries.append(OrbitEntry(step, kind, point, encl))
-        if point is not None:
-            d = _distance_to_set(point, targets)
-            distances.append(d)
-            radii.append(encl)
-            if point.exact:
-                # exact arithmetic decides membership outright; a rounded
-                # distance of 0.0 can underflow for distinct points
-                if hit is None and any(point.same_point(q) for q in targets if q.exact):
-                    hit = step
-            elif straddle is None and d - encl < eps:
-                # a double or a ball near the set cannot certify membership
-                straddle = step
-
-    current: ProjectivePoint | _Ball = source
-    record(0, "point", source, 0.0)
-    for n in range(1, horizon + 1):
-        if isinstance(current, _Ball):
+    points, end = orbit_walk(f, source, horizon, bit_cap)
+    radii = [0.0] * len(points)
+    switchover = straddle = None
+    if end == "cap":
+        # continue from the capped exact point with 113-bit shadow balls
+        switchover = len(points) - 1
+        ball = _Ball.from_point(points[-1])
+        points[-1], radii[-1] = ball.numeric_point(), ball.radius() * 2.0
+        while len(points) <= horizon:
             try:
-                current = _step_ball(f, current)
+                ball = _step_ball(f, ball)
             except StabilityError:
-                record(n, "indeterminate", None, 0.0)
-                if straddle is None:
-                    straddle = n
+                # a ball that meets I(f) cannot certify membership
+                straddle = len(points)
                 break
-            p = current.numeric_point()
-            record(n, "point", p, current.radius() * 2.0)
-            continue
-        nxt = image_point(f, current)
-        if nxt is None:
-            record(n, "indeterminate", None, 0.0)
-            break
-        if nxt.exact and nxt.bit_size() > bit_cap:
-            switchover = n
-            current = _Ball.from_point(nxt)
-            record(n, "point", current.numeric_point(), current.radius() * 2.0)
-            continue
-        current = nxt
-        record(n, "point", nxt, 0.0)
+            points.append(ball.numeric_point())
+            radii.append(ball.radius() * 2.0)
+    distances = [_distance_to_set(p, targets) for p in points]
+    exact_targets = [q for q in targets if q.exact]
+    # exact arithmetic decides membership outright (a rounded distance of
+    # 0.0 can underflow for distinct points); a double or a ball near the
+    # set cannot certify it
+    hit = next((n for n, p in enumerate(points)
+                if p.exact and any(p.same_point(q) for q in exact_targets)), None)
+    straddle = next((n for n, (p, d, r) in enumerate(zip(points, distances, radii))
+                     if not p.exact and d - r < eps), straddle)
     return PointOrbit(
         source=source,
-        entries=tuple(entries),
+        points=tuple(points),
         distances=tuple(distances),
         distance_radii=tuple(radii),
         switchover_index=switchover,
@@ -328,10 +292,11 @@ def exceptional_orbits(
 ) -> OrbitTable:
     """Forward orbits of the inverse map's indeterminacy points under ``f``.
 
-    Each orbit records, per step, the distance to the indeterminacy set of
-    ``f``.  Orbits truncate at the first indeterminate encounter.  When an
-    exact coordinate grows beyond ``bit_cap`` bits the orbit switches to a
-    113-bit shadow with error balls and the switchover step is recorded.
+    Each orbit is walked by `orbit_walk` and records, per step, the
+    distance to the indeterminacy set of ``f``.  Orbits truncate at the
+    first indeterminate encounter.  When an exact coordinate grows beyond
+    ``bit_cap`` bits the orbit switches to a 113-bit shadow with error
+    balls and the switchover step is recorded.
     """
     if N < 1:
         raise ValueError("orbit horizon must be at least 1")
@@ -346,12 +311,7 @@ def exceptional_orbits(
 
 
 def _orbit_points(table: OrbitTable):
-    pts = []
-    for orb in table.orbits:
-        for e in orb.entries:
-            if e.point is not None:
-                pts.append((e.step, e.point))
-    return pts
+    return [(n, p) for orb in table.orbits for n, p in enumerate(orb.points)]
 
 
 def check_orbit_separation(
@@ -456,47 +416,41 @@ def report_from_log_distances(
 def summability(table: OrbitTable, rho: float) -> SummabilityReport:
     """Weighted log-distance series over an orbit table's horizon: term
     ``n`` is ``rho**(-n)`` times the log of the least step-``n`` distance
-    from the table's orbits to its targets."""
+    from the table's orbits to its targets.
+
+    The series stops at the first step before the horizon where an orbit
+    stops: at its hit, at its straddle, or, with neither, one step past its
+    last point (truncated by a numeric indeterminate encounter that no
+    exact hit explains, which is inconclusive evidence).  Every orbit has a
+    distance at each earlier step."""
     N = table.horizon
     if not table.sources:
         return report_from_log_distances([0.0] * N, rho, N, vacuous=True)
-    hit = None
-    straddle = None
-    switchover = None
+    stops = []
+    for orb in table.orbits:
+        stops += [(orb.hit_index, "hit"), (orb.straddle_index, "straddle")]
+        if orb.hit_index is None and orb.straddle_index is None:
+            stops.append((len(orb.distances), "straddle"))
+    # "hit" < "straddle": a hit outranks a straddle at the same step
+    stop, kind = min(((n, k) for n, k in stops if n is not None and n < N), default=(N, None))
     log_ds = []
-    for n in range(N):
-        step_min = math.inf
-        for orb in table.orbits:
-            if orb.switchover_index is not None and orb.switchover_index <= n:
-                if switchover is None or n < switchover:
-                    switchover = orb.switchover_index
-            if orb.hit_index is not None and orb.hit_index <= n:
-                hit = orb.hit_index if hit is None else min(hit, orb.hit_index)
-            if orb.straddle_index is not None and orb.straddle_index <= n:
-                straddle = (
-                    orb.straddle_index
-                    if straddle is None
-                    else min(straddle, orb.straddle_index)
-                )
-            if n < len(orb.distances):
-                step_min = min(step_min, orb.distances[n])
-            elif orb.hit_index is None and orb.straddle_index is None:
-                # truncated by a numeric indeterminate encounter that no
-                # exact zero distance explains: inconclusive evidence
-                straddle = n if straddle is None else min(straddle, n)
-        if hit is not None or straddle is not None or not math.isfinite(step_min):
-            break
-        if step_min <= 0.0:
+    for n in range(stop):
+        step_min = min((orb.distances[n] for orb in table.orbits), default=math.inf)
+        if not math.isfinite(step_min) or step_min <= 0.0:
             # rounded to zero with no exact hit: membership is undecided
-            straddle = n
+            stop, kind = n, "straddle" if step_min <= 0.0 else None
             break
         log_ds.append(math.log(min(step_min, 1.0)))
+    last = min(stop, N - 1)
+    switchover = min((orb.switchover_index for orb in table.orbits
+                      if orb.switchover_index is not None and orb.switchover_index <= last),
+                     default=None)
     return report_from_log_distances(
         log_ds,
         rho,
         N,
-        hit_index=hit,
-        straddle_index=None if hit is not None else straddle,
+        hit_index=stop if kind == "hit" else None,
+        straddle_index=stop if kind == "straddle" else None,
         switchover_index=switchover,
     )
 

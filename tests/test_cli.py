@@ -531,8 +531,7 @@ class TestCommandMatrix:
             return f
 
         def composing(*args, **kwargs):
-            if loaded:
-                composed.append(args)
+            composed.append(bool(loaded))
             return compose(*args, **kwargs)
 
         monkeypatch.setattr(RationalSurfaceMap, "critical_set", counting)
@@ -544,9 +543,11 @@ class TestCommandMatrix:
         assert code == (3 if (command, name) in MATRIX_PRECONDITION else 0)
         # only inspect reports the critical set, so only inspect factors it
         assert bool(factored) == (command == "inspect")
-        # degrees are decided by exceptional orbits after the load; only
-        # cremona's orbits meet its indeterminacy set, so only its degree
-        # checks compose (measure makes none)
+        # loading certifies the inverse without composing; degrees are
+        # decided by exceptional orbits after the load, and only cremona's
+        # orbits meet its indeterminacy set, so only its degree checks
+        # compose (measure makes none)
+        assert loaded and all(composed)
         assert bool(composed) == (name == "cremona" and command != "measure")
 
     def test_energy_selftest_exit_code(self, tmp_path):

@@ -89,6 +89,13 @@ class TestProjectivePoint:
         assert np.allclose(v, [0.8, 0.6, 0.0], rtol=0, atol=1e-15)
         assert P(2**600, 1, 0).unit_vector()[0] == 1.0
 
+    def test_unit_vector_converted_once(self):
+        # the all-pairs separation scan asks for it once per pair
+        p = P(2**2000, ComplexRational(0, 3 * 2**1998), 1)
+        v = p.unit_vector()
+        assert p.unit_vector() is v and not v.flags.writeable
+        assert v.tolist() == [0.8, 0.6000000000000001j, 0j]
+
     def test_chart_index(self):
         assert P(1, 0, 0).chart_index() == 0
         assert P(1, 5, 2).chart_index() == 1
@@ -271,6 +278,15 @@ class TestPolyGcd:
         assert as_dict[repr(x.monic())] == 2
         assert as_dict[repr(y.monic())] == 1
         assert as_dict[repr((x + t).monic())] == 3
+
+    def test_factor_product_of_rational_lines(self):
+        # sympy's factoring over Q(i) alone ran for minutes on this product,
+        # the Jacobian determinant of sigma o L^-1 for the generated map
+        # L o sigma with L = [[-1, 1, 1], [1, 1, 1], [1, 1, -1]]
+        x, y, t = mono(1, 0, 0), mono(0, 1, 0), mono(0, 0, 1)
+        factors = poly_factor((y - t) * (x - y) * (x + t) * 256)
+        assert [m for _, m in factors] == [1, 1, 1]
+        assert {repr(f) for f, _ in factors} == {repr(g.monic()) for g in (y - t, x - y, x + t)}
 
     def test_factor_over_gaussian_rationals(self):
         # x^2 + y^2 = (x + i y)(x - i y) splits over Q(i)

@@ -18,6 +18,9 @@ alongside.
 The same maps, and the bundled corpus, check the two shortcuts the
 command-line path takes: `image_point` against the labelled `apply`, and
 `plane_expansion_rate` against the spectral radius of the rank-one lattice.
+`orbit_walk`, the walker of both the degree check and the stability
+diagnostics, stops at exactly the exact hits that `exceptional_orbits`
+records.
 A few fixed generated maps also run `inspect` and `stability` end to end.
 """
 
@@ -38,12 +41,14 @@ from biratdyn.cohomology import (
 from biratdyn.geometry import ProjectivePoint
 from biratdyn.mapfile import corpus_path, load_map, save_map
 from biratdyn.maps import (
+    DEFAULT_COEFF_BIT_CAP,
     RationalSurfaceMap,
     _composed_degree_sequence,
     apply,
     compose,
     degree_sequence,
     image_point,
+    orbit_walk,
     verify_inverse,
 )
 from biratdyn.stability import exceptional_orbits
@@ -144,6 +149,24 @@ def test_generated_henon_degree_sequence(c, delta):
     seq, composed = counted_degree_sequence(f, 4)
     assert seq == _composed_degree_sequence(f, 4)
     assert seq.is_multiplicative and composed == 0
+
+
+@SETTINGS
+@given(matrices, st.integers(1, 4))
+# hits at step 0; at steps 1 and 2, and at step 3 on the horizon
+@example([[2, 2, 2], [0, 0, 2], [0, -1, 2]], 3)
+@example([[1, 0, -1], [-1, 2, 2], [0, -1, -1]], 3)
+def test_generated_map_orbit_walk_stops_at_exact_hits(m, horizon):
+    """From an exact source, `orbit_walk` ends "indeterminate" exactly when
+    the orbit's hit is its last step and that step is before the horizon."""
+    assume(det3(m) != 0)
+    f = twisted(m)[2]
+    table = exceptional_orbits(f, horizon)
+    for source, orb in zip(table.sources, table.orbits):
+        points, end = orbit_walk(f, source, horizon, DEFAULT_COEFF_BIT_CAP)
+        last = len(points) - 1
+        assert source.exact and len(orb.points) == len(points)
+        assert (end == "indeterminate") == (orb.hit_index == last < horizon)
 
 
 def check_image_point(f, triple):

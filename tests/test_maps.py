@@ -20,10 +20,12 @@ from biratdyn.geometry import (
 )
 from biratdyn.mapfile import corpus_path, load_map
 from biratdyn.maps import (
+    DEFAULT_COEFF_BIT_CAP,
     ChartMap,
     CoefficientOverflow,
     MapError,
     RationalSurfaceMap,
+    _substitute,
     apply,
     chart_coords,
     chart_embed,
@@ -221,6 +223,15 @@ class TestInverse:
         wrong = henon_map(c=Fraction(-1, 2))
         h.inverse = wrong.inverse
         assert not verify_inverse(h)
+
+    def test_is_identity_on_component_triples(self):
+        h = mono(2, 0, 0) + mono(0, 1, 1, ComplexRational(3, -1))
+        assert is_identity([h * mono(1, 0, 0), h * mono(0, 1, 0), h * mono(0, 0, 1)])
+        assert not is_identity([HomogeneousPolynomial.zero(1)] * 3)
+        f = henon_map()
+        assert is_identity(_substitute(f, f.inverse, DEFAULT_COEFF_BIT_CAP))
+        wrong = henon_map(c=Fraction(-1, 2)).inverse
+        assert not is_identity(_substitute(f, wrong, DEFAULT_COEFF_BIT_CAP))
 
     def test_missing_inverse(self):
         f = RationalSurfaceMap([mono(1, 0, 0), mono(0, 1, 0), mono(0, 0, 1)])

@@ -20,6 +20,7 @@ from biratdyn.maps import DEFAULT_COEFF_BIT_CAP, EPS_EXCEPTIONAL, compose
 from biratdyn.stability import (
     SHADOW_PRECISION_BITS,
     OrbitTable,
+    PointOrbit,
     StabilityError,
     _Ball,
     _eval_ball_poly,
@@ -66,8 +67,8 @@ class TestExceptionalOrbits:
         assert all(d == 1.0 for d in orb.distances)
         assert orb.hit_index is None
         assert orb.switchover_index is None
-        for e in orb.entries:
-            assert e.point is not None and e.point.same_point(P(0, 1, 0))
+        assert len(orb.points) == 21
+        assert all(p.same_point(P(0, 1, 0)) for p in orb.points)
 
     def test_sigma_truncates_at_first_step(self):
         table = exceptional_orbits(cremona_involution(), 5)
@@ -75,8 +76,8 @@ class TestExceptionalOrbits:
         for orb in table.orbits:
             assert orb.distances[0] == 0.0
             assert orb.hit_index == 0
-            assert orb.entries[-1].kind == "indeterminate"
-            assert orb.entries[-1].step == 1
+            # step 0 is the only point: the walk is indeterminate at step 1
+            assert len(orb.points) == 1 and orb.points[0].exact
 
     def test_linear_map_empty_table(self):
         table = exceptional_orbits(diagonal_scaling_map(), 5)
@@ -99,7 +100,7 @@ class TestExceptionalOrbits:
         fwd = exceptional_orbits(lsigma_map(), 9)
         for orb in fwd.orbits:
             assert orb.switchover_index is None and orb.hit_index is None
-            assert orb.entries[0].point.same_point(orb.entries[3].point)
+            assert orb.points[0].same_point(orb.points[3])
             assert all(abs(d - math.sqrt(0.5)) < 1e-15 for d in orb.distances)
         bwd = exceptional_orbits(lsigma_map().inverse, 40)
         for orb in bwd.orbits:
@@ -114,9 +115,12 @@ class TestExceptionalOrbits:
         for orb in switched:
             k = orb.switchover_index
             assert 5 <= k <= 15
-            # entries from the switchover onwards carry error enclosures
-            tail = [e for e in orb.entries if e.step >= k and e.point is not None]
-            assert tail and all(0 < e.enclosure_radius < 1e-12 for e in tail)
+            # points from the switchover onwards carry error enclosures
+            assert all(p.exact and r == 0.0
+                       for p, r in zip(orb.points[:k], orb.distance_radii[:k]))
+            tail = orb.distance_radii[k:]
+            assert tail and all(0 < r < 1e-12 for r in tail)
+            assert not any(p.exact for p in orb.points[k:])
             assert len(orb.distances) == 31  # shadow continues to the horizon
             assert all(math.isfinite(d) and d > 0 for d in orb.distances)
             assert all(math.isfinite(r) for r in orb.distance_radii)
@@ -146,10 +150,8 @@ class TestSeparation:
     )
     def test_min_distance_is_all_pairs_minimum(self, make_map, N, expected):
         f = make_map()
-        fwd = [e.point for o in exceptional_orbits(f, N).orbits for e in o.entries
-               if e.point is not None]
-        bwd = [e.point for o in exceptional_orbits(f.inverse, N).orbits for e in o.entries
-               if e.point is not None]
+        fwd = [p for o in exceptional_orbits(f, N).orbits for p in o.points]
+        bwd = [p for o in exceptional_orbits(f.inverse, N).orbits for p in o.points]
         all_pairs = min((proj_distance(p, q) for p in fwd for q in bwd), default=math.inf)
         v = check_orbit_separation(f, N)
         assert v.min_distance == all_pairs == expected
@@ -204,6 +206,90 @@ class TestExactHits:
         assert rep.hit_index is None
         assert rep.straddle_index == 0
         assert rep.verdict == "Inconclusive"
+
+
+def reference_summability(table, rho):
+    """Reference `summability`: step by step, rescanning every orbit for
+    hits, straddles, switchovers and truncation at each step."""
+    N = table.horizon
+    if not table.sources:
+        return report_from_log_distances([0.0] * N, rho, N, vacuous=True)
+    hit = straddle = switchover = None
+    log_ds = []
+    for n in range(N):
+        step_min = math.inf
+        for orb in table.orbits:
+            if orb.switchover_index is not None and orb.switchover_index <= n:
+                if switchover is None or n < switchover:
+                    switchover = orb.switchover_index
+            if orb.hit_index is not None and orb.hit_index <= n:
+                hit = orb.hit_index if hit is None else min(hit, orb.hit_index)
+            if orb.straddle_index is not None and orb.straddle_index <= n:
+                straddle = (orb.straddle_index if straddle is None
+                            else min(straddle, orb.straddle_index))
+            if n < len(orb.distances):
+                step_min = min(step_min, orb.distances[n])
+            elif orb.hit_index is None and orb.straddle_index is None:
+                straddle = n if straddle is None else min(straddle, n)
+        if hit is not None or straddle is not None or not math.isfinite(step_min):
+            break
+        if step_min <= 0.0:
+            straddle = n
+            break
+        log_ds.append(math.log(min(step_min, 1.0)))
+    return report_from_log_distances(
+        log_ds, rho, N, hit_index=hit,
+        straddle_index=None if hit is not None else straddle,
+        switchover_index=switchover)
+
+
+def _maybe_step(last):
+    return st.one_of(st.none(), st.integers(0, last))
+
+
+@st.composite
+def _synthetic_orbits(draw, horizon):
+    """An orbit with the layout of `exceptional_orbits` (one distance per
+    point, at most horizon + 1 points, a hit or a switchover at a point, a
+    straddle at a point or one step past the last), its hit and straddle
+    placed more freely than a real walk places them."""
+    length = draw(st.integers(1, horizon + 1))
+    distances = draw(st.lists(
+        st.one_of(st.just(0.0), st.just(math.inf), st.just(1.0),
+                  st.floats(1e-300, 1.0)),
+        min_size=length, max_size=length))
+    return PointOrbit(source=P(1, 0, 0), points=(), distances=tuple(distances),
+                      distance_radii=(0.0,) * length,
+                      switchover_index=draw(_maybe_step(length - 1)),
+                      hit_index=draw(_maybe_step(length - 1)),
+                      straddle_index=draw(_maybe_step(length)))
+
+
+@st.composite
+def _synthetic_tables(draw):
+    horizon = draw(st.integers(0, 8))
+    orbits = draw(st.lists(_synthetic_orbits(horizon), max_size=4))
+    return OrbitTable(sources=(P(1, 0, 0),) * len(orbits), targets=(),
+                      orbits=tuple(orbits), horizon=horizon)
+
+
+class TestSummabilityStops:
+    @settings(max_examples=400, deadline=None)
+    @given(_synthetic_tables(), st.sampled_from([1.5, 2.0, 3.0]))
+    def test_matches_step_by_step_reference(self, table, rho):
+        assert summability(table, rho) == reference_summability(table, rho)
+
+    @pytest.mark.parametrize("make_map, N", [(henon_map, 20), (cremona_involution, 5),
+                                             (lsigma_map, 12)])
+    def test_matches_reference_on_maps(self, make_map, N):
+        f = make_map()
+        for table in (exceptional_orbits(f, N), exceptional_orbits(f.inverse, N)):
+            assert summability(table, 2.0) == reference_summability(table, 2.0)
+
+    def test_matches_reference_past_the_switchover(self):
+        table = exceptional_orbits(twisted_involution(), 30, bit_cap=1 << 10)
+        assert all(o.switchover_index is not None for o in table.orbits)
+        assert summability(table, 2.0) == reference_summability(table, 2.0)
 
 
 def _reference_rows(poly):
