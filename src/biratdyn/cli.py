@@ -274,14 +274,13 @@ def cmd_stability(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> in
 def cmd_green(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> int:
     rho, rho_source = _rho_with_fallback(f)
     name = _safe_name(f)
-    grid_kwargs = dict(rho=rho, chart=cfg.chart, center=cfg.center,
-                       halfwidth=cfg.halfwidth, resolution=cfg.grid)
 
     def sampled(g: RationalSurfaceMap) -> np.ndarray:
         # depth 0 is the empty partial sum: identically zero
         if cfg.n_series == 0:
             return np.zeros((cfg.grid, cfg.grid))
-        return green_grid(g, cfg.n_series, **grid_kwargs)
+        return green_grid(g, cfg.n_series, chart=cfg.chart, center=cfg.center,
+                          halfwidth=cfg.halfwidth, resolution=cfg.grid)
 
     grid = sampled(f)
     sidecar = _write_pgm(out / f"green_{name}.pgm", grid, cfg)
@@ -301,7 +300,7 @@ def cmd_green(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> int:
         v = cfg.center[1] + cfg.halfwidth * (2.0 * rng.random() - 1.0)
         try:
             p = ProjectivePoint.numeric_point(*chart_embed(cfg.chart, u, v))
-            res = green_functional_check(f, p, cfg.n_series, rho)
+            res = green_functional_check(f, p, cfg.n_series)
             worst = max(worst, res)
         except OrbitHitIndeterminacy:
             res = None
@@ -317,7 +316,7 @@ def cmd_green(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> int:
     doc["residuals"] = {"samples": samples, "max": worst,
                         "indeterminate": indeterminate}
     _write_json(out / f"green_{name}.json", doc)
-    print(f"max functional residual over {16 - indeterminate} samples: {worst!r}")
+    print(f"max functional residual over {len(samples) - indeterminate} samples: {worst!r}")
     return EXIT_OK
 
 

@@ -262,6 +262,8 @@ class ExperimentConfig:
                 raise MapFileError(f"{field_name} must be a finite real")
             if not value > 0:
                 raise MapFileError(f"{field_name} must be positive")
+        if not self.tolerance_indeterminacy < 1:
+            raise MapFileError("tolerance_indeterminacy is a chordal distance and must be below 1")
         if self.chart not in (0, 1, 2):
             raise MapFileError("chart must be 0, 1, or 2")
         if not isinstance(self.out_dir, str):

@@ -1,13 +1,21 @@
 """Green potentials of a plane map: step potential, partial sums, fits.
 
 The step potential of a degree-``d`` map with homogeneous lift ``F`` is
-``gamma(p) = rho**-1 * log norm(F(z))`` on the unit-norm representative
+``gamma(p) = d**-1 * log norm(F(z))`` on the unit-norm representative
 ``z`` of ``p``; it is minus infinity exactly on the indeterminacy set and
 picks up a logarithmic singularity there.  Its weighted orbit sums
-``g_N(p) = sum_{j<N} rho**-j gamma(f^j p)`` converge (for stable maps) to
-the invariant potential; the identity ``g_N(p) = rho**-N log norm(F^N z)``
+``g_N(p) = sum_{j<N} d**-j gamma(f^j p)`` converge (for stable maps) to
+the invariant potential; the identity ``g_N(p) = d**-N log norm(F^N z)``
 provides a second, telescoped evaluation path and every partial-sum call
 cross-checks the two.
+
+The weight is always the degree.  A plane map is algebraically stable,
+``(f^n)* = (f*)^n``, exactly when ``deg f^n = d^n``, and the invariant
+potential of the lift is then ``lim d**-n log norm(F^n z)``.  Weighted by
+any other rate ``rho != d``, the sums of the lift's step potentials no
+longer telescope to ``rho**-N log norm(F^N z)`` and are not a Green
+potential.  Only the class-valued sums of :func:`green_partial_for_class`
+take another rate, their lattice's.
 
 Normalization note: potentials built from homogeneous lifts differ from
 chart-level conventions by an additive constant.  All functional
@@ -76,14 +84,9 @@ def _exact_on_indeterminacy(f: RationalSurfaceMap, p: ProjectivePoint) -> bool:
     return all(v.is_zero() for v in f.evaluate_exact(p.coords))
 
 
-def gamma_plus(f: RationalSurfaceMap, p: ProjectivePoint, rho: float | None = None) -> float:
-    """Step potential at one point; minus infinity exactly on I(f).
-
-    ``rho`` defaults to the algebraic degree (the spectral radius for
-    degree-stable maps) and may be overridden for diagnostic harnesses.
-    """
-    if rho is None:
-        rho = float(f.degree)
+def gamma_plus(f: RationalSurfaceMap, p: ProjectivePoint) -> float:
+    """Step potential ``log norm(F(z)) / d`` at one point; minus infinity
+    exactly on I(f)."""
     if _exact_on_indeterminacy(f, p):
         return -math.inf
     v = p.unit_vector()
@@ -91,7 +94,7 @@ def gamma_plus(f: RationalSurfaceMap, p: ProjectivePoint, rho: float | None = No
     norm = float(np.linalg.norm(w))
     if norm == 0.0:
         return -math.inf
-    return math.log(norm) / rho
+    return math.log(norm) / float(f.degree)
 
 
 def _normalized_orbit_logs(f: RationalSurfaceMap, p: ProjectivePoint, N: int):
@@ -123,36 +126,34 @@ def _normalized_orbit_logs(f: RationalSurfaceMap, p: ProjectivePoint, N: int):
     return pts, logs
 
 
-def _weighted_sum(logs, rho: float) -> float:
-    """``sum_j rho**-j (logs[j] / rho)``, accumulated in index order."""
+def _weighted_sum(logs, d: float) -> float:
+    """``sum_j d**-j (logs[j] / d)``, accumulated in index order."""
     total = 0.0
     for j, a in enumerate(logs):
-        total += rho ** (-j) * (a / rho)
+        total += d ** (-j) * (a / d)
     return total
 
 
-def green_partial(f: RationalSurfaceMap, p: ProjectivePoint, N: int, rho: float | None = None) -> float:
-    """Partial sum ``sum_{j<N} rho**-j gamma(f^j p)`` (possibly -inf).
+def green_partial(f: RationalSurfaceMap, p: ProjectivePoint, N: int) -> float:
+    """Partial sum ``sum_{j<N} d**-j gamma(f^j p)`` (possibly -inf).
 
-    When ``rho`` equals the algebraic degree the value is cross-checked
-    against the telescoped identity ``rho**-N log norm(F^N z)`` to 1e-9
-    relative; disagreement raises :class:`PotentialError`.
+    The value is cross-checked against the telescoped identity
+    ``d**-N log norm(F^N z)`` to 1e-9 relative; disagreement raises
+    :class:`PotentialError`.
     """
     if N < 1:
         raise ValueError("partial sum needs N >= 1")
-    if rho is None:
-        rho = float(f.degree)
     _, logs = _normalized_orbit_logs(f, p, N)
     if logs and logs[-1] == -math.inf:
         return -math.inf
-    total = _weighted_sum(logs, rho)
-    if rho == float(f.degree):
-        tele = _telescoped_from_logs(logs, float(f.degree))
-        denom = max(abs(total), abs(tele), 1e-9)
-        if abs(total - tele) > 1e-9 * denom:
-            raise PotentialError(
-                f"termwise and telescoped partial sums disagree: {total!r} vs {tele!r}"
-            )
+    d = float(f.degree)
+    total = _weighted_sum(logs, d)
+    tele = _telescoped_from_logs(logs, d)
+    denom = max(abs(total), abs(tele), 1e-9)
+    if abs(total - tele) > 1e-9 * denom:
+        raise PotentialError(
+            f"termwise and telescoped partial sums disagree: {total!r} vs {tele!r}"
+        )
     return total
 
 
@@ -166,8 +167,8 @@ def _telescoped_from_logs(logs, d: float) -> float:
 
 
 def green_partial_telescoped(f: RationalSurfaceMap, p: ProjectivePoint, N: int) -> float:
-    """Telescoped evaluation ``rho**-N log norm(F^N z)`` on the normalized
-    orbit (valid when the weight equals the algebraic degree)."""
+    """Telescoped evaluation ``d**-N log norm(F^N z)`` on the normalized
+    orbit."""
     if N < 1:
         raise ValueError("partial sum needs N >= 1")
     _, logs = _normalized_orbit_logs(f, p, N)
@@ -176,26 +177,25 @@ def green_partial_telescoped(f: RationalSurfaceMap, p: ProjectivePoint, N: int) 
     return _telescoped_from_logs(logs, float(f.degree))
 
 
-def green_functional_check(f: RationalSurfaceMap, p: ProjectivePoint, N: int, rho: float | None = None) -> float:
+def green_functional_check(f: RationalSurfaceMap, p: ProjectivePoint, N: int) -> float:
     """Residual of the pullback identity for partial sums.
 
-    The invariant potential satisfies ``g(f p) = rho * (g(p) - gamma(p))``;
-    at truncation ``N`` the residual ``|g_N(f p) - rho (g_{N+1}(p) -
+    The invariant potential satisfies ``g(f p) = d * (g(p) - gamma(p))``;
+    at truncation ``N`` the residual ``|g_N(f p) - d (g_{N+1}(p) -
     gamma(p))|`` vanishes identically term by term, so anything beyond
     float accumulation noise indicates an implementation fault.
     """
-    if rho is None:
-        rho = float(f.degree)
+    d = float(f.degree)
     pts, logs = _normalized_orbit_logs(f, p, N + 1)
     if logs[-1] == -math.inf or logs[0] == -math.inf:
         raise OrbitHitIndeterminacy(len(logs) - 1, "orbit hit indeterminacy during check")
-    g_fp = _weighted_sum(logs[1:], rho)
-    g_p_long = _weighted_sum(logs, rho)
-    gamma_p = logs[0] / rho
-    return abs(g_fp - rho * (g_p_long - gamma_p))
+    g_fp = _weighted_sum(logs[1:], d)
+    g_p_long = _weighted_sum(logs, d)
+    gamma_p = logs[0] / d
+    return abs(g_fp - d * (g_p_long - gamma_p))
 
 
-def green_at_inverse_indeterminacy(f: RationalSurfaceMap, N: int, rho: float | None = None):
+def green_at_inverse_indeterminacy(f: RationalSurfaceMap, N: int):
     """Partial sums at each indeterminacy point of the inverse map.
 
     Finiteness of these values (uniformly in the truncation) is the
@@ -204,7 +204,7 @@ def green_at_inverse_indeterminacy(f: RationalSurfaceMap, N: int, rho: float | N
     """
     if f.inverse is None:
         raise PotentialError("needs the inverse map")
-    return [green_partial(f, q, N, rho) for q in f.inverse.indeterminacy_set()]
+    return [green_partial(f, q, N) for q in f.inverse.indeterminacy_set()]
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +258,6 @@ def singularity_fit(
     q: ProjectivePoint,
     radii,
     *,
-    rho: float | None = None,
     samples_per_shell: int = 128,
 ) -> SingularityFit:
     """Least-squares log-singularity envelope of the step potential at an
@@ -273,7 +272,7 @@ def singularity_fit(
     vals = []
     for r in radii:
         for p in shell_points(q, r, samples_per_shell, _SHELL_SEED):
-            g = gamma_plus(f, p, rho)
+            g = gamma_plus(f, p)
             if not math.isfinite(g):
                 continue
             d = min(proj_distance(p, t) for t in I_pts)
@@ -339,13 +338,12 @@ def green_lelong_estimate(
     center: ProjectivePoint,
     N: int,
     *,
-    rho: float | None = None,
     samples_per_shell: int = 256,
 ) -> float:
     """Lelong slope of the truncated Green potential at a point, over the
     shells of ``DEFAULT_LELONG_RADII``."""
     means = shell_means(
-        lambda p: green_partial(f, p, N, rho),
+        lambda p: green_partial(f, p, N),
         center,
         DEFAULT_LELONG_RADII,
         samples_per_shell=samples_per_shell,
@@ -365,7 +363,6 @@ def green_partial_for_class(
     p: ProjectivePoint,
     N: int,
     *,
-    rho: float | None = None,
     sd: SpectralData | None = None,
     eta_potential=None,
     gamma_basis=None,
@@ -373,20 +370,19 @@ def green_partial_for_class(
     """Partial Green sum attached to an arbitrary lattice class.
 
     Evaluates ``rho**-n [ p_eta(f^n x) + sum_{j<n} gamma(Mf^j eta)(f^(n-1-j) x) ]``
-    where ``gamma(v)`` is linear in the class ``v`` over per-generator step
-    potentials and ``p_eta`` is the smooth chart potential of ``eta``
-    (zero for the expanding class itself).  Returns ``(value, c)`` with
-    ``c`` the pairing of ``eta`` against the contracting class: the sums
-    converge to ``c`` times the invariant potential.
+    where ``rho = sd.rho`` is the lattice's rate, ``gamma(v)`` is linear in
+    the class ``v`` over per-generator step potentials and ``p_eta`` is the
+    smooth chart potential of ``eta`` (zero for the expanding class
+    itself).  Returns ``(value, c)`` with ``c`` the pairing of ``eta``
+    against the contracting class: the sums converge to ``c`` times the
+    invariant potential.
 
     For the rank-one plane lattice the generator potential defaults to
-    ``x -> log norm(F(z))`` (the step potential scaled by ``rho``), which
+    ``x -> log norm(F(z))`` (the step potential scaled by the degree), which
     makes the expanding-class case reduce exactly to :func:`green_partial`.
     """
     if N < 1:
         raise ValueError("needs N >= 1")
-    if rho is None:
-        rho = float(f.degree)
     if sd is None:
         sd = spectral_data(L)
     eta = np.asarray(eta, dtype=float)
@@ -394,7 +390,8 @@ def green_partial_for_class(
     if gamma_basis is None:
         if L.rank != 1:
             raise PotentialError("per-generator potentials required for rank > 1")
-        gamma_basis = [lambda x, _f=f, _r=rho: _r * gamma_plus(_f, x, _r)]
+        d = float(f.degree)
+        gamma_basis = [lambda x: d * gamma_plus(f, x)]
     if len(gamma_basis) != L.rank:
         raise PotentialError("one generator potential per lattice rank is required")
     pts, _ = _normalized_orbit_logs(f, p, N + 1)
@@ -410,7 +407,7 @@ def green_partial_for_class(
         v = M @ v
     if eta_potential is not None:
         total += eta_potential(orbit[N])
-    return total * rho ** (-N), float(c)
+    return total * sd.rho ** (-N), float(c)
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +419,10 @@ def green_grid(
     f: RationalSurfaceMap,
     N: int,
     *,
-    rho: float | None = None,
-    chart: int = 2,
-    center=(0.0, 0.0),
-    halfwidth: float = 3.0,
-    resolution: int = 128,
+    chart: int,
+    center,
+    halfwidth: float,
+    resolution: int,
 ) -> np.ndarray:
     """Truncated Green potential sampled on a real affine grid.
 
@@ -445,7 +441,7 @@ def green_grid(
         for j, uu in enumerate(us):
             p = ProjectivePoint.numeric_point(*chart_embed(chart, uu, vv))
             try:
-                out[i, j] = green_partial(f, p, N, rho)
+                out[i, j] = green_partial(f, p, N)
             except OrbitHitIndeterminacy:
                 out[i, j] = -math.inf
     return out

@@ -206,7 +206,7 @@ def test_3_separation_summability_equivalence_and_bridge(maps):
         bwd = backward_summability(f, rho, 50)
         assert fwd.verdict == bwd.verdict, name
 
-        values = green_at_inverse_indeterminacy(f, 50, rho)
+        values = green_at_inverse_indeterminacy(f, 50)
         finite = all(math.isfinite(v) for v in values)
         if fwd.verdict == "Converged":
             assert finite, name

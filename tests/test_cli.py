@@ -238,10 +238,12 @@ class TestGreen:
         assert doc["residuals"]["max"] < 1e-7
         assert len(doc["residuals"]["samples"]) == 16
 
-    def test_zero_iterations_give_zero_field(self, tmp_path):
+    def test_zero_iterations_give_zero_field(self, tmp_path, capsys):
         code = run_cli("green", "--map", str(corpus_path("henon")),
                        "--out", str(tmp_path), "--iters", "0", "--grid", "8")
         assert code == 0
+        # depth 0 takes no functional-check samples
+        assert "max functional residual over 0 samples" in capsys.readouterr().out
         scale = read_json(tmp_path / "green_henon_scale.json")
         assert scale["min"] == 0.0 and scale["max"] == 0.0
         _, _, _, _, payload = parse_pgm(tmp_path / "green_henon.pgm")
@@ -438,6 +440,7 @@ class TestConfigAndDispatch:
 
     @pytest.mark.parametrize("field,value", [
         ("tolerance_indeterminacy", True), ("tolerance_indeterminacy", math.inf),
+        ("tolerance_indeterminacy", 1.0), ("tolerance_indeterminacy", 1.5),
         ("halfwidth", True), ("halfwidth", math.inf), ("halfwidth", math.nan),
         ("center", [True, 0.0]), ("center", [0.0, -math.inf]),
     ])
@@ -462,6 +465,13 @@ class TestConfigAndDispatch:
         assert run_cli("stability", "--map", str(corpus_path("henon")),
                        "--out", str(tmp_path), "--tolerance-indeterminacy", "inf") == 2
         assert not (tmp_path / "stability_henon.json").exists()
+
+    @pytest.mark.parametrize("command", ["inspect", "stability", "green", "measure", "lyapunov"])
+    def test_tolerance_of_one_or_more_exits_2(self, command, tmp_path):
+        # a chordal distance never exceeds 1: such a radius excludes every point
+        assert run_cli(command, "--map", str(corpus_path("henon")), "--out", str(tmp_path),
+                       "--tolerance-indeterminacy", "1.5") == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_invalid_seed_exits_2(self, tmp_path):
         assert run_cli("inspect", "--map", str(corpus_path("henon")),

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used, and importing the
-package leaves sympy unloaded.
+"""Every module-level import in the package is used, importing the
+package leaves sympy unloaded, and the package's defaulted parameters stay
+within a fixed budget.
 
 An import that no code reads still costs load time and misleads readers
 about a module's dependencies.  A name counts as used when the module
@@ -7,7 +8,8 @@ reads it anywhere (as a name or as the root of an attribute chain) or
 re-exports it through ``__all__``.  The package ``__init__`` only
 re-exports, so it is exempt.  sympy is needed only for exact loci and
 gcds, and importing it takes about half a second, so it is loaded on
-first use.
+first use.  Each defaulted parameter is an option that callers may set or
+forget; the budget makes every new one a reviewed, one-line change.
 """
 
 from __future__ import annotations
@@ -60,3 +62,24 @@ def test_import_leaves_sympy_unloaded():
         [sys.executable, "-c", "import sys, biratdyn; print('sympy' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
+
+
+# defaulted parameters of every function and method in the package; raise
+# only for an option that two callers need with different values
+DEFAULTED_PARAMETER_BUDGET = 51
+
+
+def defaulted_parameters(source: str) -> int:
+    return sum(
+        len(node.args.defaults) + sum(d is not None for d in node.args.kw_defaults)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def test_defaulted_parameters_within_budget():
+    paths = Path(biratdyn.__file__).parent.glob("*.py")
+    assert sum(defaulted_parameters(p.read_text()) for p in paths) <= DEFAULTED_PARAMETER_BUDGET
+
+
+def test_budget_counts_positional_and_keyword_defaults():
+    assert defaulted_parameters("def f(a, b=1, *, c, d=2):\n    def g(e=3): pass\n") == 3

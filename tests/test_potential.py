@@ -3,7 +3,7 @@
 Frozen expectations: the Henon-family step potential vanishes at the fixed
 point at infinity, is minus infinity exactly at [1:0:0], and near that
 point fits a logarithmic envelope with slope about one half (as does the
-quadratic involution's, run with spectral weight two).
+quadratic involution's, weighted by its degree two).
 """
 
 import math
@@ -52,7 +52,7 @@ class TestStepPotential:
     def test_unitary_map_with_unit_weight_vanishes(self):
         rot = rational_rotation_map()
         for p in random_points(20, 2):
-            assert abs(gamma_plus(rot, p, 1.0)) < 1e-14
+            assert abs(gamma_plus(rot, p)) < 1e-14
 
     def test_henon_fixed_point_at_infinity(self):
         assert gamma_plus(henon_map(), P(0, 1, 0)) == 0.0
@@ -61,12 +61,12 @@ class TestStepPotential:
         # the backward direction runs on the inverse map with the same
         # weight; its indeterminacy point is [0:1:0]
         h = henon_map()
-        assert gamma_plus(h.inverse, P(0, 1, 0), 2.0) == -math.inf
-        assert gamma_plus(h.inverse, P(1, 0, 0), 2.0) == 0.0
+        assert gamma_plus(h.inverse, P(0, 1, 0)) == -math.inf
+        assert gamma_plus(h.inverse, P(1, 0, 0)) == 0.0
         p = random_points(1, 43)[0]
-        assert math.isfinite(green_partial(h, p, 20, 2.0))
-        assert math.isfinite(green_partial(h.inverse, p, 20, 2.0))
-        assert green_functional_check(h, p, 20, 2.0) < 1e-8
+        assert math.isfinite(green_partial(h, p, 20))
+        assert math.isfinite(green_partial(h.inverse, p, 20))
+        assert green_functional_check(h, p, 20) < 1e-8
 
     def test_minus_infinity_exactly_on_indeterminacy(self):
         assert gamma_plus(henon_map(), P(1, 0, 0)) == -math.inf
@@ -92,7 +92,7 @@ class TestPartialSums:
     def test_unitary_override_vanishes(self):
         rot = rational_rotation_map()
         for p in random_points(5, 3):
-            assert abs(green_partial(rot, p, 10, 1.0)) < 1e-12
+            assert abs(green_partial(rot, p, 10)) < 1e-12
 
     def test_origin_truncation_against_longer_oracle(self):
         h = henon_map()
@@ -145,7 +145,7 @@ class TestFunctionalIdentity:
     def test_unitary_override_zero(self):
         rot = rational_rotation_map()
         for p in random_points(5, 17):
-            assert green_functional_check(rot, p, 10, 1.0) < 1e-12
+            assert green_functional_check(rot, p, 10) < 1e-12
 
 
 class TestSingularityFit:
@@ -169,7 +169,7 @@ class TestSingularityFit:
 
     def test_sigma_with_weight_override(self):
         fit = singularity_fit(
-            cremona_involution(), P(1, 0, 0), self.RADII, rho=2.0, samples_per_shell=64
+            cremona_involution(), P(1, 0, 0), self.RADII, samples_per_shell=64
         )
         assert fit.lower[0] > 0 and fit.upper[0] > 0
         assert fit.slope == pytest.approx(0.5, abs=0.05)
@@ -277,15 +277,29 @@ class TestClassPartialSums:
         for n in (4, 8, 16):
             vals = []
             for p in pts:
-                v, c = green_partial_for_class(
-                    h, L, eta, p, n, rho=rho, sd=sd, gamma_basis=basis
-                )
+                v, c = green_partial_for_class(h, L, eta, p, n, sd=sd, gamma_basis=basis)
                 assert c == pytest.approx(0.0, abs=1e-12)
                 vals.append(abs(v))
             means.append(float(np.mean(vals)))
         assert means[2] < means[1] < means[0]
         # residual growth rate is 1, so the envelope is ~ n / rho^n
         assert means[2] < 10 * 16 / rho**16
+
+    def test_class_sums_weighted_by_lattice_rate(self):
+        # constant generator potentials make the sum exact: Mf fixes the
+        # third generator, so each of the n steps adds 1 and the value is
+        # n / rho^n at the lattice's rate (3 + sqrt 5) / 2, not the degree 2
+        h = henon_map()
+        Q = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
+        M = [[3, -1, 0], [1, 0, 0], [0, 0, 1]]
+        L = CohomologyLattice(3, Q, M, M, [], [1, 0, 0])
+        sd = spectral_data(L)
+        assert sd.rho == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-12)
+        basis = [lambda p: 1.0] * 3
+        p = random_points(1, 41)[0]
+        for n in (1, 5, 12):
+            v, _ = green_partial_for_class(h, L, [0.0, 0.0, 1.0], p, n, gamma_basis=basis)
+            assert v == pytest.approx(n * sd.rho ** (-n), rel=1e-12)
 
 
 class TestBridgeAndGrid:
@@ -301,7 +315,8 @@ class TestBridgeAndGrid:
         assert forward_summability(cremona_involution(), 2.0, 10).verdict == "Diverging"
 
     def test_grid_shape_and_finiteness(self):
-        grid = green_grid(henon_map(), 8, resolution=16, halfwidth=2.0)
+        grid = green_grid(henon_map(), 8, chart=2, center=(0.0, 0.0),
+                          halfwidth=2.0, resolution=16)
         assert grid.shape == (16, 16)
         finite = np.isfinite(grid)
         assert finite.sum() >= 250  # nearly all entries
