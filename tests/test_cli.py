@@ -440,9 +440,9 @@ class TestConfigAndDispatch:
 
     @pytest.mark.parametrize("field,value", [
         ("tolerance_indeterminacy", True), ("tolerance_indeterminacy", math.inf),
-        ("tolerance_indeterminacy", 1.0), ("tolerance_indeterminacy", 1.5),
         ("halfwidth", True), ("halfwidth", math.inf), ("halfwidth", math.nan),
         ("center", [True, 0.0]), ("center", [0.0, -math.inf]),
+        ("tolerance_indeterminacy", 1.0), ("tolerance_indeterminacy", 1.5),
     ])
     def test_boolean_or_non_finite_config_real_exits_2(self, tmp_path, field, value):
         cfg = tmp_path / "cfg.json"
