@@ -62,7 +62,7 @@ from .energy import (
     random_trig,
     smoothed_log_form,
 )
-from .geometry import GeometryError, ProjectivePoint
+from .geometry import GeometryError, ProjectivePoint, _sympy
 from .lyapunov import (
     AllOrbitsExcluded,
     LyapunovError,
@@ -124,9 +124,13 @@ def _write_text(path: Path, text: str) -> Path:
     return path
 
 
-def _exact_point_json(p: ProjectivePoint):
-    """Exact projective point as [[re, im], ...] fraction strings."""
-    return [[str(c.re), str(c.im)] for c in p.coords]
+def _point_json(p: ProjectivePoint):
+    """An exact projective point as [[re, im], ...] fraction strings; a
+    numeric one as {"numeric": [[re, im], ...]}, the floats of its
+    unit-norm representative."""
+    if p.exact:
+        return [[str(c.re), str(c.im)] for c in p.coords]
+    return {"numeric": [[float(c.real), float(c.imag)] for c in p.coords]}
 
 
 def _safe_name(f: RationalSurfaceMap) -> str:
@@ -231,9 +235,9 @@ def cmd_inspect(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> int:
         "is_multiplicative": seq.is_multiplicative,
         "first_drop": seq.first_drop,
     }
-    doc["indeterminacy_forward"] = [_exact_point_json(p) for p in f.indeterminacy_set()]
+    doc["indeterminacy_forward"] = [_point_json(p) for p in f.indeterminacy_set()]
     doc["indeterminacy_inverse"] = (
-        [_exact_point_json(p) for p in f.inverse.indeterminacy_set()]
+        [_point_json(p) for p in f.inverse.indeterminacy_set()]
         if f.inverse is not None else None)
     doc["critical_set"] = [
         {"polynomial": str(poly), "multiplicity": mult} for poly, mult in f.critical_set()
@@ -540,6 +544,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise ValueError("selftest needs at least one instance")
         return cmd_energy_selftest(cfg, out, instances)
     f = load_map(args.map)
+    # perfbench's worker reads sympy's version from sys.modules after every
+    # command, so each map command loads sympy here, where loading the map
+    # used to, although only inspect computes with it (ROADMAP item 8)
+    _sympy()
     if args.command == "inspect":
         return cmd_inspect(f, cfg, out)
     if args.command == "stability":

@@ -241,8 +241,12 @@ class ProjectivePoint:
         if n < 1e-300 or not np.isfinite(n):
             # rescale exactly before converting: huge/tiny exact coords
             scale = max(max(abs(c.re), abs(c.im)) for c in self.coords)
-            cs = [c / ComplexRational(scale) for c in self.coords]
-            v = np.asarray([complex(c) for c in cs], dtype=np.complex128)
+            # each part over scale, rounded once by int / int division: the
+            # float of the exact quotient without reducing a huge fraction
+            v = np.asarray(
+                [complex(c.re_num * scale.denominator / (c.re_den * scale.numerator),
+                         c.im_num * scale.denominator / (c.im_den * scale.numerator))
+                 for c in self.coords], dtype=np.complex128)
             n = np.linalg.norm(v)
         v = v / n
         v.flags.writeable = False
@@ -345,6 +349,20 @@ def proj_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     w2 = u[1] * v[2] - u[2] * v[1]
     d = math.sqrt(abs(w0) ** 2 + abs(w1) ** 2 + abs(w2) ** 2)
     return min(d, 1.0)
+
+
+def _unit_distances(ps, qs) -> list[list[float]]:
+    """Chordal distances between the unit vectors of the points ps and qs,
+    by `proj_distance`'s wedge formula for numeric points: a list of rows,
+    one per p.  For exact points these are within about 1e-15 of the
+    exactly decided distances."""
+    if not ps or not qs:
+        return [[] for _ in ps]
+    u = np.array([p.unit_vector() for p in ps])[:, None, :]
+    v = np.array([q.unit_vector() for q in qs])[None, :, :]
+    w2 = sum(np.abs(u[..., a] * v[..., b] - u[..., b] * v[..., a]) ** 2
+             for a, b in ((0, 1), (0, 2), (1, 2)))
+    return np.sqrt(w2).tolist()
 
 
 class HomogeneousPolynomial:
@@ -602,14 +620,113 @@ def from_sympy(expr) -> HomogeneousPolynomial:
     return HomogeneousPolynomial(degree, terms)
 
 
+# the coprimality certificate works modulo this prime; it is 1 mod 4, so i
+# maps to a square root of -1 in GF(p)
+_CERT_PRIME = 10**9 + 9
+_CERT_I = pow(next(g for g in range(2, 100)
+                   if pow(g, (_CERT_PRIME - 1) // 2, _CERT_PRIME) == _CERT_PRIME - 1),
+              (_CERT_PRIME - 1) // 4, _CERT_PRIME)
+# the certificate's line s * a + b, through no point of small height
+_CERT_LINE = ((1, 2718281, 3141592), (1414213, 1, 1732050))
+
+
+def _mod_mul(f: list[int], g: list[int]) -> list[int]:
+    """Product over GF(p) of two coefficient lists, constant term first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return [c % _CERT_PRIME for c in out]
+
+
+def _mod_gcd(f: list[int], g: list[int]) -> list[int]:
+    """A gcd over GF(p), up to a unit, of two coefficient lists (constant
+    term first, no trailing zeros)."""
+    while g:
+        inv = pow(g[-1], -1, _CERT_PRIME)
+        f = list(f)
+        while len(f) >= len(g):
+            q = f[-1] * inv
+            shift = len(f) - len(g)
+            for k, c in enumerate(g):
+                f[shift + k] = (f[shift + k] - q * c) % _CERT_PRIME
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return f
+
+
+def _mod_restriction(poly: HomogeneousPolynomial) -> list[int] | None:
+    """Coefficients mod p of s -> poly(s a + b) on the certificate's line,
+    constant term first and padded to poly.degree + 1 entries, with i read
+    as a square root of -1 mod p; None when a denominator is divisible by p."""
+    a, b = _CERT_LINE
+    powers = [[[1]] for _ in range(3)]
+    acc = [0] * (poly.degree + 1)
+    for key, c in poly.terms.items():
+        if c.re_den % _CERT_PRIME == 0 or c.im_den % _CERT_PRIME == 0:
+            return None
+        term = [(c.re_num * pow(c.re_den, -1, _CERT_PRIME)
+                 + _CERT_I * c.im_num * pow(c.im_den, -1, _CERT_PRIME)) % _CERT_PRIME]
+        for v, e in enumerate(key):
+            while len(powers[v]) <= e:
+                powers[v].append(_mod_mul(powers[v][-1], [b[v], a[v]]))
+            if e:
+                term = _mod_mul(term, powers[v][e])
+        for n, t in enumerate(term):
+            acc[n] += t
+    return [t % _CERT_PRIME for t in acc]
+
+
+def _coprime_certificate(polys: Sequence[HomogeneousPolynomial]) -> bool:
+    """True only when the nonzero polynomials are certainly coprime.
+
+    Each polynomial P is restricted to the fixed line s -> s a + b and
+    reduced modulo p, with i -> sqrt(-1) mod p: a polynomial in s whose
+    coefficient of s^deg P is P(a) mod p.  Suppose a common factor h of
+    positive degree exists over Q(i), content-free over Z[i].  By Gauss's
+    lemma each P, times its denominator (a unit mod p), is h times a
+    Z[i]-polynomial, and reducing modulo the prime of Z[i] above p is a
+    ring map, so the factorization survives.  The reduced restriction of h
+    is then either zero, which makes every restriction zero, or a binary
+    form of degree deg h >= 1, whose root in P^1 over the algebraic closure
+    of GF(p) every restriction shares: at s = infinity, where every P(a)
+    vanishes mod p, or at a finite s, which their gcd over GF(p) keeps.
+    Restrictions that are not all zero, do not all vanish at a and have a
+    constant gcd therefore prove the inputs coprime.  Every other outcome,
+    and a denominator divisible by p, leaves the question open (False).
+    """
+    gcd, at_a = None, False
+    for poly in polys:
+        r = _mod_restriction(poly)
+        if r is None:
+            return False
+        at_a = at_a or r[-1] != 0
+        while r and not r[-1]:
+            r.pop()
+        if r:
+            gcd = r if gcd is None else _mod_gcd(gcd, r)
+    return gcd is not None and len(gcd) == 1 and at_a
+
+
 def poly_gcd(polys: Iterable[HomogeneousPolynomial]) -> HomogeneousPolynomial:
     """Greatest common divisor of homogeneous polynomials, normalized so the
     lexicographically-leading coefficient is 1.  The gcd of homogeneous
-    polynomials is homogeneous; the result divides each input exactly."""
-    sympy, gens = _sympy()
-    exprs = [to_sympy(p) for p in polys if not p.is_zero()]
-    if not exprs:
+    polynomials is homogeneous; the result divides each input exactly.
+
+    Coprime inputs are recognized without sympy by a modular certificate
+    (`_coprime_certificate`): restricted to a fixed line and reduced modulo
+    the prime 10^9 + 9, their restrictions share no root in P^1, which a
+    common factor over Q(i) would force.  The certificate never reports
+    coprime inputs that have a common factor, so whenever it cannot decide
+    (a real common factor, or a coincidence modulo p) sympy's gcd runs."""
+    polys = [p for p in polys if not p.is_zero()]
+    if not polys:
         raise GeometryError("gcd of all-zero family is undefined")
+    if _coprime_certificate(polys):
+        return HomogeneousPolynomial.constant(1)
+    sympy, gens = _sympy()
+    exprs = [to_sympy(p) for p in polys]
     g = exprs[0]
     for e in exprs[1:]:
         g = sympy.gcd(g, e)

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import (
+    CR_ZERO,
     ComplexRational,
     HomogeneousPolynomial,
     ProjectivePoint,
@@ -30,8 +31,6 @@ from .geometry import (
     poly_factor,
     poly_gcd,
     proj_distance,
-    to_sympy,
-    _sympy,
     _term_sum,
 )
 
@@ -208,7 +207,23 @@ class RationalSurfaceMap:
     def indeterminacy_set(self) -> list[ProjectivePoint]:
         """Common zeros of the three components (finite for coprime
         components).  Exact coordinates where the points are Gaussian
-        rational, floating points with residual certification otherwise."""
+        rational, floating points with residual certification otherwise.
+
+        Exact elimination over Q(i) in pure Python, chart by chart.  In the
+        chart x = 1 every common zero (1, y, t) is a common zero of two
+        fixed integer combinations g1, g2 of the components, so t is a root
+        of the resultant Res_y(g1, g2), which is computed by evaluation
+        and interpolation.  `_gaussian_roots` finds the Gaussian-rational
+        roots of its square-free part rigorously (isolating disks, then an
+        exact check of each rounded candidate); over each such t the exact
+        gcd of the three components in y gives the points of the fiber,
+        and roots that are not Gaussian rational are back-substituted
+        numerically.  The line x = 0 is solved through the gcd of the
+        components at y = 1, then [0 : 0 : 1] is tested.  Exact points are
+        checked by substitution and numeric candidates kept only below a
+        residual bound, so extra roots of the resultant, where only g1 and
+        g2 vanish, drop out.  Within a chart exact points are ordered by
+        (-Im, -Re) of t, then of y."""
         if self._indeterminacy is None:
             self._indeterminacy = _common_zeros(self.components, self.coeff_scale())
         return list(self._indeterminacy)
@@ -511,91 +526,240 @@ def _composed_degree_sequence(f: RationalSurfaceMap, length: int) -> DegreeSeque
 
 
 # ---------------------------------------------------------------------------
-# indeterminacy via elimination
+# indeterminacy: resultants and certified roots over Q(i)
 # ---------------------------------------------------------------------------
 
+# pairs of small-integer combinations of the components, one pair for the
+# resultant in y; a later pair is tried only when the pair before it has
+# a resultant that vanishes identically or involves no y
+_RESULTANT_COMBINATIONS = (((1, 2, 3), (3, 1, 2)), ((1, 3, 7), (5, 2, 1)), ((2, 1, 5), (1, 4, 1)))
+# working precisions (bits) of the numeric root finder, tried in turn
+_ROOT_PRECISIONS = tuple(100 << k for k in range(7))
+_CR_ONE = ComplexRational(1)
 
-def _cr_from_sympy_number(z) -> ComplexRational:
-    sympy, _ = _sympy()
-    re, im = z.as_real_imag()
-    re = sympy.Rational(re)
-    im = sympy.Rational(im)
-    return ComplexRational(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+def _strip(a: list) -> list:
+    """a without zero leading coefficients; a coefficient list is constant
+    term first, and [] is the zero polynomial."""
+    while a and a[-1].is_zero():
+        a.pop()
+    return a
 
 
-def _univar_roots(expr, var):
-    """Roots of a univariate polynomial over Q(i): exact roots from linear
-    factors over the Gaussian rationals, the rest numeric."""
-    sympy, _ = _sympy()
-    exact: list[ComplexRational] = []
-    numeric: list[complex] = []
-    poly = sympy.Poly(sympy.expand(expr), var)
-    if poly.degree() == 0:
-        return exact, numeric
-    _, factors = sympy.factor_list(poly.as_expr(), var, gaussian=True)
-    for fac, _mult in factors:
-        fp = sympy.Poly(fac, var)
-        if fp.degree() == 1:
-            a, b = fp.all_coeffs()
-            exact.append(_cr_from_sympy_number(sympy.expand(-b / a)))
-        elif fp.degree() >= 2:
-            coeffs = [complex(c) for c in fp.all_coeffs()]
-            numeric.extend(np.roots(coeffs))
+def _horner(a: list, z) -> ComplexRational:
+    acc = CR_ZERO
+    for c in reversed(a):
+        acc = acc * z + c
+    return acc
+
+
+def _divide(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of a by a nonzero b over Q(i)."""
+    a = list(a)
+    inv = _CR_ONE / b[-1]
+    q = [CR_ZERO] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        c = a.pop() * inv
+        shift = len(a) + 1 - len(b)
+        q[shift] = c
+        for k, bk in enumerate(b[:-1]):
+            a[shift + k] = a[shift + k] - c * bk
+        _strip(a)
+    return q, a
+
+
+def _univariate_gcd(polys) -> list:
+    """Monic gcd over Q(i) of coefficient lists, by Euclid; [] when every
+    list is zero."""
+    g: list = []
+    for a in polys:
+        a = _strip(list(a))
+        while a:
+            g, a = a, _divide(g, a)[1]
+    return [c / g[-1] for c in g]
+
+
+def _derivative(a: list) -> list:
+    return [c * k for k, c in enumerate(a)][1:]
+
+
+def _dyadic(x) -> Fraction:
+    """The exact value of an mpmath real (whose man_exp drops the sign)."""
+    man, exp = x.man_exp
+    value = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return -value if x < 0 else value
+
+
+def _isolated(s: list, zs: list, lc_abs2: Fraction) -> bool:
+    """Whether the disks of radius n |s(z) / s'(z)|, one around each of the
+    n approximate roots zs of the square-free s, are disjoint and each of
+    radius below 1 / (2 |lc|).  Each such disk holds a root of s, so
+    disjoint ones hold one root each.  Radii enter through their exact
+    squares: disks of radii r and r' are disjoint when |z - z'|^2 >
+    2 (r^2 + r'^2), which bounds (r + r')^2."""
+    n = len(zs)
+    ds = _derivative(s)
+    r2 = []
+    for z in zs:
+        d = _horner(ds, z).abs2()
+        if not d:
+            return False
+        r2.append(n * n * _horner(s, z).abs2() / d)
+        if 4 * r2[-1] * lc_abs2 >= 1:
+            return False
+    return all((zs[j] - zs[k]).abs2() > 2 * (r2[j] + r2[k])
+               for j in range(n) for k in range(j + 1, n))
+
+
+def _gaussian_roots(a: list) -> tuple[list[ComplexRational], list[complex]]:
+    """Distinct roots of a nonconstant polynomial over Q(i): the
+    Gaussian-rational ones exactly, ordered by (-Im, -Re), and the others
+    as complex numbers.
+
+    The square-free part s = a / gcd(a, a') is scaled to Gaussian-integer
+    coefficients with leading coefficient lc.  A root u / v of s in lowest
+    terms over Z[i] has v | lc, so lc times it is a Gaussian integer.
+    mpmath's roots, read as exact dyadic numbers, are accepted once
+    `_isolated` puts each alone in a disk of radius below 1 / (2 |lc|), and
+    the precision is raised until it does.  Rounding lc z to the nearest
+    Gaussian integer then recovers every Gaussian-rational root, and each
+    rounded candidate is checked by exact substitution.
+    """
+    import mpmath
+
+    g = _univariate_gcd([a, _derivative(a)])
+    s = _divide(a, g)[0]
+    den = math.lcm(*(d for c in s for d in (c.re_den, c.im_den)))
+    s = [c * den for c in s]
+    if len(s) == 2:
+        return [-s[0] / s[1]], []
+    lc = s[-1]
+    coeffs = [mpmath.mpc(int(c.re), int(c.im)) for c in reversed(s)]
+    approx = None
+    for prec in _ROOT_PRECISIONS:
+        with mpmath.workprec(prec):
+            try:
+                approx = mpmath.polyroots(coeffs, maxsteps=prec, extraprec=prec,
+                                          roots_init=approx)
+            except mpmath.mp.NoConvergence:
+                approx = None
+                continue
+            zs = [ComplexRational(_dyadic(mpmath.mpf(z.real)), _dyadic(mpmath.mpf(z.imag)))
+                  for z in approx]
+        if _isolated(s, zs, lc.abs2()):
+            break
+    else:
+        raise MapError("could not isolate the roots of an eliminant")
+    exact, numeric = [], []
+    for z in zs:
+        w = lc * z
+        c = ComplexRational(round(w.re), round(w.im)) / lc
+        if _horner(s, c).is_zero():
+            exact.append(c)
+        else:
+            numeric.append(complex(z))
+    exact.sort(key=lambda c: (-c.im, -c.re))
     return exact, numeric
 
 
-def _solve_affine_pairs(exprs, u, v):
-    """Common zeros of a family of polynomials in two variables over Q(i).
+def _in_y(f: dict, t0) -> list:
+    """The bivariate f(y, t) at t = t0 as a coefficient list in y."""
+    out = [CR_ZERO] * (max(j for j, _ in f) + 1)
+    for (j, k), c in f.items():
+        out[j] = out[j] + c * t0**k
+    return _strip(out)
 
-    Returns (exact_pairs, numeric_v_roots): exact Gaussian-rational
-    solution pairs, plus v-values of non-rational fibers for numeric
-    back-substitution by the caller.  Raises PositiveDimensionalLocus when
-    the system has a curve of solutions."""
-    sympy, _ = _sympy()
-    fs = [sympy.expand(e) for e in exprs]
-    fs = [e for e in fs if e != 0]
-    if not fs:
-        raise PositiveDimensionalLocus("system vanishes identically in a chart")
-    gb = sympy.groebner(fs, u, v, order="lex", extension=sympy.I)
-    gens = list(gb.exprs)
-    if gens == [sympy.Integer(1)]:
-        return [], []
-    if not gb.is_zero_dimensional:
-        raise PositiveDimensionalLocus("solution locus contains a curve")
-    elim = [g for g in gens if g.free_symbols <= {v}]
-    qv = elim[0]
-    for g in elim[1:]:
-        qv = sympy.gcd(qv, g)
-    v_exact, v_numeric = _univar_roots(qv, v)
-    exact_pairs = []
-    numeric_v = [complex(rv) for rv in v_numeric]
-    for rv in v_exact:
-        rv_sym = sympy.Rational(rv.re_num, rv.re_den) + sympy.I * sympy.Rational(rv.im_num, rv.im_den)
-        gens_u = [sympy.expand(g.subs(v, rv_sym)) for g in gens]
-        gens_u = [g for g in gens_u if g != 0]
-        if not gens_u:
-            raise PositiveDimensionalLocus("fiber over a root is one-dimensional")
-        qu = gens_u[0]
-        for g in gens_u[1:]:
-            qu = sympy.gcd(qu, g)
-        u_exact, u_numeric = _univar_roots(qu, u)
-        exact_pairs.extend((ru, rv) for ru in u_exact)
-        if u_numeric:
-            numeric_v.append(complex(rv))
-    return exact_pairs, numeric_v
+
+def _determinant(m: list) -> ComplexRational:
+    """Determinant over Q(i) by Gaussian elimination."""
+    m = [list(row) for row in m]
+    det = _CR_ONE
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if not m[r][col].is_zero()), None)
+        if pivot is None:
+            return CR_ZERO
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det = det * m[col][col]
+        inv = _CR_ONE / m[col][col]
+        for r in range(col + 1, len(m)):
+            q = m[r][col] * inv
+            if not q.is_zero():
+                m[r] = [u - q * v for u, v in zip(m[r], m[col])]
+    return det
+
+
+def _resultant_in_y(f: dict, g: dict, degree: int) -> list:
+    """Res_y(f, g) as a coefficient list in t, for bivariate f and g of
+    total degree at most ``degree`` that are not both free of y.
+
+    The Sylvester determinant is taken with the y-degrees m and n of f and
+    g as polynomials over Q(i)[t], so it commutes with setting t = t0.  Its
+    t-degree is at most degree^2, and it is interpolated by divided
+    differences from its values at t0 = 0, 1, ..., degree^2."""
+    m = max(j for j, _ in f)
+    n = max(j for j, _ in g)
+    nodes = range(degree * degree + 1)
+    dd = []
+    for t0 in nodes:
+        a = _in_y(f, ComplexRational(t0))
+        b = _in_y(g, ComplexRational(t0))
+        a = (a + [CR_ZERO] * (m + 1 - len(a)))[::-1]
+        b = (b + [CR_ZERO] * (n + 1 - len(b)))[::-1]
+        rows = [[CR_ZERO] * r + a + [CR_ZERO] * (n - 1 - r) for r in range(n)]
+        rows += [[CR_ZERO] * r + b + [CR_ZERO] * (m - 1 - r) for r in range(m)]
+        dd.append(_determinant(rows))
+    for level in range(1, len(dd)):
+        for i in range(len(dd) - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / level
+    # Newton form to coefficients: out = out * (t - node) + dd[i], innermost first
+    out: list = []
+    for i in range(len(dd) - 1, -1, -1):
+        out = [CR_ZERO] + out
+        for k in range(len(out) - 1):
+            out[k] = out[k] - out[k + 1] * nodes[i]
+        out[0] = out[0] + dd[i]
+    return _strip(out)
+
+
+def _combination(F: list, weights) -> dict:
+    out: dict = {}
+    for f, w in zip(F, weights):
+        for key, c in f.items():
+            out[key] = out.get(key, CR_ZERO) + c * w
+    return {key: c for key, c in out.items() if not c.is_zero()}
 
 
 def _common_zeros(components, coeff_scale: float) -> list[ProjectivePoint]:
-    sympy, (X, Y, T) = _sympy()
-    F = [to_sympy(c) for c in components]
+    """Common zeros of coprime components; see `indeterminacy_set`."""
+    degree = max(c.degree for c in components)
     points: list[ProjectivePoint] = []
     numeric_candidates: list[np.ndarray] = []
 
-    # chart x = 1
-    exact_pairs, numeric_v = _solve_affine_pairs([f.subs(X, 1) for f in F], Y, T)
-    for yv, tv in exact_pairs:
-        points.append(ProjectivePoint([ComplexRational(1), yv, tv], exact=True))
-    for tv in numeric_v:
+    # chart x = 1: the t-values of the common zeros are among the roots of
+    # a resultant in y of two combinations of the components
+    F = [{(j, k): c for (_, j, k), c in comp.terms.items()} for comp in components]
+    for alpha, beta in _RESULTANT_COMBINATIONS:
+        g1, g2 = _combination(F, alpha), _combination(F, beta)
+        if g1 and g2 and max(j for j, _ in [*g1, *g2]) > 0:
+            res = _resultant_in_y(g1, g2, degree)
+            if res:
+                break
+    else:
+        raise MapError("no combination of the components has a nonzero resultant in y")
+    t_exact, numeric_t = _gaussian_roots(res) if len(res) > 1 else ([], [])
+    for tv in t_exact:
+        fiber = _univariate_gcd(_in_y(f, tv) for f in F)
+        if not fiber:
+            raise PositiveDimensionalLocus("fiber over a root is one-dimensional")
+        if len(fiber) == 1:
+            continue
+        y_exact, y_numeric = _gaussian_roots(fiber)
+        points.extend(ProjectivePoint([_CR_ONE, yv, tv], exact=True) for yv in y_exact)
+        if y_numeric:
+            numeric_t.append(complex(tv))
+    for tv in numeric_t:
         # back-substitute numerically: y-roots of the first component that
         # does not vanish identically on the fiber
         for comp in components:
@@ -606,23 +770,23 @@ def _common_zeros(components, coeff_scale: float) -> list[ProjectivePoint]:
                 break
 
     # chart x = 0, y = 1
-    line = [sympy.expand(f.subs({X: 0, Y: 1})) for f in F]
-    line = [e for e in line if e != 0]
-    if not line:
+    line = [[CR_ZERO] * (degree + 1) for _ in components]
+    for row, comp in zip(line, components):
+        for (i, _, k), c in comp.terms.items():
+            if not i:
+                row[k] = c
+    qt = _univariate_gcd(line)
+    if not qt:
         raise PositiveDimensionalLocus("the line x = 0 lies in the common zero locus")
-    qt = line[0]
-    for e in line[1:]:
-        qt = sympy.gcd(qt, e)
-    if qt.free_symbols:
-        t_exact, t_numeric = _univar_roots(qt, T)
-        for tv in t_exact:
-            points.append(ProjectivePoint([ComplexRational(0), ComplexRational(1), tv], exact=True))
-        for tv in t_numeric:
-            numeric_candidates.append(np.array([0.0, 1.0, tv], dtype=np.complex128))
+    if len(qt) > 1:
+        line_exact, line_numeric = _gaussian_roots(qt)
+        points.extend(ProjectivePoint([CR_ZERO, _CR_ONE, tv], exact=True) for tv in line_exact)
+        numeric_candidates.extend(np.array([0.0, 1.0, tv], dtype=np.complex128)
+                                  for tv in line_numeric)
 
     # remaining point [0:0:1]
-    if all(sympy.expand(f.subs({X: 0, Y: 0, T: 1})) == 0 for f in F):
-        points.append(ProjectivePoint([ComplexRational(0), ComplexRational(0), ComplexRational(1)], exact=True))
+    if all((0, 0, c.degree) not in c.terms for c in components):
+        points.append(ProjectivePoint([CR_ZERO, CR_ZERO, _CR_ONE], exact=True))
 
     # verify exact points by substitution
     for p in points:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import mpmath
 
-from .geometry import ProjectivePoint, _term_sum, proj_distance
+from .geometry import ProjectivePoint, _term_sum, _unit_distances, proj_distance
 from .maps import (
     DEFAULT_COEFF_BIT_CAP,
     EPS_EXCEPTIONAL,
@@ -56,6 +56,9 @@ SHADOW_PRECISION_BITS = 113
 _CAUCHY_WINDOW = 5
 _CAUCHY_TOL = 1e-6
 _DIVERGENCE_RATE = 0.1
+# float distances from unit vectors are within about 1e-15 of the exact
+# ones; a pair this much beyond a threshold is decided without its wedge
+_FAR_MARGIN = 1e-9
 
 
 class StabilityError(Exception):
@@ -336,10 +339,16 @@ def check_orbit_separation(
         raise StabilityError("separation check needs the inverse map")
     forward = exceptional_orbits(f, N, eps_indeterminacy=eps_indeterminacy)
     backward = exceptional_orbits(f.inverse, N, eps_indeterminacy=eps_indeterminacy)
-    bwd = _orbit_points(backward)
+    fwd, bwd = _orbit_points(forward), _orbit_points(backward)
+    far = _unit_distances([p for _, p in fwd], [q for _, q in bwd])
     fails_at, witness, min_distance = None, None, math.inf
-    for i, p in _orbit_points(forward):
-        for j, q in bwd:
+    for (i, p), row in zip(fwd, far):
+        for (j, q), approx in zip(bwd, row):
+            # an exact pair clearly farther apart than both the tolerance
+            # and the running minimum changes neither, so its exact wedge
+            # is skipped
+            if p.exact and q.exact and approx > max(eps_indeterminacy, min_distance) + _FAR_MARGIN:
+                continue
             d = proj_distance(p, q)
             min_distance = min(min_distance, d)
             stage = max(i, j)

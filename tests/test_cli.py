@@ -29,7 +29,8 @@ import pytest
 import biratdyn
 from biratdyn import cli, maps
 from biratdyn.cli import main
-from biratdyn.mapfile import MapFileError, corpus_path, load_config
+from biratdyn.geometry import HomogeneousPolynomial
+from biratdyn.mapfile import MapFileError, corpus_path, load_config, save_map
 from biratdyn.maps import RationalSurfaceMap
 
 
@@ -87,6 +88,24 @@ class TestInspect:
         fw = {tuple(tuple(c) for c in p) for p in map(tuple, doc["indeterminacy_forward"])}
         assert len(fw) == 3  # the three coordinate points
         assert doc["inverse_verified"] is True
+
+    def test_numeric_indeterminacy_points_reported(self, tmp_path):
+        # I(f) is [0:0:1] and [1 : +-sqrt(2) : 0]; the irrational points
+        # once ended inspect in an AttributeError with exit 1
+        x, y, t = (HomogeneousPolynomial.monomial(*e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        f = RationalSurfaceMap([y * y - x * x * 2, x * t, y * t], name="irrational")
+        path = save_map(f, tmp_path / "irrational.map")
+        assert run_cli("inspect", "--map", str(path), "--out", str(tmp_path)) == 0
+        doc = read_json(tmp_path / "inspect_irrational.json")
+        exact, *numeric = doc["indeterminacy_forward"]
+        assert exact == [["0", "0"], ["0", "0"], ["1", "0"]]
+        assert len(numeric) == 2
+        for point in numeric:
+            (x_re, x_im), (y_re, y_im), (t_re, t_im) = point["numeric"]
+            assert abs(x_re * x_re + y_re * y_re - 1) < 1e-12 and x_im == y_im == 0
+            assert abs(y_re / x_re) == pytest.approx(math.sqrt(2), rel=1e-12)
+            assert t_re == t_im == 0
+        assert doc["indeterminacy_inverse"] is None
 
     def test_malformed_map_exits_2(self, tmp_path):
         bad = tmp_path / "bad.map"

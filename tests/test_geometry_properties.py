@@ -16,13 +16,14 @@ from fractions import Fraction
 
 import numpy as np
 import sympy
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from biratdyn.geometry import (
     ComplexRational,
     HomogeneousPolynomial,
     ProjectivePoint,
+    _unit_distances,
     proj_distance,
     to_sympy,
 )
@@ -126,6 +127,24 @@ class TestExactDistance:
         assert proj_distance(p, q) == 1.0
         assert fraction_distance(p, q) == 1.0
         assert not p.same_point(q)
+
+
+class TestUnitVector:
+    @settings(max_examples=40, deadline=None)
+    @given(points(3000, integral=True), st.integers(1, 2**64))
+    def test_beyond_double_range_rounds_the_exact_quotient(self, p, den):
+        """Past the double range each part is divided by the largest part
+        and rounded once, as the float of the exact Fraction quotient."""
+        p = P(*(c / den for c in p.coords))
+        assume(max(max(abs(c.re), abs(c.im)) for c in p.coords) > 2**1100)
+        scale = max(max(abs(c.re), abs(c.im)) for c in p.coords)
+        want = np.array([complex(float(c.re / scale), float(c.im / scale)) for c in p.coords])
+        assert np.array_equal(p.unit_vector(), want / np.linalg.norm(want))
+
+    @SETTINGS
+    @given(points(), points())
+    def test_unit_distances_near_exact_ones(self, p, q):
+        assert abs(_unit_distances([p], [q])[0][0] - proj_distance(p, q)) < 1e-12
 
 
 @st.composite

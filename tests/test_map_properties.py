@@ -21,7 +21,7 @@ command-line path takes: `image_point` against the labelled `apply`, and
 `orbit_walk`, the walker of both the degree check and the stability
 diagnostics, stops at exactly the exact hits that `exceptional_orbits`
 records.
-A few fixed generated maps also run `inspect` and `stability` end to end.
+A few fixed generated maps also run every map subcommand end to end.
 """
 
 from fractions import Fraction
@@ -239,11 +239,13 @@ SMOKE_HENON = [(Fraction(1, 2), Fraction(-1)), (Fraction(-1), Fraction(1, 3)),
     *(pytest.param("henon", cd, id=f"henon{k}") for k, cd in enumerate(SMOKE_HENON)),
 ])
 def test_generated_map_cli_smoke(family, data, tmp_path, capsys):
-    """`inspect` and `stability --iters 20` end with a documented exit code
-    on generated maps, not only on the corpus."""
+    """`inspect`, `stability --iters 20`, and `green`, `measure` and
+    `lyapunov` at small flags end with a documented exit code on generated
+    maps, not only on the corpus."""
     f = twisted(data)[2] if family == "lsigma" else henon_map(*data)
     path = save_map(f, tmp_path / "f.map")
-    for command in (["inspect"], ["stability", "--iters", "20"]):
+    for command in (["inspect"], ["stability", "--iters", "20"], ["green", "--grid", "8"],
+                    ["measure", "--max-period", "1"], ["lyapunov", "--max-period", "1"]):
         assert main([*command, "--map", str(path), "--out", str(tmp_path)]) in (0, 2, 3, 4)
     capsys.readouterr()
 

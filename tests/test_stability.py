@@ -126,6 +126,22 @@ class TestExceptionalOrbits:
             assert all(math.isfinite(r) for r in orb.distance_radii)
 
 
+def all_pairs_scan(v):
+    """(min_distance, fails_at, witness) from `proj_distance` on every pair
+    of the verdict's two orbit tables."""
+    min_distance, fails_at, witness = math.inf, None, None
+    for orb in v.forward.orbits:
+        for i, p in enumerate(orb.points):
+            for back in v.backward.orbits:
+                for j, q in enumerate(back.points):
+                    d = proj_distance(p, q)
+                    min_distance = min(min_distance, d)
+                    stage = max(i, j)
+                    if d < EPS_EXCEPTIONAL and (fails_at is None or stage < fails_at):
+                        fails_at, witness = stage, p
+    return min_distance, fails_at, witness
+
+
 class TestSeparation:
     def test_sigma_fails_at_zero(self):
         v = check_orbit_separation(cremona_involution(), 10)
@@ -155,6 +171,21 @@ class TestSeparation:
         all_pairs = min((proj_distance(p, q) for p in fwd for q in bwd), default=math.inf)
         v = check_orbit_separation(f, N)
         assert v.min_distance == all_pairs == expected
+        assert (v.min_distance, v.fails_at, v.witness) == all_pairs_scan(v)
+
+    def test_far_pairs_skipped_without_changing_the_verdict(self):
+        """An L o sigma map whose exact orbits reach 42 971 bits within 20
+        steps: most exact pairs are decided from unit vectors, and
+        min_distance, fails_at and witness equal the all-pairs scan's."""
+        sig = cremona_involution()
+        L = linear_map([[1, 1, 0], [1, -1, -1], [-1, 2, -1]])
+        f = compose(L, sig)
+        f.inverse = compose(sig, L.inverse)
+        f.inverse.inverse = f
+        v = check_orbit_separation(f, 20)
+        assert max(p.bit_size() for o in v.forward.orbits for p in o.points) > 40_000
+        assert (v.min_distance, v.fails_at, v.witness) == all_pairs_scan(v)
+        assert v.holds and v.min_distance == 0.07612978025570089
 
 
 class TestSummabilityCore:
