@@ -861,8 +861,8 @@ class ChartMap:
     Takes source coordinates in chart ``chart_in`` to target coordinates in
     chart ``chart_out`` together with the 2x2 Jacobian.  Guard margins are
     the smallest and largest |denominator| (the target pivot coordinate of
-    F) and |det J| seen over all calls; they tell when a window meets the
-    target chart's line at infinity or the critical set.
+    F) and |det J| seen over all calls, NaN lanes aside; they tell when a
+    window meets the target chart's line at infinity or the critical set.
     """
 
     def __init__(self, f: RationalSurfaceMap, chart_in: int, chart_out: int):
@@ -894,11 +894,31 @@ class ChartMap:
                     J[l][j] = (dF[out][j] * D - F[out] * dF[self.chart_out][j]) / (D * D)
         if np.broadcast(z1, z2).size == 0:
             return w1, w2, J
-        absd = np.abs(D)
-        self.denominator_small = min(self.denominator_small, float(np.min(absd)))
-        self.denominator_large = max(self.denominator_large, float(np.max(absd)))
-        det = np.abs(J[0][0] * J[1][1] - J[0][1] * J[1][0])
-        self.jacobian_small = min(self.jacobian_small, float(np.min(det)))
-        self.jacobian_large = max(self.jacobian_large, float(np.max(det)))
+        self.denominator_small, self.denominator_large = _widen(
+            self.denominator_small, self.denominator_large, np.abs(D)
+        )
+        self.jacobian_small, self.jacobian_large = _widen(
+            self.jacobian_small,
+            self.jacobian_large,
+            np.abs(J[0][0] * J[1][1] - J[0][1] * J[1][0]),
+        )
         return w1, w2, J
+
+
+def _widen(small: float, large: float, values) -> tuple[float, float]:
+    """``(small, large)`` widened to cover the values that are not NaN.
+
+    A NaN lane (a start that left the domain) says nothing about the
+    window, but it turns the batch's ``np.min`` into NaN, which ``min``
+    then drops along with every other lane.  An all-NaN batch leaves both
+    as they were.
+    """
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if math.isnan(lo):
+        values = np.asarray(values)
+        values = values[~np.isnan(values)]
+        if not values.size:
+            return small, large
+        lo, hi = float(np.min(values)), float(np.max(values))
+    return min(small, lo), max(large, hi)
 

@@ -387,12 +387,17 @@ class _AffineDynamics:
     def newton(self, x: np.ndarray, y: np.ndarray, n: int, iters: int = _NEWTON_ITERS):
         """Newton iteration for fixed points of the n-th iterate.
 
-        Diverging or singular starts are replaced by NaN and ignored.
+        Diverging or singular starts are replaced by NaN and ignored.  A
+        step is a function of each start's own bits, so a start whose step
+        returns its bits unchanged (a NaN, or a converged root) would repeat
+        them at every later step: only the starts still moving are stepped.
         """
+        live = np.arange(len(x))
+        lx, ly = x, y
         for _ in range(iters):
-            w1, w2, (a, b, c, d) = self.advance(x, y, n)
+            w1, w2, (a, b, c, d) = self.advance(lx, ly, n)
             with np.errstate(all="ignore"):
-                f1, f2 = w1 - x, w2 - y
+                f1, f2 = w1 - lx, w2 - ly
                 da, db, dc, dd = a - 1.0, b, c, d - 1.0
                 det = da * dd - db * dc
                 dx = (dd * f1 - db * f2) / det
@@ -400,11 +405,20 @@ class _AffineDynamics:
             ok = (
                 np.isfinite(dx)
                 & np.isfinite(dy)
-                & (np.abs(x) < _NEWTON_BOX)
-                & (np.abs(y) < _NEWTON_BOX)
+                & (np.abs(lx) < _NEWTON_BOX)
+                & (np.abs(ly) < _NEWTON_BOX)
             )
-            x = np.where(ok, x - dx, np.nan)
-            y = np.where(ok, y - dy, np.nan)
+            nx = np.where(ok, lx - dx, np.nan)
+            ny = np.where(ok, ly - dy, np.nan)
+            moving = _moved(nx, lx) | _moved(ny, ly)
+            if len(live) == len(x):  # no start frozen yet: the step is the output
+                x, y = nx, ny
+            else:
+                x[live], y[live] = nx, ny
+            live = live[moving]
+            if not len(live):
+                break
+            lx, ly = nx[moving], ny[moving]
         return x, y
 
     def isolated_roots(self, x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
@@ -438,21 +452,29 @@ class _AffineDynamics:
         return np.stack([w1, w2], axis=-1), jac
 
 
+def _moved(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Lanes whose bits differ; signed zeros and NaN payloads count."""
+    lanes = (len(new), new.itemsize // 8)
+    old = np.ascontiguousarray(old)
+    return np.any(new.view(np.int64).reshape(lanes) != old.view(np.int64).reshape(lanes), axis=1)
+
+
 def _dedupe_affine(found: list[np.ndarray], new: np.ndarray) -> list[np.ndarray]:
     """``found``, already pairwise separated, followed by each new point
     that is not within ``_DEDUPE_TOL`` (max-abs) of a point kept before it."""
     unique = list(found)
     if len(new) == 0:
         return unique
-    # kept points are compacted in place into rows[:kept], one comparison
-    # against all of them per candidate
-    rows = np.array([*unique, *new])
-    kept = len(unique)
-    for p in rows[kept:]:
-        if not (np.max(np.abs(rows[:kept] - p), axis=1) < _DEDUPE_TOL).any():
-            rows[kept] = p
-            unique.append(rows[kept])
-            kept += 1
+    # a candidate is open while no point kept so far is near it; the first
+    # open one is the next point the candidate-by-candidate loop would keep
+    open_ = np.ones(len(new), dtype=bool)
+    if unique:
+        near = np.max(np.abs(new[:, None] - np.array(unique)), axis=2) < _DEDUPE_TOL
+        open_ &= ~near.any(axis=1)
+    while open_.any():
+        p = new[np.argmax(open_)]
+        unique.append(p)
+        open_ &= ~(np.max(np.abs(new - p), axis=1) < _DEDUPE_TOL)
     return unique
 
 

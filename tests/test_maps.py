@@ -463,6 +463,25 @@ class TestDerivatives:
         assert chart_map.denominator_small == chart_map.jacobian_small == math.inf
         assert chart_map.denominator_large == chart_map.jacobian_large == 0.0
 
+    def test_chart_map_margins_skip_nan_lanes(self):
+        # a NaN lane used to turn the batch minimum into NaN, which min()
+        # then dropped along with every finite lane of the batch
+        chart_map = ChartMap(henon_map(), 2, 2)
+        chart_map(np.array([np.nan, 0.5]), np.array([0.1, 0.2]))
+        alone = ChartMap(henon_map(), 2, 2)
+        alone(np.array([0.5]), np.array([0.2]))
+        assert chart_map.jacobian_small == chart_map.jacobian_large == 0.25
+        assert (chart_map.denominator_small, chart_map.denominator_large) == (
+            alone.denominator_small, alone.denominator_large)
+        assert (chart_map.jacobian_small, chart_map.jacobian_large) == (
+            alone.jacobian_small, alone.jacobian_large)
+        # an all-NaN batch leaves the margins as they were
+        chart_map(np.array([np.nan]), np.array([np.nan]))
+        assert chart_map.jacobian_small == chart_map.jacobian_large == 0.25
+        fresh = ChartMap(henon_map(), 2, 2)
+        fresh(np.array([np.nan]), np.array([np.nan]))
+        assert fresh.jacobian_small == math.inf and fresh.jacobian_large == 0.0
+
     def test_second_derivative_identity_zero(self):
         rng = np.random.default_rng(7)
         p = ProjectivePoint.numeric_point(*(rng.normal(size=3) + 1j * rng.normal(size=3)))

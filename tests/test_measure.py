@@ -28,9 +28,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import qmc
 
 from biratdyn import measure
 from biratdyn.geometry import ProjectivePoint, proj_distance
+from biratdyn.mapfile import corpus_path, load_map
 from biratdyn.measure import (
     IndeterminateEncounter,
     MeasureError,
@@ -271,18 +275,162 @@ class TestSaddleSearch:
         with pytest.raises(MeasureError):
             saddle_periodic_points(henon, 0)
 
-    def test_no_single_point_advance(self, henon, monkeypatch):
-        # after the Newton rounds every stage steps all candidates at once
-        sizes = []
-        advance = measure._AffineDynamics.advance
-
-        def counted(self, x, y, n):
-            sizes.append(np.size(x))
-            return advance(self, x, y, n)
-
-        monkeypatch.setattr(measure._AffineDynamics, "advance", counted)
-        assert saddle_cloud(henon, 4, seed=7).size == 2 + 6 + 12
+    def test_no_single_point_advance(self, henon4_search):
+        # after the Newton rounds every stage steps all candidates at once;
+        # inside newton a batch shrinks to the starts still moving
+        cloud_size, steps, _ = henon4_search
+        assert cloud_size == 2 + 6 + 12
+        sizes = [lanes for lanes, _, in_newton in steps if not in_newton]
         assert sizes and 1 not in sizes
+
+    def test_newton_steps_only_moving_starts(self, henon4_search):
+        # a silent return to stepping every start at every iteration fails
+        _, steps, full = henon4_search
+        stepped = sum(lanes * n for lanes, n, in_newton in steps if in_newton)
+        assert 0 < stepped < full / 2
+
+
+def full_lane_newton(dyn, x, y, n, iters=measure._NEWTON_ITERS):
+    """The Newton loop stepping every start at every iteration (oracle)."""
+    for _ in range(iters):
+        w1, w2, (a, b, c, d) = dyn.advance(x, y, n)
+        with np.errstate(all="ignore"):
+            f1, f2 = w1 - x, w2 - y
+            da, db, dc, dd = a - 1.0, b, c, d - 1.0
+            det = da * dd - db * dc
+            dx = (dd * f1 - db * f2) / det
+            dy = (da * f2 - dc * f1) / det
+        ok = (
+            np.isfinite(dx)
+            & np.isfinite(dy)
+            & (np.abs(x) < measure._NEWTON_BOX)
+            & (np.abs(y) < measure._NEWTON_BOX)
+        )
+        x = np.where(ok, x - dx, np.nan)
+        y = np.where(ok, y - dy, np.nan)
+    return x, y
+
+
+def sequential_dedupe(found, new):
+    """One comparison against all kept points per candidate (oracle)."""
+    unique = list(found)
+    for p in new:
+        if not any(np.max(np.abs(q - p)) < measure._DEDUPE_TOL for q in unique):
+            unique.append(p)
+    return unique
+
+
+def sobol_starts(period, size=measure._ROUND_SIZE, seed=2026):
+    """The first search round's starts for this period."""
+    u = qmc.Sobol(d=4, scramble=True, seed=seed + 1000 * period).random(size)
+    r = measure._SEARCH_RADIUS
+    x = (2 * u[:, 0] - 1) * r + 1j * (2 * u[:, 1] - 1) * r
+    y = (2 * u[:, 2] - 1) * r + 1j * (2 * u[:, 3] - 1) * r
+    return x, y
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.int64), b.view(np.int64)
+    )
+
+
+@pytest.fixture(scope="module")
+def henon4_search(henon):
+    """``saddle_cloud(henon, 4, seed=7)`` with every ``advance`` batch logged
+    as (lanes, n, inside newton), and the lane-steps a full-lane Newton
+    would take."""
+    steps, full, inside = [], [0], [False]
+    advance, newton = measure._AffineDynamics.advance, measure._AffineDynamics.newton
+
+    def logged_advance(self, x, y, n):
+        steps.append((np.size(x), n, inside[0]))
+        return advance(self, x, y, n)
+
+    def logged_newton(self, x, y, n, iters=measure._NEWTON_ITERS):
+        full[0] += iters * np.size(x) * n
+        inside[0] = True
+        try:
+            return newton(self, x, y, n, iters)
+        finally:
+            inside[0] = False
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measure._AffineDynamics, "advance", logged_advance)
+        mp.setattr(measure._AffineDynamics, "newton", logged_newton)
+        size = saddle_cloud(henon, 4, seed=7).size
+    return size, steps, full[0]
+
+
+def smoke_maps():
+    from test_map_properties import SMOKE_HENON, SMOKE_MATRICES, twisted
+
+    return [twisted(m)[2] for m in SMOKE_MATRICES] + [henon_map(*cd) for cd in SMOKE_HENON]
+
+
+class TestSearchKernels:
+    """``newton`` and ``_dedupe_affine`` skip work whose result is fixed;
+    their outputs must match the plain loops bit for bit."""
+
+    @pytest.mark.parametrize("name", ["henon", "lsigma", "cremona"])
+    @pytest.mark.parametrize("period", [1, 2, 3])
+    def test_newton_matches_full_lane_loop_on_corpus(self, name, period):
+        dyn = measure._AffineDynamics(load_map(corpus_path(name)), 2)
+        x, y = sobol_starts(period)
+        got = dyn.newton(x, y, period)
+        want = full_lane_newton(dyn, x, y, period)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+        # the orbit-completion call: ten steps from the images of the roots
+        # (cremona's period-2 points form a surface, none of them isolated)
+        roots = dyn.isolated_roots(*got, period)
+        assert len(roots) or (name, period) == ("cremona", 2)
+        xs, ys, _ = dyn.advance(roots[:, 0], roots[:, 1], 1)
+        got = dyn.newton(xs.copy(), ys.copy(), period, iters=10)
+        want = full_lane_newton(dyn, xs, ys, period, iters=10)
+        assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_newton_matches_full_lane_loop_on_generated_maps(self, period):
+        x, y = sobol_starts(period, size=512)
+        for f in smoke_maps():
+            dyn = measure._AffineDynamics(f, 2)
+            got = dyn.newton(x, y, period)
+            want = full_lane_newton(dyn, x, y, period)
+            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), f.name
+
+    def test_newton_leaves_its_input_alone(self, henon):
+        dyn = measure._AffineDynamics(henon, 2)
+        x, y = sobol_starts(1, size=64)
+        x0, y0 = x.copy(), y.copy()
+        dyn.newton(x, y, 1)
+        assert same_bits(x, x0) and same_bits(y, y0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_dedupe_matches_sequential_loop(self, data):
+        tol = measure._DEDUPE_TOL
+        # offsets along one coordinate part: chains 0, 0.6 tol, 1.2 tol have
+        # a ~ b and b ~ c but not a ~ c; others sit just inside or outside
+        steps = st.sampled_from([0.0, 0.6, 1.2, 1.8, 0.999999, 1.000001, -0.5, -1.0, 1.0])
+        centers = [complex(k, -k) for k in range(3)]
+
+        def points(count):
+            rows = []
+            for _ in range(count):
+                p = np.array([centers[data.draw(st.integers(0, 2))]] * 2)
+                part = data.draw(st.integers(0, 3))
+                shift = data.draw(steps) * tol * (1j if part % 2 else 1)
+                p[part // 2] += shift
+                rows.append(p)
+            return np.array(rows, dtype=complex).reshape(-1, 2)
+
+        found = sequential_dedupe([], points(data.draw(st.integers(0, 4))))
+        new = points(data.draw(st.integers(0, 24)))
+        got = measure._dedupe_affine(found, new)
+        want = sequential_dedupe(found, new)
+        assert len(got) == len(want)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
 
 
 class TestMergedClouds:
