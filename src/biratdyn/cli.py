@@ -546,7 +546,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     f = load_map(args.map)
     # perfbench's worker reads sympy's version from sys.modules after every
     # command, so each map command loads sympy here, where loading the map
-    # used to, although only inspect computes with it (ROADMAP item 8)
+    # used to, although only inspect computes with it (ROADMAP item 1)
     _sympy()
     if args.command == "inspect":
         return cmd_inspect(f, cfg, out)

@@ -30,6 +30,13 @@ these two densities:
   relating |u ∘ f|_T on a source window to |u| against the pushed-forward
   form on the image window.
 
+A ``ChartFunction`` is one callable: ``f(z1, z2)`` returns a ``Jet`` whose
+value, gradient and optional complex Hessian come from one pass over the
+nodes, so each check evaluates each function it receives once per grid
+(once per chunk in the change of variables), and sums and scalar
+multiples act on jets.  The Green kernel is to enter the same way, as one
+jet of its value and Wirtinger gradient (ROADMAP item 5).
+
 The map's chart expression and its Jacobian come from ``maps.ChartMap``
 and chart points from ``maps.chart_embed``/``chart_coords``; this module
 reads the kernel's guard margins and raises ``ChartMeetsExceptionalSet``
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -54,6 +61,7 @@ __all__ = [
     "ChartMeetsExceptionalSet",
     "GridChart",
     "DiscreteForm11",
+    "Jet",
     "ChartFunction",
     "EnergyComparisonReport",
     "CauchyDiagnostic",
@@ -269,51 +277,51 @@ def smoothed_log_form(a: Sequence[complex], s: float) -> Form11Function:
 # chart functions
 # ---------------------------------------------------------------------------
 
-ValueFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+class Jet(NamedTuple):
+    """One evaluation of a real chart function on node arrays: the value,
+    the Wirtinger derivatives d1 = d/dz1 and d2 = d/dz2, and (optionally)
+    the complex Hessian entries (h11, h12, h22), h_jk = d²/dz_j dz̄_k."""
+
+    value: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
+    hessian: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
 
 @dataclass(frozen=True)
 class ChartFunction:
-    """Real-valued function of the chart coordinates with analytic Wirtinger
-    derivatives d1 = d/dz1 and d2 = d/dz2, and (optionally) the complex
-    Hessian entries h_jk = d²/dz_j dz̄_k."""
+    """Real-valued function of the chart coordinates: ``f(z1, z2)`` returns
+    its ``Jet`` on the nodes, computed in one pass."""
 
-    value: ValueFn
-    d1: ValueFn
-    d2: ValueFn
-    h11: Optional[ValueFn] = None
-    h12: Optional[ValueFn] = None
-    h22: Optional[ValueFn] = None
+    jet: Callable[[np.ndarray, np.ndarray], Jet]
 
-    def has_hessian(self) -> bool:
-        return self.h11 is not None and self.h12 is not None and self.h22 is not None
+    def __call__(self, z1: np.ndarray, z2: np.ndarray) -> Jet:
+        return self.jet(z1, z2)
 
     def __add__(self, other: "ChartFunction") -> "ChartFunction":
         if not isinstance(other, ChartFunction):
             return NotImplemented
-        both_hessian = self.has_hessian() and other.has_hessian()
-        return ChartFunction(
-            value=lambda z1, z2: self.value(z1, z2) + other.value(z1, z2),
-            d1=lambda z1, z2: self.d1(z1, z2) + other.d1(z1, z2),
-            d2=lambda z1, z2: self.d2(z1, z2) + other.d2(z1, z2),
-            h11=(lambda z1, z2: self.h11(z1, z2) + other.h11(z1, z2)) if both_hessian else None,
-            h12=(lambda z1, z2: self.h12(z1, z2) + other.h12(z1, z2)) if both_hessian else None,
-            h22=(lambda z1, z2: self.h22(z1, z2) + other.h22(z1, z2)) if both_hessian else None,
-        )
+
+        def jet(z1, z2):
+            p, q = self(z1, z2), other(z1, z2)
+            both = p.hessian is not None and q.hessian is not None
+            hessian = tuple(x + y for x, y in zip(p.hessian, q.hessian)) if both else None
+            return Jet(p.value + q.value, p.d1 + q.d1, p.d2 + q.d2, hessian)
+
+        return ChartFunction(jet)
 
     def __mul__(self, scalar: float) -> "ChartFunction":
         if not isinstance(scalar, (int, float)):
             return NotImplemented
         s = float(scalar)
-        has_h = self.has_hessian()
-        return ChartFunction(
-            value=lambda z1, z2: s * self.value(z1, z2),
-            d1=lambda z1, z2: s * self.d1(z1, z2),
-            d2=lambda z1, z2: s * self.d2(z1, z2),
-            h11=(lambda z1, z2: s * self.h11(z1, z2)) if has_h else None,
-            h12=(lambda z1, z2: s * self.h12(z1, z2)) if has_h else None,
-            h22=(lambda z1, z2: s * self.h22(z1, z2)) if has_h else None,
-        )
+
+        def jet(z1, z2):
+            p = self(z1, z2)
+            hessian = None if p.hessian is None else tuple(s * h for h in p.hessian)
+            return Jet(s * p.value, s * p.d1, s * p.d2, hessian)
+
+        return ChartFunction(jet)
 
     __rmul__ = __mul__
 
@@ -324,20 +332,13 @@ class ChartFunction:
         return self + (other * (-1.0))
 
 
-def _zero(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    return np.complex128(0.0)
+_ZERO = np.complex128(0.0)
+_FLAT = (_ZERO, _ZERO, _ZERO)
 
 
 def constant_function(value: float) -> ChartFunction:
-    v = float(value)
-    return ChartFunction(
-        value=lambda z1, z2: np.float64(v),
-        d1=_zero,
-        d2=_zero,
-        h11=_zero,
-        h12=_zero,
-        h22=_zero,
-    )
+    jet = Jet(np.float64(float(value)), _ZERO, _ZERO, _FLAT)
+    return ChartFunction(lambda z1, z2: jet)
 
 
 def coordinate_part(variable: int, part: str) -> ChartFunction:
@@ -347,67 +348,40 @@ def coordinate_part(variable: int, part: str) -> ChartFunction:
     if part not in ("re", "im"):
         raise EnergyError("part must be 're' or 'im'")
     wirt = np.complex128(0.5 if part == "re" else -0.5j)
+    grad = (wirt, _ZERO) if variable == 1 else (_ZERO, wirt)
 
-    def value(z1, z2):
+    def jet(z1, z2):
         z = z1 if variable == 1 else z2
-        return np.real(z) if part == "re" else np.imag(z)
+        return Jet(np.real(z) if part == "re" else np.imag(z), *grad, _FLAT)
 
-    grad = lambda z1, z2: wirt  # noqa: E731 - constant Wirtinger derivative
-    return ChartFunction(
-        value=value,
-        d1=grad if variable == 1 else _zero,
-        d2=grad if variable == 2 else _zero,
-        h11=_zero,
-        h12=_zero,
-        h22=_zero,
-    )
+    return ChartFunction(jet)
+
+
+def _log_distance(a: Sequence[complex], s2: float) -> ChartFunction:
+    """0.5 * log(|z - a|^2 + s2) with its analytic gradient."""
+    a1 = complex(a[0])
+    a2 = complex(a[1])
+
+    def jet(z1, z2):
+        w1 = z1 - a1
+        w2 = z2 - a2
+        r2 = np.abs(w1) ** 2 + np.abs(w2) ** 2 + s2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return Jet(0.5 * np.log(r2), np.conj(w1) / (2.0 * r2), np.conj(w2) / (2.0 * r2))
+
+    return ChartFunction(jet)
 
 
 def log_distance(a: Sequence[complex]) -> ChartFunction:
     """u(z) = log |z - a| with its analytic gradient; -inf at z = a."""
-    a1 = complex(a[0])
-    a2 = complex(a[1])
-
-    def parts(z1, z2):
-        w1 = z1 - a1
-        w2 = z2 - a2
-        return w1, w2, np.abs(w1) ** 2 + np.abs(w2) ** 2
-
-    def value(z1, z2):
-        _, _, r2 = parts(z1, z2)
-        with np.errstate(divide="ignore"):
-            return 0.5 * np.log(r2)
-
-    def d1(z1, z2):
-        w1, _, r2 = parts(z1, z2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.conj(w1) / (2.0 * r2)
-
-    def d2(z1, z2):
-        _, w2, r2 = parts(z1, z2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.conj(w2) / (2.0 * r2)
-
-    return ChartFunction(value=value, d1=d1, d2=d2)
+    # adding s2 = 0.0 leaves the nonnegative r^2 bit for bit unchanged
+    return _log_distance(a, 0.0)
 
 
 def smoothed_log_distance(a: Sequence[complex], s: float) -> ChartFunction:
     """u_s(z) = 0.5 * log(|z - a|^2 + s^2), a smooth approximant of
     log |z - a| from above."""
-    a1 = complex(a[0])
-    a2 = complex(a[1])
-    s2 = float(s) ** 2
-
-    def parts(z1, z2):
-        w1 = z1 - a1
-        w2 = z2 - a2
-        return w1, w2, np.abs(w1) ** 2 + np.abs(w2) ** 2 + s2
-
-    return ChartFunction(
-        value=lambda z1, z2: 0.5 * np.log(parts(z1, z2)[2]),
-        d1=lambda z1, z2: np.conj(parts(z1, z2)[0]) / (2.0 * parts(z1, z2)[2]),
-        d2=lambda z1, z2: np.conj(parts(z1, z2)[1]) / (2.0 * parts(z1, z2)[2]),
-    )
+    return _log_distance(a, float(s) ** 2)
 
 
 def random_trig(seed: int, *, terms: int = 4, amplitude: float = 0.5) -> ChartFunction:
@@ -425,40 +399,33 @@ def random_trig(seed: int, *, terms: int = 4, amplitude: float = 0.5) -> ChartFu
     omega1 = freqs[:, 0] - 1j * freqs[:, 1]
     omega2 = freqs[:, 2] - 1j * freqs[:, 3]
 
-    def angles(z1, z2, k):
-        return (
-            freqs[k, 0] * np.real(z1)
-            + freqs[k, 1] * np.imag(z1)
-            + freqs[k, 2] * np.real(z2)
-            + freqs[k, 3] * np.imag(z2)
-            + phases[k]
-        )
-
-    def accumulate(z1, z2, weight):
+    def jet(z1, z2):
+        axes = (np.real(z1), np.imag(z1), np.real(z2), np.imag(z2))
         total = None
         for k in range(terms):
-            term = weight(k, angles(z1, z2, k))
-            total = term if total is None else total + term
-        return total
+            angle = (
+                freqs[k, 0] * axes[0]
+                + freqs[k, 1] * axes[1]
+                + freqs[k, 2] * axes[2]
+                + freqs[k, 3] * axes[3]
+                + phases[k]
+            )
+            cos = np.cos(angle)
+            slope = -0.5 * amps[k] * np.sin(angle)
+            curve = -0.25 * amps[k] * cos
+            term = (
+                amps[k] * cos,
+                slope * omega1[k],
+                slope * omega2[k],
+                curve * abs(omega1[k]) ** 2,
+                curve * omega1[k] * np.conj(omega2[k]),
+                curve * abs(omega2[k]) ** 2,
+            )
+            total = term if total is None else tuple(s + t for s, t in zip(total, term))
+        value, d1, d2, *hessian = total
+        return Jet(value, d1, d2, tuple(hessian))
 
-    return ChartFunction(
-        value=lambda z1, z2: accumulate(z1, z2, lambda k, a: amps[k] * np.cos(a)),
-        d1=lambda z1, z2: accumulate(
-            z1, z2, lambda k, a: -0.5 * amps[k] * np.sin(a) * omega1[k]
-        ),
-        d2=lambda z1, z2: accumulate(
-            z1, z2, lambda k, a: -0.5 * amps[k] * np.sin(a) * omega2[k]
-        ),
-        h11=lambda z1, z2: accumulate(
-            z1, z2, lambda k, a: -0.25 * amps[k] * np.cos(a) * abs(omega1[k]) ** 2
-        ),
-        h12=lambda z1, z2: accumulate(
-            z1, z2, lambda k, a: -0.25 * amps[k] * np.cos(a) * omega1[k] * np.conj(omega2[k])
-        ),
-        h22=lambda z1, z2: accumulate(
-            z1, z2, lambda k, a: -0.25 * amps[k] * np.cos(a) * abs(omega2[k]) ** 2
-        ),
-    )
+    return ChartFunction(jet)
 
 
 def bump_function(center: Sequence[complex], widths: Sequence[float]) -> ChartFunction:
@@ -471,67 +438,57 @@ def bump_function(center: Sequence[complex], widths: Sequence[float]) -> ChartFu
     if len(w) != 4 or min(w) <= 0:
         raise EnergyError("bump needs four positive axis widths")
 
-    def axes(z1, z2):
-        return (np.real(z1), np.imag(z1), np.real(z2), np.imag(z2))
-
-    def q_parts(z1, z2):
+    def jet(z1, z2):
         qs = []
         dqs = []
-        for i, v in enumerate(axes(z1, z2)):
+        for i, v in enumerate((np.real(z1), np.imag(z1), np.real(z2), np.imag(z2))):
             t = (v - offs[i]) / w[i]
             inside = np.abs(t) < 1.0
             base = np.where(inside, 1.0 - t**2, 0.0)
             qs.append(base**3)
             dqs.append(np.where(inside, -6.0 * t * base**2 / w[i], 0.0))
-        return qs, dqs
 
-    def value(z1, z2):
-        qs, _ = q_parts(z1, z2)
-        return qs[0] * qs[1] * qs[2] * qs[3]
+        def partial(i):
+            out = dqs[i]
+            for j in range(4):
+                if j != i:
+                    out = out * qs[j]
+            return out
 
-    def partial(qs, dqs, i):
-        out = dqs[i]
-        for j in range(4):
-            if j != i:
-                out = out * qs[j]
-        return out
+        return Jet(
+            qs[0] * qs[1] * qs[2] * qs[3],
+            0.5 * (partial(0) - 1j * partial(1)),
+            0.5 * (partial(2) - 1j * partial(3)),
+        )
 
-    def d1(z1, z2):
-        qs, dqs = q_parts(z1, z2)
-        return 0.5 * (partial(qs, dqs, 0) - 1j * partial(qs, dqs, 1))
+    return ChartFunction(jet)
 
-    def d2(z1, z2):
-        qs, dqs = q_parts(z1, z2)
-        return 0.5 * (partial(qs, dqs, 2) - 1j * partial(qs, dqs, 3))
 
-    return ChartFunction(value=value, d1=d1, d2=d2)
+def _hessian_of(fn: ChartFunction, jet: Jet, z1: np.ndarray, z2: np.ndarray):
+    """``complex_hessian`` of ``fn`` given its jet ``jet`` on (z1, z2)."""
+    if jet.hessian is not None:
+        return tuple(np.asarray(h) for h in jet.hessian)
+    h = _HESSIAN_STEP
+    shifts = (h, -h, 1j * h, -1j * h)
+    at1 = [fn(z1 + s, z2) for s in shifts]
+    at2 = [fn(z1, z2 + s) for s in shifts]
+
+    def dbar(jets, grad):
+        dx = (getattr(jets[0], grad) - getattr(jets[1], grad)) / (2 * h)
+        dy = (getattr(jets[2], grad) - getattr(jets[3], grad)) / (2 * h)
+        return 0.5 * (dx + 1j * dy)
+
+    return dbar(at1, "d1"), dbar(at2, "d1"), dbar(at2, "d2")
 
 
 def complex_hessian(
     fn: ChartFunction, z1: np.ndarray, z2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Complex Hessian entries (h11, h12, h22) of a real chart function:
-    analytic closures when available, otherwise central differences of the
-    analytic gradient (d/dz̄ = (d/dx + i d/dy)/2 applied to d1, d2)."""
-    if fn.has_hessian():
-        return (
-            np.asarray(fn.h11(z1, z2)),
-            np.asarray(fn.h12(z1, z2)),
-            np.asarray(fn.h22(z1, z2)),
-        )
-
-    step = _HESSIAN_STEP
-
-    def dbar(closure, var):
-        if var == 1:
-            dx = (closure(z1 + step, z2) - closure(z1 - step, z2)) / (2 * step)
-            dy = (closure(z1 + 1j * step, z2) - closure(z1 - 1j * step, z2)) / (2 * step)
-        else:
-            dx = (closure(z1, z2 + step) - closure(z1, z2 - step)) / (2 * step)
-            dy = (closure(z1, z2 + 1j * step) - closure(z1, z2 - 1j * step)) / (2 * step)
-        return 0.5 * (dx + 1j * dy)
-
-    return dbar(fn.d1, 1), dbar(fn.d1, 2), dbar(fn.d2, 2)
+    the jet's analytic Hessian when it has one, otherwise central
+    differences of the analytic gradient (d/dz̄ = (d/dx + i d/dy)/2 applied
+    to d1, d2) from the jets at the 8 grids z1 ± h, z1 ± ih, z2 ± h, z2 ± ih."""
+    return _hessian_of(fn, fn(z1, z2), z1, z2)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +504,17 @@ def _pairing_density(p1, p2, q1, q2, a, b, c):
     return 4.0 * (np.real(t1) + np.real(t2))
 
 
+def _gradient(jet: Jet) -> tuple[np.ndarray, np.ndarray]:
+    return np.asarray(jet.d1), np.asarray(jet.d2)
+
+
+def _grid_energy(p, q, T: DiscreteForm11, chart: GridChart) -> float:
+    """Midpoint-rule E_T from the node gradients p of phi and q of psi."""
+    density = _pairing_density(*p, *q, T.a, T.b, T.c)
+    total = float(np.sum(np.broadcast_to(density, chart.shape)))
+    return total * chart.cell_volume
+
+
 def energy(
     phi: ChartFunction,
     T: DiscreteForm11,
@@ -557,16 +525,9 @@ def energy(
     chart box (psi defaults to phi)."""
     T.require_positive()
     z1, z2 = chart.nodes()
-    p1 = np.asarray(phi.d1(z1, z2))
-    p2 = np.asarray(phi.d2(z1, z2))
-    if psi is None:
-        q1, q2 = p1, p2
-    else:
-        q1 = np.asarray(psi.d1(z1, z2))
-        q2 = np.asarray(psi.d2(z1, z2))
-    density = _pairing_density(p1, p2, q1, q2, T.a, T.b, T.c)
-    total = float(np.sum(np.broadcast_to(density, chart.shape)))
-    return total * chart.cell_volume
+    p = _gradient(phi(z1, z2))
+    q = p if psi is None else _gradient(psi(z1, z2))
+    return _grid_energy(p, q, T, chart)
 
 
 # ---------------------------------------------------------------------------
@@ -612,15 +573,16 @@ def energy_monotonicity_check(
     the two complex Hessians on the grid."""
     T.require_positive()
     z1, z2 = chart.nodes()
-    uu = np.asarray(u.value(z1, z2), dtype=np.float64)
-    vv = np.asarray(v.value(z1, z2), dtype=np.float64)
+    ju, jv = u(z1, z2), v(z1, z2)
+    uu = np.asarray(ju.value, dtype=np.float64)
+    vv = np.asarray(jv.value, dtype=np.float64)
     gap = vv - uu
     if float(np.min(gap)) < -1e-12:
         raise PremiseViolated("order premise u <= v fails on the grid")
 
     # dd^c has matrix 2 H; dd^c + c*beta >= 0 means eig_min(2H) + c/2 >= 0
-    eig_u = 2.0 * _hessian_min_eig(*complex_hessian(u, z1, z2))
-    eig_v = 2.0 * _hessian_min_eig(*complex_hessian(v, z1, z2))
+    eig_u = 2.0 * _hessian_min_eig(*_hessian_of(u, ju, z1, z2))
+    eig_v = 2.0 * _hessian_min_eig(*_hessian_of(v, jv, z1, z2))
     worst = float(min(np.min(eig_u), np.min(eig_v)))
     if c is None:
         c = max(0.0, -2.0 * worst) * (1.0 + 1e-9)
@@ -633,9 +595,10 @@ def energy_monotonicity_check(
     mass_density = np.broadcast_to(np.asarray(gap * T.mass_density()), chart.shape)
     mass = float(np.sum(mass_density)) * chart.cell_volume
 
-    e_uv = energy(u, T, chart, psi=v)
-    e_vv = energy(v, T, chart)
-    e_uu = energy(u, T, chart)
+    gu, gv = _gradient(ju), _gradient(jv)
+    e_uv = _grid_energy(gu, gv, T, chart)
+    e_vv = _grid_energy(gv, gv, T, chart)
+    e_uu = _grid_energy(gu, gu, T, chart)
     first = e_uv - e_vv + c * mass
     second = e_uu - e_uv + c * mass
     return EnergyComparisonReport(
@@ -663,24 +626,22 @@ def regularize(u: ChartFunction, j: float, delta: float = _SMOOTHING_WIDTH) -> C
         raise EnergyError("smoothing width must be positive")
     level = float(j)
 
-    def value(z1, z2):
+    def jet(z1, z2):
         # m(u + j) - j with m the C^1 convex interpolation of max(0, t),
-        # arranged so u_j equals u exactly above the band and -j below it
-        raw = u.value(z1, z2)
-        t = raw + level
+        # arranged so u_j equals u exactly above the band and -j below it;
+        # the gradient is m'(u + j) grad(u)
+        p = u(z1, z2)
+        t = p.value + level
+        slope = _m_slope(t, delta)
         with np.errstate(invalid="ignore", over="ignore"):
             band = (t + delta) ** 2 / (4.0 * delta) - level
-            return np.where(t >= delta, raw, np.where(t <= -delta, -level, band))
+            return Jet(
+                np.where(t >= delta, p.value, np.where(t <= -delta, -level, band)),
+                np.where(slope > 0.0, slope * p.d1, 0.0),
+                np.where(slope > 0.0, slope * p.d2, 0.0),
+            )
 
-    def damp(closure):
-        def wrapped(z1, z2):
-            slope = _m_slope(u.value(z1, z2) + level, delta)
-            with np.errstate(invalid="ignore", over="ignore"):
-                return np.where(slope > 0.0, slope * closure(z1, z2), 0.0)
-
-        return wrapped
-
-    return ChartFunction(value=value, d1=damp(u.d1), d2=damp(u.d2))
+    return ChartFunction(jet)
 
 
 @dataclass(frozen=True)
@@ -713,11 +674,9 @@ def cauchy_diagnostic(
         raise EnergyError("need at least two levels")
     z1, z2 = chart.nodes()
     with np.errstate(divide="ignore", invalid="ignore"):
-        uval = np.broadcast_to(
-            np.asarray(u.value(z1, z2), dtype=np.float64), chart.shape
-        )
-        p1 = np.asarray(u.d1(z1, z2))
-        p2 = np.asarray(u.d2(z1, z2))
+        ju = u(z1, z2)
+        uval = np.broadcast_to(np.asarray(ju.value, dtype=np.float64), chart.shape)
+        p1, p2 = _gradient(ju)
         density = np.broadcast_to(
             np.asarray(_pairing_density(p1, p2, p1, p2, T.a, T.b, T.c)), chart.shape
         )
@@ -883,9 +842,8 @@ def pushforward_energy_check(
     for z1c, z2c in _chunks(source_chart):
         w1, w2, J = forward(z1c, z2c)
         crit_min = _critical_proxy_min(f, chart_embed(chart, z1c, z2c), crit_min)
-        chiv = np.asarray(chi.value(z1c, z2c))
-        u1 = np.asarray(u.d1(w1, w2))
-        u2 = np.asarray(u.d2(w1, w2))
+        chiv = np.asarray(chi(z1c, z2c).value)
+        u1, u2 = _gradient(u(w1, w2))
         g1 = J[0][0] * u1 + J[1][0] * u2
         g2 = J[0][1] * u1 + J[1][1] * u2
         a, b, c = t_fn(z1c, z2c)
@@ -932,7 +890,7 @@ def pushforward_energy_check(
         crit_min_back = _critical_proxy_min(
             f.inverse, chart_embed(chart, y1c, y2c), crit_min_back
         )
-        chiv = np.asarray(chi.value(s1, s2))
+        chiv = np.asarray(chi(s1, s2).value)
         a, b, c = t_fn(s1, s2)
         # pushforward of T: matrix K^T M(s) conj(K) in target coordinates
         k11, k12 = K[0][0], K[0][1]
@@ -944,8 +902,7 @@ def pushforward_energy_check(
         m_a = np.real(k11 * col1_1 + k21 * col1_2)
         m_b = k11 * col2_1 + k21 * col2_2
         m_c = np.real(k12 * col2_1 + k22 * col2_2)
-        u1 = np.asarray(u.d1(y1c, y2c))
-        u2 = np.asarray(u.d2(y1c, y2c))
+        u1, u2 = _gradient(u(y1c, y2c))
         density = _pairing_density(u1, u2, u1, u2, m_a, m_b, m_c) * chiv
         density = np.broadcast_to(density, y1c.shape)
         finite = finite and bool(np.all(np.isfinite(density)))

@@ -351,18 +351,16 @@ def proj_distance(p: ProjectivePoint, q: ProjectivePoint) -> float:
     return min(d, 1.0)
 
 
-def _unit_distances(ps, qs) -> list[list[float]]:
-    """Chordal distances between the unit vectors of the points ps and qs,
-    by `proj_distance`'s wedge formula for numeric points: a list of rows,
-    one per p.  For exact points these are within about 1e-15 of the
-    exactly decided distances."""
-    if not ps or not qs:
-        return [[] for _ in ps]
-    u = np.array([p.unit_vector() for p in ps])[:, None, :]
-    v = np.array([q.unit_vector() for q in qs])[None, :, :]
+def _unit_distances(us, vs) -> np.ndarray:
+    """Chordal distances |u ^ v| between the unit vectors us and vs, by
+    `proj_distance`'s wedge formula for numeric points: an array of shape
+    (len(us), len(vs)).  On the unit vectors of exact points these are
+    within about 1e-15 of the exactly decided distances."""
+    u = np.reshape(np.asarray(us, dtype=np.complex128), (-1, 1, 3))
+    v = np.reshape(np.asarray(vs, dtype=np.complex128), (1, -1, 3))
     w2 = sum(np.abs(u[..., a] * v[..., b] - u[..., b] * v[..., a]) ** 2
              for a, b in ((0, 1), (0, 2), (1, 2)))
-    return np.sqrt(w2).tolist()
+    return np.sqrt(w2)
 
 
 class HomogeneousPolynomial:

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import ProjectivePoint
+from .geometry import ProjectivePoint, _unit_distances
 from .maps import ChartMap, RationalSurfaceMap, chart_coords
 from .measure import WeightedPointCloud
 
@@ -234,12 +234,7 @@ def _chordal_to_points(v: np.ndarray, targets: list[np.ndarray]) -> np.ndarray:
     """Chordal distance from each unit batch row to the nearest unit target,
     by the wedge form ``|v ^ q|`` of ``geometry.proj_distance``, which keeps
     its digits at small distances where ``sqrt(1 - |<v, q>|^2)`` cancels."""
-    best = np.full(v.shape[0], np.inf)
-    for q in targets:
-        wedge = [v[:, i] * q[j] - v[:, j] * q[i] for i, j in ((0, 1), (0, 2), (1, 2))]
-        d = np.sqrt(sum(np.abs(w) ** 2 for w in wedge))
-        best = np.minimum(best, np.minimum(d, 1.0))
-    return best
+    return np.min(np.minimum(_unit_distances(v, targets), 1.0), axis=1, initial=np.inf)
 
 
 def cocycle_exponents(

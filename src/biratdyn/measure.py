@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.stats import qmc
 
-from .geometry import HomogeneousPolynomial, ProjectivePoint, proj_distance
+from .geometry import HomogeneousPolynomial, ProjectivePoint, _unit_distances, proj_distance
 from .maps import ChartMap, RationalSurfaceMap, chart_embed, image_point
 
 __all__ = [
@@ -69,6 +69,8 @@ _DEDUPE_TOL = 1e-7
 _EXPANSION_GAP = 1e-6
 _CERTIFY_RADIUS = 1e-7
 _CHORDAL_FIX_TOL = 1e-9
+# cloud points must keep this chordal distance from I(f) and I(f^-1)
+_CLEARANCE = 1e-6
 # ball-mass decay: radii base * rho^(-k/2) for k < _BALL_STEPS, at up to
 # _BALL_CENTERS atoms
 _BALL_BASE_RADIUS = 0.9
@@ -289,7 +291,7 @@ class WeightedPointCloud:
         return len(self.points)
 
     def check_clear_of(
-        self, forbidden: Sequence[ProjectivePoint], eps: float = 1e-6
+        self, forbidden: Sequence[ProjectivePoint], eps: float = _CLEARANCE
     ) -> None:
         """Raise if any cloud point sits within ``eps`` of a forbidden point."""
         for p in self.points:
@@ -514,6 +516,17 @@ def _sort_key(p: np.ndarray):
     return tuple(round(part, 9) for z in p for part in (z.real, z.imag))
 
 
+def _clear_orbits(table: np.ndarray, chart: int, forbidden: list[ProjectivePoint]) -> np.ndarray:
+    """Mask of the roots, the columns of the orbit table ``table``, none of
+    whose orbit points lies within ``_CLEARANCE`` of a forbidden point."""
+    steps, count = table.shape[:2]
+    hom = np.stack(np.broadcast_arrays(*chart_embed(chart, table[..., 0], table[..., 1])), axis=-1)
+    with np.errstate(all="ignore"):
+        units = hom / np.linalg.norm(hom, axis=-1, keepdims=True)
+        dist = _unit_distances(units.reshape(-1, 3), [q.unit_vector() for q in forbidden])
+    return ~np.any((dist < _CLEARANCE).reshape(steps, count, len(forbidden)), axis=(0, 2))
+
+
 def _group_orbits(table: np.ndarray, n: int) -> list[tuple[int, list[int]]]:
     """Partition periodic points into complete forward orbits.
 
@@ -556,7 +569,9 @@ def saddle_periodic_points(
     minimal period, classified as saddles when the orbit-derivative
     eigenvalue moduli straddle 1 by more than 1e-6, certified by a sampled
     contraction bound, and completed to full orbits.  All of these stages
-    read one forward-orbit table of the found roots.  Raises
+    read one forward-orbit table of the found roots.  A root whose orbit
+    comes within 1e-6 of I(f) or I(f^-1) is dropped before it is
+    classified, since the cloud must stay clear of both sets.  Raises
     :class:`NoSaddlesFound` when nothing survives.
     """
     if not isinstance(period, int) or period < 1:
@@ -591,6 +606,11 @@ def saddle_periodic_points(
         if period % k == 0:  # drop the points of smaller period k
             shift = np.abs(table[k] - table[0])
             table = table[:, ~(shift[:, 0] + shift[:, 1] < _DEDUPE_TOL)]
+    forbidden = list(f.indeterminacy_set())
+    if f.inverse is not None:
+        forbidden += list(f.inverse.indeterminacy_set())
+    forbidden = [q.numeric() for q in forbidden]
+    table = table[:, _clear_orbits(table[:period], chart, forbidden)]
 
     images, jac = dyn.multipliers(table[0], period)
     lo, hi = np.sort(np.abs(np.linalg.eigvals(jac)), axis=1).T
@@ -629,10 +649,7 @@ def saddle_periodic_points(
         eigenvalue_moduli=tuple(moduli),
         seed=seed,
     )
-    forbidden = list(f.indeterminacy_set())
-    if f.inverse is not None:
-        forbidden += list(f.inverse.indeterminacy_set())
-    cloud.check_clear_of([q.numeric() for q in forbidden])
+    cloud.check_clear_of(forbidden)
     return cloud
 
 

@@ -340,7 +340,8 @@ def check_orbit_separation(
     forward = exceptional_orbits(f, N, eps_indeterminacy=eps_indeterminacy)
     backward = exceptional_orbits(f.inverse, N, eps_indeterminacy=eps_indeterminacy)
     fwd, bwd = _orbit_points(forward), _orbit_points(backward)
-    far = _unit_distances([p for _, p in fwd], [q for _, q in bwd])
+    far = _unit_distances([p.unit_vector() for _, p in fwd],
+                          [q.unit_vector() for _, q in bwd]).tolist()
     fails_at, witness, min_distance = None, None, math.inf
     for (i, p), row in zip(fwd, far):
         for (j, q), approx in zip(bwd, row):

@@ -30,6 +30,7 @@ from biratdyn.energy import (
     DiscreteForm11,
     EnergyError,
     GridChart,
+    Jet,
     NonPositiveT,
     PremiseViolated,
     bump_function,
@@ -153,11 +154,7 @@ class TestEnergyQuadrature:
         assert a == b
 
     def test_quadratic_energy_two_thirds_with_h_squared_refinement(self):
-        phi = ChartFunction(
-            value=lambda z1, z2: np.real(z1**2),
-            d1=lambda z1, z2: z1,
-            d2=lambda z1, z2: np.zeros_like(z1),
-        )
+        phi = ChartFunction(lambda z1, z2: Jet(np.real(z1**2), z1, np.zeros_like(z1)))
         coarse = energy(phi, BETA, unit_box(24))
         fine = energy(phi, BETA, unit_box(48))
         assert abs(coarse - 2.0 / 3.0) < 2e-3
@@ -195,13 +192,17 @@ class TestEnergyQuadrature:
 
 
 def _fd_wirtinger(fn, z1, z2, var: int, eps: float = 1e-6) -> np.ndarray:
-    """Finite-difference d/dz_var of a real-valued closure."""
+    """Finite-difference d/dz_var of the value of a chart function."""
+
+    def value(a, b):
+        return fn(a, b).value
+
     if var == 1:
-        dx = (fn(z1 + eps, z2) - fn(z1 - eps, z2)) / (2 * eps)
-        dy = (fn(z1 + 1j * eps, z2) - fn(z1 - 1j * eps, z2)) / (2 * eps)
+        dx = (value(z1 + eps, z2) - value(z1 - eps, z2)) / (2 * eps)
+        dy = (value(z1 + 1j * eps, z2) - value(z1 - 1j * eps, z2)) / (2 * eps)
     else:
-        dx = (fn(z1, z2 + eps) - fn(z1, z2 - eps)) / (2 * eps)
-        dy = (fn(z1, z2 + 1j * eps) - fn(z1, z2 - 1j * eps)) / (2 * eps)
+        dx = (value(z1, z2 + eps) - value(z1, z2 - eps)) / (2 * eps)
+        dy = (value(z1, z2 + 1j * eps) - value(z1, z2 - 1j * eps)) / (2 * eps)
     return 0.5 * (dx - 1j * dy)
 
 
@@ -226,9 +227,9 @@ class TestChartFunctions:
         for p1, p2 in self.SAMPLES:
             z1 = np.array([p1])
             z2 = np.array([p2])
-            for var, closure in ((1, fn.d1), (2, fn.d2)):
-                got = closure(z1, z2)
-                ref = _fd_wirtinger(fn.value, z1, z2, var)
+            jet = fn(z1, z2)
+            for var, got in ((1, jet.d1), (2, jet.d2)):
+                ref = _fd_wirtinger(fn, z1, z2, var)
                 assert np.allclose(got, ref, atol=5e-7), (var, p1, p2)
 
     def test_trig_analytic_hessian_matches_finite_differences(self):
@@ -236,7 +237,7 @@ class TestChartFunctions:
         z1 = np.array([0.21 - 0.33j])
         z2 = np.array([-0.11 + 0.42j])
         h11, h12, h22 = complex_hessian(fn, z1, z2)
-        bare = ChartFunction(value=fn.value, d1=fn.d1, d2=fn.d2)
+        bare = ChartFunction(lambda z1, z2: fn(z1, z2)._replace(hessian=None))
         f11, f12, f22 = complex_hessian(bare, z1, z2)
         assert np.allclose(h11, f11, atol=1e-6)
         assert np.allclose(h12, f12, atol=1e-6)
@@ -270,23 +271,23 @@ class TestRegularize:
         u2 = regularize(self.U, 2, 0.25)
         z1 = np.array([1.0 + 0j])
         z2 = np.array([0.0 + 0j])
-        assert u2.value(z1, z2)[0] == 0.0
-        assert u2.d1(z1, z2)[0] == self.U.d1(z1, z2)[0]
+        assert u2(z1, z2).value[0] == 0.0
+        assert u2(z1, z2).d1[0] == self.U(z1, z2).d1[0]
 
     def test_clamped_near_singularity(self):
         u2 = regularize(self.U, 2, 0.25)
         z1 = np.array([1e-9 + 0j])
         z2 = np.array([0.0 + 0j])
-        assert u2.value(z1, z2)[0] == -2.0
-        assert u2.d1(z1, z2)[0] == 0.0
+        assert u2(z1, z2).value[0] == -2.0
+        assert u2(z1, z2).d1[0] == 0.0
 
     def test_majorizes_and_decreases_in_level(self):
         rng = np.random.default_rng(20260825)
         z1 = rng.uniform(-1, 1, 1000) + 1j * rng.uniform(-1, 1, 1000)
         z2 = rng.uniform(-1, 1, 1000) + 1j * rng.uniform(-1, 1, 1000)
-        u = self.U.value(z1, z2)
-        u2 = regularize(self.U, 2, 0.25).value(z1, z2)
-        u3 = regularize(self.U, 3, 0.25).value(z1, z2)
+        u = self.U(z1, z2).value
+        u2 = regularize(self.U, 2, 0.25)(z1, z2).value
+        u3 = regularize(self.U, 3, 0.25)(z1, z2).value
         assert np.all(u2 >= u - 1e-12)
         assert np.all(u3 >= u - 1e-12)
         assert np.all(u3 <= u2 + 1e-12)
@@ -300,8 +301,8 @@ class TestRegularize:
         # |z| = e^{-1} puts u + j = 0 in the middle of the smoothing band
         z1 = np.array([math.exp(-1) + 0j])
         z2 = np.array([0.0 + 0j])
-        got = u1.d1(z1, z2)
-        ref = _fd_wirtinger(u1.value, z1, z2, 1)
+        got = u1(z1, z2).d1
+        ref = _fd_wirtinger(u1, z1, z2, 1)
         assert np.allclose(got, ref, atol=1e-6)
 
 
@@ -338,14 +339,16 @@ class TestMonotonicityCheck:
 
     def test_supplied_c_too_small_is_rejected(self):
         chart = wide_box(12)
-        v = ChartFunction(
-            value=lambda z1, z2: -np.abs(z1) ** 2,
-            d1=lambda z1, z2: -np.conj(z1),
-            d2=lambda z1, z2: np.zeros_like(z1),
-            h11=lambda z1, z2: -np.ones_like(z1, dtype=float),
-            h12=lambda z1, z2: np.zeros_like(z1),
-            h22=lambda z1, z2: np.zeros_like(z1, dtype=float),
-        )
+        v = ChartFunction(lambda z1, z2: Jet(
+            -np.abs(z1) ** 2,
+            -np.conj(z1),
+            np.zeros_like(z1),
+            (
+                -np.ones_like(z1, dtype=float),
+                np.zeros_like(z1),
+                np.zeros_like(z1, dtype=float),
+            ),
+        ))
         u = v + constant_function(-1.0)
         with pytest.raises(PremiseViolated):
             energy_monotonicity_check(u, v, BETA, chart, c=1.0)
@@ -490,3 +493,75 @@ class TestPushforward:
         chart = GridChart(center=ORIGIN, chart=2, halfwidth=0.5, resolution=12)
         with pytest.raises(EnergyError):
             pushforward_energy_check(random_trig(55), f, BETA, chart)
+
+
+# ---------------------------------------------------------------------------
+# one evaluation per grid
+# ---------------------------------------------------------------------------
+
+
+def counted(fn: ChartFunction, calls: list) -> ChartFunction:
+    """``fn`` recording the coordinate arrays of each evaluation."""
+
+    def jet(z1, z2):
+        calls.append((z1, z2))
+        return fn(z1, z2)
+
+    return ChartFunction(jet)
+
+
+def node_calls(calls: list, chart: GridChart) -> int:
+    z1, z2 = chart.nodes()
+    return sum(np.array_equal(a, z1) and np.array_equal(b, z2) for a, b in calls)
+
+
+class TestOneEvaluationPerGrid:
+    def test_energy(self):
+        chart = wide_box(10)
+        phi_calls, psi_calls = [], []
+        phi = counted(random_trig(61), phi_calls)
+        psi = counted(random_trig(62), psi_calls)
+        energy(phi, BETA, chart)
+        assert len(phi_calls) == node_calls(phi_calls, chart) == 1
+        energy(phi, BETA, chart, psi=psi)
+        assert len(phi_calls) == node_calls(phi_calls, chart) == 2
+        assert len(psi_calls) == node_calls(psi_calls, chart) == 1
+
+    def test_monotonicity_check_with_analytic_hessians(self):
+        chart = wide_box(10)
+        u_calls, v_calls = [], []
+        v = random_trig(63)
+        u = counted(v + constant_function(-1.0), u_calls)
+        energy_monotonicity_check(u, counted(v, v_calls), BETA, chart)
+        assert len(u_calls) == node_calls(u_calls, chart) == 1
+        assert len(v_calls) == node_calls(v_calls, chart) == 1
+
+    def test_monotonicity_check_with_difference_hessians(self):
+        chart = wide_box(10)
+        u_calls, v_calls = [], []
+        v = smoothed_log_distance((0.05, -0.1), 0.5)
+        u = counted(v + constant_function(-1.0), u_calls)
+        energy_monotonicity_check(u, counted(v, v_calls), BETA, chart)
+        # one jet on the nodes, then the gradient at 8 shifted grids
+        for calls in (u_calls, v_calls):
+            assert node_calls(calls, chart) == 1
+            assert len(calls) == 9
+
+    def test_cauchy_diagnostic(self):
+        chart = wide_box(12)
+        calls = []
+        cauchy_diagnostic(counted(log_distance(SING_C), calls), BETA, chart, levels=range(1, 5))
+        assert len(calls) == node_calls(calls, chart) == 1
+
+    def test_pushforward_check_evaluates_once_per_chunk(self):
+        chart = GridChart(center=ORIGIN, chart=2, halfwidth=0.6, resolution=12)
+        calls = []
+        check = pushforward_energy_check(
+            counted(random_trig(64, terms=3), calls), henon_map(), BETA, chart,
+            target_resolution=10,
+        )
+        # one chunk per Re z1 node of the source box, then of the target box
+        assert check.target_chart.resolution == 10
+        assert len(calls) == 12 + 10
+        assert all(z1.shape == (12**3,) for z1, _ in calls[:12])
+        assert all(z1.shape == (10**3,) for z1, _ in calls[12:])

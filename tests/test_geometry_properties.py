@@ -144,7 +144,9 @@ class TestUnitVector:
     @SETTINGS
     @given(points(), points())
     def test_unit_distances_near_exact_ones(self, p, q):
-        assert abs(_unit_distances([p], [q])[0][0] - proj_distance(p, q)) < 1e-12
+        got = _unit_distances([p.unit_vector()], [q.unit_vector()])
+        assert got.shape == (1, 1)
+        assert abs(got[0, 0] - proj_distance(p, q)) < 1e-12
 
 
 @st.composite

@@ -218,9 +218,10 @@ def test_corpus_image_point_and_expansion_rate(name):
     check_expansion_rate(f)
 
 
-#: seven L with entries in {-1, 0, 1, 2}: three whose degrees drop (at 2, 3
-#: and 2) and four multiplicative; in three of them an exact exceptional
-#: orbit outgrows the double range (1024 bits) within 20 steps
+#: nine L with entries in {-1, 0, 1, 2}: four whose degrees drop (at 2, 3,
+#: 2 and 2) and five multiplicative; in three of them an exact exceptional
+#: orbit outgrows the double range (1024 bits) within 20 steps.  In the last
+#: two a fixed point of f lies on I(f^-1)
 SMOKE_MATRICES = [
     [[2, 2, 2], [0, 0, 2], [0, -1, 2]],
     [[1, 0, -1], [-1, 2, 2], [0, -1, -1]],
@@ -229,6 +230,8 @@ SMOKE_MATRICES = [
     [[1, 2, -1], [-1, -1, 0], [0, -1, 2]],
     [[2, 2, 2], [-1, 0, 1], [1, -1, 1]],
     [[1, -1, 2], [-1, 0, 0], [-1, -1, -1]],
+    [[1, 1, -1], [2, 0, -1], [0, -1, 1]],
+    [[-1, 0, 1], [2, 0, -1], [-1, 2, -1]],
 ]
 SMOKE_HENON = [(Fraction(1, 2), Fraction(-1)), (Fraction(-1), Fraction(1, 3)),
                (Fraction(2), Fraction(3, 4))]
@@ -248,6 +251,17 @@ def test_generated_map_cli_smoke(family, data, tmp_path, capsys):
                     ["measure", "--max-period", "1"], ["lyapunov", "--max-period", "1"]):
         assert main([*command, "--map", str(path), "--out", str(tmp_path)]) in (0, 2, 3, 4)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("m", SMOKE_MATRICES[-2:], ids=["lsigma7", "lsigma8"])
+def test_measure_skips_periodic_point_on_inverse_indeterminacy(m, tmp_path, capsys):
+    """f fixes a point of I(f^-1), [1 : 0 : -1] = L e1 and [1 : -2 : 1] =
+    -L e0.  It once passed the classifier as a saddle and `check_clear_of`
+    then aborted the run with exit 3; the search now drops a root whose
+    orbit meets I(f) or I(f^-1) before classifying it."""
+    path = save_map(twisted(m)[2], tmp_path / "f.map")
+    assert main(["measure", "--map", str(path), "--out", str(tmp_path), "--max-period", "2"]) == 0
+    assert "saddle points" in capsys.readouterr().out
 
 
 def test_stability_orbit_beyond_double_range(tmp_path, capsys):
