@@ -43,6 +43,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -326,7 +327,8 @@ def cmd_green(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> int:
 
 def cmd_measure(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path,
                 lags: int) -> int:
-    cloud = saddle_cloud(f, cfg.max_period, seed=cfg.seed)
+    cloud = saddle_cloud(f, cfg.max_period, seed=cfg.seed,
+                         clearance=cfg.tolerance_indeterminacy)
     name = _safe_name(f)
     _write_text(out / f"measure_{name}_cloud.csv", cloud.to_csv())
 
@@ -362,6 +364,9 @@ def cmd_measure(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path,
 
 def cmd_lyapunov(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> int:
     rho = plane_expansion_rate(f)  # NoExpansion / SpectralError end the run
+    # the tolerance is the cocycle's exclusion radius; the cloud keeps the
+    # default clearance, so a wide radius excludes orbits instead of
+    # shrinking the cloud they start from
     cloud = saddle_cloud(f, cfg.max_period, seed=cfg.seed)
     est = cocycle_exponents(f, cloud, cfg.n_cocycle,
                             exclusion_radius=cfg.tolerance_indeterminacy)
@@ -371,34 +376,9 @@ def cmd_lyapunov(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> int
     doc["max_period"] = cfg.max_period
     doc["n_cocycle"] = cfg.n_cocycle
     doc["exclusion_radius"] = cfg.tolerance_indeterminacy
-    doc["estimate"] = {
-        "chi_plus": est.chi_plus,
-        "chi_minus": est.chi_minus,
-        "se_plus": est.se_plus,
-        "se_minus": est.se_minus,
-        "n_steps": est.n_steps,
-        "included": est.included,
-        "excluded_mass": est.excluded_mass,
-        "det_residual": est.det_residual,
-        "per_point_plus": list(est.per_point_plus),
-        "per_point_minus": list(est.per_point_minus),
-        "provenance": est.provenance,
-    }
-    integ = est.integrability
-    doc["integrability"] = None if integ is None else {
-        "levels": list(integ.levels),
-        "means": list(integ.means),
-        "cauchy_gap": integ.cauchy_gap,
-        "consistent": integ.consistent,
-    }
-    doc["verdict"] = {
-        "rho": verdict.rho,
-        "threshold": verdict.threshold,
-        "expanding_ok": verdict.expanding_ok,
-        "contracting_ok": verdict.contracting_ok,
-        "margin_plus": verdict.margin_plus,
-        "margin_minus": verdict.margin_minus,
-    }
+    doc["estimate"] = asdict(est)
+    doc["integrability"] = doc["estimate"].pop("integrability")
+    doc["verdict"] = asdict(verdict)
     _write_json(out / f"lyapunov_{_safe_name(f)}.json", doc)
     print(f"chi+ = {est.chi_plus!r} +- {est.se_plus!r}, "
           f"chi- = {est.chi_minus!r} +- {est.se_minus!r}")
@@ -511,27 +491,20 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-period", type=int,
                        help="largest saddle period to include")
         p.add_argument("--tolerance-indeterminacy", type=float,
-                       help="exclusion radius around indeterminacy points")
+                       help="chordal distance that counts as close to I(f) or "
+                            "I(f^-1): measure's cloud clearance, stability's "
+                            "separation and straddle tolerance, lyapunov's "
+                            "exclusion radius")
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if args.grid is not None:
-        overrides["grid"] = args.grid
-    if args.max_period is not None:
-        overrides["max_period"] = args.max_period
-    if args.tolerance_indeterminacy is not None:
-        overrides["tolerance_indeterminacy"] = args.tolerance_indeterminacy
     field = _ITERS_FIELD.get(args.command)
-    if args.iters is not None and field is not None:
-        overrides[field] = args.iters
-    return cfg.with_overrides(**overrides)
+    return cfg.with_overrides(
+        seed=args.seed, out_dir=args.out, grid=args.grid, max_period=args.max_period,
+        tolerance_indeterminacy=args.tolerance_indeterminacy,
+        **({field: args.iters} if field is not None else {}))
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -189,7 +189,7 @@ class GridChart:
         z2 = ax2[None, None, :, None] + 1j * ax3[None, None, None, :]
         return z1, z2
 
-    def contains(self, c1: complex, c2: complex, pad: float = 1e-12) -> bool:
+    def contains(self, c1: complex, c2: complex, pad: float) -> bool:
         a1, a2 = self.affine_center
         bound = self.halfwidth + pad
         return (
@@ -765,18 +765,16 @@ def _chunks(chart: GridChart):
         yield x1 + 1j * y1f, z2f
 
 
-def _as_form_function(T) -> Form11Function:
-    if callable(T):
-        return T
-    if isinstance(T, DiscreteForm11):
-        if T.a.ndim == 0 and T.b.ndim == 0 and T.c.ndim == 0:
-            a, b, c = T.a, T.b, T.c
-            return lambda z1, z2: (a, b, c)
+def _form_coefficients(T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constant coefficients (a, b, c) of a form with scalar fields."""
+    if not isinstance(T, DiscreteForm11):
+        raise EnergyError("T must be a DiscreteForm11")
+    if T.a.ndim or T.b.ndim or T.c.ndim:
         raise EnergyError(
-            "change-of-variables checks need the form as constants or a closure, "
+            "change-of-variables checks need the form as constants, "
             "not node samples tied to one grid"
         )
-    raise EnergyError("T must be a DiscreteForm11 or a coefficient closure")
+    return T.a, T.b, T.c
 
 
 @dataclass(frozen=True)
@@ -795,23 +793,24 @@ class PushforwardCheck:
 def pushforward_energy_check(
     u: ChartFunction,
     f: RationalSurfaceMap,
-    T,
+    T: DiscreteForm11,
     source_chart: GridChart,
     *,
     target_resolution: Optional[int] = None,
 ) -> PushforwardCheck:
     """Dual-route seminorm check across a biholomorphic window of ``f``.
 
-    Both windows lie in the source box's chart.  A smooth cutoff supported
-    on ``_WINDOW_SCALE`` times the source box weights both integrals; the
-    identity is exact in the continuum, so the relative discrepancy
-    measures pure quadrature error.  Raises
+    ``T`` must have constant coefficients, so it can be pushed forward
+    pointwise.  Both windows lie in the source box's chart.  A smooth
+    cutoff supported on ``_WINDOW_SCALE`` times the source box weights both
+    integrals; the identity is exact in the continuum, so the relative
+    discrepancy measures pure quadrature error.  Raises
     ``ChartMeetsExceptionalSet`` when the window or its image touches the
     indeterminacy or critical loci, where the premises fail.
     """
     if f.inverse is None:
         raise EnergyError("map has no attached inverse; the target-side integral needs one")
-    t_fn = _as_form_function(T)
+    a, b, c = _form_coefficients(T)
     chart = source_chart.chart
 
     _indeterminacy_in_box(f, source_chart)
@@ -846,7 +845,6 @@ def pushforward_energy_check(
         u1, u2 = _gradient(u(w1, w2))
         g1 = J[0][0] * u1 + J[1][0] * u2
         g2 = J[0][1] * u1 + J[1][1] * u2
-        a, b, c = t_fn(z1c, z2c)
         density = _pairing_density(g1, g2, g1, g2, a, b, c) * chiv
         density = np.broadcast_to(density, z1c.shape)
         finite = finite and bool(np.all(np.isfinite(density)))
@@ -891,7 +889,6 @@ def pushforward_energy_check(
             f.inverse, chart_embed(chart, y1c, y2c), crit_min_back
         )
         chiv = np.asarray(chi(s1, s2).value)
-        a, b, c = t_fn(s1, s2)
         # pushforward of T: matrix K^T M(s) conj(K) in target coordinates
         k11, k12 = K[0][0], K[0][1]
         k21, k22 = K[1][0], K[1][1]

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import ProjectivePoint, _unit_distances
-from .maps import ChartMap, RationalSurfaceMap, chart_coords
+from .maps import EPS_EXCEPTIONAL, ChartMap, RationalSurfaceMap, chart_coords
 from .measure import WeightedPointCloud
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "step_norm",
 ]
 
-_EXCLUSION_RADIUS = 1e-6
 _TRUNCATION_LEVELS = tuple(float(2**k) for k in range(1, 13))
 _CAUCHY_TOL = 1e-3
 
@@ -242,7 +241,7 @@ def cocycle_exponents(
     cloud: WeightedPointCloud,
     n: int,
     *,
-    exclusion_radius: float = _EXCLUSION_RADIUS,
+    exclusion_radius: float = EPS_EXCEPTIONAL,
 ) -> LyapunovEstimate:
     """QR-accumulated Lyapunov exponents averaged over a point cloud.
 

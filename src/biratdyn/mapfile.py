@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Union
 
 from .geometry import ComplexRational, HomogeneousPolynomial
-from .maps import RationalSurfaceMap, verify_inverse
+from .maps import EPS_EXCEPTIONAL, RationalSurfaceMap, verify_inverse
 from .standard_maps import STANDARD_MAPS
 
 __all__ = [
@@ -223,8 +223,12 @@ class ExperimentConfig:
     ``seed`` is recorded verbatim in every report.  ``n_orbit`` bounds
     orbit/separation horizons, ``n_series`` truncates potential series,
     ``n_cocycle`` is the cocycle step count, ``grid`` the heatmap
-    resolution, ``max_period`` the saddle-cloud period cutoff.  The chart
-    window (``chart``, ``center``, ``halfwidth``) frames grid computations.
+    resolution, ``max_period`` the saddle-cloud period cutoff.
+    ``tolerance_indeterminacy`` is the chordal distance that counts as
+    close to I(f) or I(f^-1): measure's cloud clearance, stability's
+    separation and straddle tolerance, and lyapunov's exclusion radius.
+    The chart window (``chart``, ``center``, ``halfwidth``) frames grid
+    computations.
     """
 
     seed: int = 2026
@@ -233,7 +237,7 @@ class ExperimentConfig:
     n_cocycle: int = 240
     grid: int = 64
     max_period: int = 3
-    tolerance_indeterminacy: float = 1e-6
+    tolerance_indeterminacy: float = EPS_EXCEPTIONAL
     chart: int = 2
     center: tuple[float, float] = (0.0, 0.0)
     halfwidth: float = 1.5

@@ -43,6 +43,9 @@ EPS_INDETERMINACY = 1e-9
 # iterates f^1..f^N checked for multiplicative degrees (by exceptional orbits,
 # composing only when an orbit meets the indeterminacy set)
 DEGREE_CHECK_ITERATES = 5
+# largest iterate degree composed exactly: the next, 81 for a cubic, takes
+# tens of seconds to substitute
+_MAX_COMPOSED_DEGREE = 64
 
 
 class MapError(ValueError):
@@ -467,8 +470,9 @@ def degree_sequence(f: RationalSurfaceMap, length: int) -> DegreeSequence:
     Otherwise -- an orbit hits I(f), a point is numeric, there is no
     inverse, or an orbit coordinate exceeds DEFAULT_COEFF_BIT_CAP bits --
     the iterates are composed, so a dropping sequence reports its actual
-    degrees.  If composed coefficients exceed the bit cap the sequence is
-    truncated and marked."""
+    degrees.  If composed coefficients exceed the bit cap, or the next
+    iterate's degree would exceed 64, the sequence is truncated and
+    marked."""
     if length < 1:
         raise MapError("need length >= 1")
     if f.inverse is not None:
@@ -505,6 +509,9 @@ def _composed_degree_sequence(f: RationalSurfaceMap, length: int) -> DegreeSeque
     current = f
     truncated_at = None
     for n in range(2, length + 1):
+        if f.degree * current.degree > _MAX_COMPOSED_DEGREE:
+            truncated_at = n
+            break
         try:
             current = compose(f, current)
         except CoefficientOverflow:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .geometry import HomogeneousPolynomial, ProjectivePoint, _unit_distances, proj_distance
-from .maps import ChartMap, RationalSurfaceMap, chart_embed, image_point
+from .maps import EPS_EXCEPTIONAL, ChartMap, RationalSurfaceMap, chart_embed, image_point
 
 __all__ = [
     "MeasureError",
@@ -69,8 +69,6 @@ _DEDUPE_TOL = 1e-7
 _EXPANSION_GAP = 1e-6
 _CERTIFY_RADIUS = 1e-7
 _CHORDAL_FIX_TOL = 1e-9
-# cloud points must keep this chordal distance from I(f) and I(f^-1)
-_CLEARANCE = 1e-6
 # ball-mass decay: radii base * rho^(-k/2) for k < _BALL_STEPS, at up to
 # _BALL_CENTERS atoms
 _BALL_BASE_RADIUS = 0.9
@@ -100,14 +98,11 @@ class IndeterminateEncounter(MeasureError):
 class Observable:
     """A bounded test function on the projective plane.
 
-    ``fn`` consumes a :class:`ProjectivePoint`; ``lipschitz`` is a rough
-    upper bound for the chordal Lipschitz constant, used only to interpret
-    residual magnitudes.
+    ``fn`` consumes a :class:`ProjectivePoint`.
     """
 
     fn: Callable[[ProjectivePoint], float]
     name: str
-    lipschitz: float
 
     def __call__(self, p: ProjectivePoint) -> float:
         return float(self.fn(p))
@@ -143,7 +138,7 @@ def coordinate_observables() -> tuple[Observable, ...]:
         def fn(p: ProjectivePoint) -> float:
             return float(_quadratic_features(p.unit_vector())[index])
 
-        return Observable(fn=fn, name=names[index], lipschitz=4.0)
+        return Observable(fn=fn, name=names[index])
 
     return tuple(make(k) for k in range(9))
 
@@ -161,7 +156,7 @@ def random_observable(seed: int) -> Observable:
     def fn(p: ProjectivePoint) -> float:
         return math.cos(float(_quadratic_features(p.unit_vector()) @ w) + theta)
 
-    return Observable(fn=fn, name=f"trig[{seed}]", lipschitz=float(4.0 * np.abs(w).sum()))
+    return Observable(fn=fn, name=f"trig[{seed}]")
 
 
 def _taper(t: float) -> float:
@@ -178,7 +173,7 @@ def bump_observable(center: ProjectivePoint, radius: float) -> Observable:
     def fn(p: ProjectivePoint) -> float:
         return _taper(proj_distance(p, center) / radius)
 
-    return Observable(fn=fn, name=f"bump(r={radius:g})", lipschitz=1.72 / radius)
+    return Observable(fn=fn, name=f"bump(r={radius:g})")
 
 
 def tube_observable(curve: HomogeneousPolynomial, width: float) -> Observable:
@@ -197,11 +192,7 @@ def tube_observable(curve: HomogeneousPolynomial, width: float) -> Observable:
         val = abs(curve.evaluate_numeric(p.unit_vector())) / scale
         return _taper(val / width)
 
-    return Observable(
-        fn=fn,
-        name=f"tube(w={width:g})",
-        lipschitz=1.72 * max(1, curve.degree) / width,
-    )
+    return Observable(fn=fn, name=f"tube(w={width:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -271,28 +262,14 @@ class WeightedPointCloud:
         eigenvalue_moduli: Optional[Sequence[tuple[float, float]]] = None,
         seed: Optional[int] = None,
     ) -> "WeightedPointCloud":
-        points = tuple(points)
-        if not points:
-            raise MeasureError("a point cloud needs at least one point")
-        w = Fraction(1, len(points))
-        return cls(
-            points=points,
-            weights=(w,) * len(points),
-            provenance=provenance,
-            periods=tuple(periods) if periods is not None else None,
-            eigenvalue_moduli=(
-                tuple(eigenvalue_moduli) if eigenvalue_moduli is not None else None
-            ),
-            seed=seed,
-        )
+        weights = (Fraction(1, len(points)),) * len(points) if points else ()
+        return cls(points, weights, provenance, periods, eigenvalue_moduli, seed)
 
     @property
     def size(self) -> int:
         return len(self.points)
 
-    def check_clear_of(
-        self, forbidden: Sequence[ProjectivePoint], eps: float = _CLEARANCE
-    ) -> None:
+    def check_clear_of(self, forbidden: Sequence[ProjectivePoint], eps: float) -> None:
         """Raise if any cloud point sits within ``eps`` of a forbidden point."""
         for p in self.points:
             for q in forbidden:
@@ -516,15 +493,17 @@ def _sort_key(p: np.ndarray):
     return tuple(round(part, 9) for z in p for part in (z.real, z.imag))
 
 
-def _clear_orbits(table: np.ndarray, chart: int, forbidden: list[ProjectivePoint]) -> np.ndarray:
+def _clear_orbits(
+    table: np.ndarray, chart: int, forbidden: list[ProjectivePoint], clearance: float
+) -> np.ndarray:
     """Mask of the roots, the columns of the orbit table ``table``, none of
-    whose orbit points lies within ``_CLEARANCE`` of a forbidden point."""
+    whose orbit points lies within ``clearance`` of a forbidden point."""
     steps, count = table.shape[:2]
     hom = np.stack(np.broadcast_arrays(*chart_embed(chart, table[..., 0], table[..., 1])), axis=-1)
     with np.errstate(all="ignore"):
         units = hom / np.linalg.norm(hom, axis=-1, keepdims=True)
         dist = _unit_distances(units.reshape(-1, 3), [q.unit_vector() for q in forbidden])
-    return ~np.any((dist < _CLEARANCE).reshape(steps, count, len(forbidden)), axis=(0, 2))
+    return ~np.any((dist < clearance).reshape(steps, count, len(forbidden)), axis=(0, 2))
 
 
 def _group_orbits(table: np.ndarray, n: int) -> list[tuple[int, list[int]]]:
@@ -558,6 +537,7 @@ def saddle_periodic_points(
     *,
     seed: int = 2026,
     chart: int = 2,
+    clearance: float = EPS_EXCEPTIONAL,
 ) -> WeightedPointCloud:
     """Locate all saddle orbits of the given minimal period in a chart.
 
@@ -570,9 +550,9 @@ def saddle_periodic_points(
     eigenvalue moduli straddle 1 by more than 1e-6, certified by a sampled
     contraction bound, and completed to full orbits.  All of these stages
     read one forward-orbit table of the found roots.  A root whose orbit
-    comes within 1e-6 of I(f) or I(f^-1) is dropped before it is
-    classified, since the cloud must stay clear of both sets.  Raises
-    :class:`NoSaddlesFound` when nothing survives.
+    comes within ``clearance`` (chordal) of I(f) or I(f^-1) is dropped
+    before it is classified, since the cloud must stay clear of both sets.
+    Raises :class:`NoSaddlesFound` when nothing survives.
     """
     if not isinstance(period, int) or period < 1:
         raise MeasureError("period must be a positive integer")
@@ -610,7 +590,7 @@ def saddle_periodic_points(
     if f.inverse is not None:
         forbidden += list(f.inverse.indeterminacy_set())
     forbidden = [q.numeric() for q in forbidden]
-    table = table[:, _clear_orbits(table[:period], chart, forbidden)]
+    table = table[:, _clear_orbits(table[:period], chart, forbidden, clearance)]
 
     images, jac = dyn.multipliers(table[0], period)
     lo, hi = np.sort(np.abs(np.linalg.eigvals(jac)), axis=1).T
@@ -642,14 +622,9 @@ def saddle_periodic_points(
             points.append(q)
             moduli.append((float(hi[j]), float(lo[j])))
 
-    cloud = WeightedPointCloud.uniform(
-        tuple(points),
-        provenance=f"SaddleOrbits({period})",
-        periods=(period,) * len(points),
-        eigenvalue_moduli=tuple(moduli),
-        seed=seed,
-    )
-    cloud.check_clear_of(forbidden)
+    cloud = WeightedPointCloud.uniform(points, f"SaddleOrbits({period})",
+                                       (period,) * len(points), moduli, seed)
+    cloud.check_clear_of(forbidden, clearance)
     return cloud
 
 
@@ -658,8 +633,10 @@ def saddle_cloud(
     max_period: int,
     *,
     seed: int = 2026,
+    clearance: float = EPS_EXCEPTIONAL,
 ) -> WeightedPointCloud:
-    """Uniform cloud over all saddle orbit points of period <= max_period.
+    """Uniform cloud over all saddle orbit points of period <= max_period,
+    each found by `saddle_periodic_points` at the given ``clearance``.
 
     Periods that contribute no saddles (for example when the only orbit of
     that period is a sink) are skipped silently; the error surfaces only if
@@ -672,7 +649,7 @@ def saddle_cloud(
     moduli: list[tuple[float, float]] = []
     for n in range(1, max_period + 1):
         try:
-            part = saddle_periodic_points(f, n, seed=seed)
+            part = saddle_periodic_points(f, n, seed=seed, clearance=clearance)
         except NoSaddlesFound:
             continue
         points.extend(part.points)
@@ -682,13 +659,8 @@ def saddle_cloud(
         raise NoSaddlesFound(
             f"no saddle orbits of period <= {max_period} found for {f.name!r}"
         )
-    return WeightedPointCloud.uniform(
-        tuple(points),
-        provenance=f"SaddleOrbits(<={max_period})",
-        periods=tuple(periods),
-        eigenvalue_moduli=tuple(moduli),
-        seed=seed,
-    )
+    return WeightedPointCloud.uniform(points, f"SaddleOrbits(<={max_period})",
+                                      periods, moduli, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,6 @@ __all__ = [
     "exceptional_orbits",
     "check_orbit_separation",
     "summability",
-    "forward_summability",
-    "backward_summability",
     "partial_sums_from_log_distances",
     "report_from_log_distances",
 ]
@@ -426,7 +424,11 @@ def report_from_log_distances(
 def summability(table: OrbitTable, rho: float) -> SummabilityReport:
     """Weighted log-distance series over an orbit table's horizon: term
     ``n`` is ``rho**(-n)`` times the log of the least step-``n`` distance
-    from the table's orbits to its targets.
+    from the table's orbits to its targets.  On ``exceptional_orbits(f,
+    N)`` this is the forward series, from I(f^-1) to I(f), and on
+    ``exceptional_orbits(f.inverse, N)`` the backward one.  A finite limit
+    is the quantitative form of algebraic stability; an exact hit makes
+    the series diverge.
 
     The series stops at the first step before the horizon where an orbit
     stops: at its hit, at its straddle, or, with neither, one step past its
@@ -463,28 +465,3 @@ def summability(table: OrbitTable, rho: float) -> SummabilityReport:
         straddle_index=stop if kind == "straddle" else None,
         switchover_index=switchover,
     )
-
-
-def forward_summability(
-    f: RationalSurfaceMap,
-    rho: float,
-    N: int,
-    *,
-    bit_cap: int = DEFAULT_COEFF_BIT_CAP,
-) -> SummabilityReport:
-    """Weighted log-distance series along forward exceptional orbits.
-
-    Term ``n`` is ``rho**(-n)`` times the log of the distance from the
-    ``n``-th forward image of the inverse's indeterminacy set to the
-    indeterminacy set of ``f``.  A finite limit is the quantitative form
-    of algebraic stability; hitting the set at a finite stage makes the
-    series diverge to minus infinity.
-    """
-    return summability(exceptional_orbits(f, N, bit_cap=bit_cap), rho)
-
-
-def backward_summability(f: RationalSurfaceMap, rho: float, N: int) -> SummabilityReport:
-    """Mirror of :func:`forward_summability` driven by the inverse map."""
-    if f.inverse is None:
-        raise StabilityError("backward summability needs the inverse map")
-    return summability(exceptional_orbits(f.inverse, N), rho)

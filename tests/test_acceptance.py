@@ -86,11 +86,7 @@ from biratdyn.potential import (
     shell_points,
     singularity_fit,
 )
-from biratdyn.stability import (
-    backward_summability,
-    check_orbit_separation,
-    forward_summability,
-)
+from biratdyn.stability import check_orbit_separation, exceptional_orbits, summability
 from biratdyn.standard_maps import Y, linear_map
 
 P = ProjectivePoint.exact_point
@@ -202,8 +198,8 @@ def test_3_separation_summability_equivalence_and_bridge(maps):
         # the weighting needs a rate above 1; for the degree-1 map the
         # series is vacuous (empty indeterminacy), so any rate certifies it
         rho = max(float(f.degree), 2.0)
-        fwd = forward_summability(f, rho, 50)
-        bwd = backward_summability(f, rho, 50)
+        fwd = summability(exceptional_orbits(f, 50), rho)
+        bwd = summability(exceptional_orbits(f.inverse, 50), rho)
         assert fwd.verdict == bwd.verdict, name
 
         values = green_at_inverse_indeterminacy(f, 50)

@@ -32,10 +32,22 @@ from biratdyn.cli import main
 from biratdyn.geometry import HomogeneousPolynomial
 from biratdyn.mapfile import MapFileError, corpus_path, load_config, save_map
 from biratdyn.maps import RationalSurfaceMap
+from biratdyn.measure import IndeterminateEncounter
+from biratdyn.potential import PotentialError
 
 
 def run_cli(*argv: str) -> int:
     return main(list(argv))
+
+
+def run_cli_process(*argv: str, timeout=None) -> subprocess.CompletedProcess:
+    """``python -m biratdyn.cli`` in a child that imports the same biratdyn
+    as this test."""
+    src = str(Path(biratdyn.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "biratdyn.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def read_json(path: Path):
@@ -106,6 +118,18 @@ class TestInspect:
             assert abs(y_re / x_re) == pytest.approx(math.sqrt(2), rel=1e-12)
             assert t_re == t_im == 0
         assert doc["indeterminacy_inverse"] is None
+
+    def test_map_without_inverse_ends_in_bounded_time(self, tmp_path):
+        # a dominant cubic with no inverse: its degrees are composed, and
+        # the degree-81 fourth iterate once kept inspect busy for minutes
+        x, y, t = (HomogeneousPolynomial.monomial(*e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        f = RationalSurfaceMap([x * x * t + y * y * y, y * t * t + x * x * y,
+                                t * t * t + x * y * t * 3], name="cubic")
+        path = save_map(f, tmp_path / "cubic.map")
+        proc = run_cli_process("inspect", "--map", str(path), "--out", str(tmp_path), timeout=30)
+        assert proc.returncode == 0
+        doc = read_json(tmp_path / "inspect_cubic.json")
+        assert doc["degree_sequence"]["degrees"] == [3, 9, 27]
 
     def test_malformed_map_exits_2(self, tmp_path):
         bad = tmp_path / "bad.map"
@@ -322,13 +346,8 @@ class TestMeasure:
     def test_involution_exits_3_in_bounded_time(self, tmp_path):
         # every point of the Cremona involution has period 2; these roots are
         # not isolated and must not flood the search at the default cut-off
-        src = str(Path(biratdyn.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "biratdyn.cli", "measure",
-             "--map", str(corpus_path("cremona")), "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = run_cli_process("measure", "--map", str(corpus_path("cremona")),
+                               "--out", str(tmp_path), timeout=60)
         assert proc.returncode == 3
         assert "no saddle orbits" in proc.stderr
 
@@ -338,6 +357,26 @@ class TestMeasure:
         assert self.run_measure(b) == 0
         for name in ("measure_henon_cloud.csv", "measure_henon.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_tolerance_sets_cloud_clearance(self, tmp_path, capsys):
+        # henon's two fixed saddles lie 0.745 and 0.857 from
+        # I(f) u I(f^-1); the recorded tolerance is the clearance applied
+        def run(tol):
+            out = tmp_path / tol
+            code = run_cli("measure", "--map", str(corpus_path("henon")), "--out", str(out),
+                           "--max-period", "2", "--tolerance-indeterminacy", tol)
+            return code, out
+
+        for tol, size in (("1e-6", 2), ("0.8", 1)):
+            code, out = run(tol)
+            assert code == 0
+            doc = read_json(out / "measure_henon.json")
+            assert doc["tolerances"]["indeterminacy"] == float(tol)
+            assert doc["cloud"]["size"] == size
+        code, out = run("0.9")
+        assert code == 3
+        assert "no saddle orbits of period <= 2" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +424,15 @@ class TestLyapunov:
                            "--iters", "60") == 0
         assert ((a / "lyapunov_henon.json").read_bytes()
                 == (b / "lyapunov_henon.json").read_bytes())
+
+    def test_wide_exclusion_radius_exits_4(self, tmp_path, capsys):
+        # the tolerance is the cocycle's exclusion radius only: the cloud
+        # keeps both fixed saddles, and both orbits start inside the radius
+        code = run_cli("lyapunov", "--map", str(corpus_path("henon")), "--out", str(tmp_path),
+                       "--max-period", "2", "--tolerance-indeterminacy", "0.9")
+        assert code == 4
+        assert capsys.readouterr().err.startswith("inconclusive: all 2 orbits entered ")
+        assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +540,20 @@ class TestConfigAndDispatch:
                        "--tolerance-indeterminacy", "1.5") == 2
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command,target,exc", [
+        ("measure", "saddle_cloud", IndeterminateEncounter),
+        ("green", "green_grid", PotentialError),
+    ])
+    def test_inconclusive_numerics_exit_4(self, command, target, exc, tmp_path, capsys,
+                                          monkeypatch):
+        def fail(*args, **kwargs):
+            raise exc("probe")
+
+        monkeypatch.setattr(cli, target, fail)
+        code = run_cli(command, "--map", str(corpus_path("henon")), "--out", str(tmp_path))
+        assert code == 4
+        assert capsys.readouterr().err == "inconclusive: probe\n"
+
     def test_invalid_seed_exits_2(self, tmp_path):
         assert run_cli("inspect", "--map", str(corpus_path("henon")),
                        "--out", str(tmp_path), "--seed", "-1") == 2
@@ -513,14 +575,8 @@ class TestConfigAndDispatch:
                        "--config", str(cfg), "--out", str(tmp_path)) == 2
 
     def test_module_entry_point(self, tmp_path):
-        # the child process imports the same biratdyn as this test
-        src = str(Path(biratdyn.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "biratdyn.cli", "inspect",
-             "--map", str(corpus_path("henon")), "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env)
+        proc = run_cli_process("inspect", "--map", str(corpus_path("henon")),
+                               "--out", str(tmp_path))
         assert proc.returncode == 0
         assert (tmp_path / "inspect_henon.json").exists()
 

@@ -494,6 +494,16 @@ class TestPushforward:
         with pytest.raises(EnergyError):
             pushforward_energy_check(random_trig(55), f, BETA, chart)
 
+    @pytest.mark.parametrize("form", [
+        DiscreteForm11(np.full(3, 0.5), np.zeros(3), np.full(3, 0.5)),
+        (0.5, 0.0, 0.5),
+    ], ids=["node-samples", "not-a-form"])
+    def test_form_that_cannot_be_pushed_is_rejected(self, form):
+        # only a form with constant coefficients pushes forward pointwise
+        chart = GridChart(center=ORIGIN, chart=2, halfwidth=0.6, resolution=12)
+        with pytest.raises(EnergyError):
+            pushforward_energy_check(random_trig(56), henon_map(), form, chart)
+
 
 # ---------------------------------------------------------------------------
 # one evaluation per grid

@@ -104,7 +104,7 @@ def test_map_only_commands_compute_without_sympy(tmp_path):
 
 # defaulted parameters of every function and method in the package; raise
 # only for an option that two callers need with different values
-DEFAULTED_PARAMETER_BUDGET = 51
+DEFAULTED_PARAMETER_BUDGET = 50
 
 
 def defaulted_parameters(source: str) -> int:

@@ -30,7 +30,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from biratdyn import maps
+from biratdyn import maps, stability
 from biratdyn.cli import main
 from biratdyn.cohomology import (
     SpectralError,
@@ -51,7 +51,7 @@ from biratdyn.maps import (
     orbit_walk,
     verify_inverse,
 )
-from biratdyn.stability import exceptional_orbits
+from biratdyn.stability import StabilityError, exceptional_orbits, summability
 from biratdyn.standard_maps import cremona_involution, henon_map, linear_map
 
 SETTINGS = settings(max_examples=20, deadline=None,
@@ -262,6 +262,32 @@ def test_measure_skips_periodic_point_on_inverse_indeterminacy(m, tmp_path, caps
     path = save_map(twisted(m)[2], tmp_path / "f.map")
     assert main(["measure", "--map", str(path), "--out", str(tmp_path), "--max-period", "2"]) == 0
     assert "saddle points" in capsys.readouterr().out
+
+
+def test_capped_orbit_straddles_where_exact_orbit_hits(monkeypatch):
+    """The third exceptional orbit of this map hits I(f) exactly at step 1.
+    With a bit cap of 0 it continues at once as a 113-bit shadow ball,
+    whose image encloses zero at that step: `_step_ball` raises once, the
+    orbit records a straddle instead of a hit, and the capped table can
+    never read as Converged."""
+    f = twisted([[-1, 1, 1], [2, 0, 0], [-1, 0, -1]])[2]
+    assert exceptional_orbits(f, 5).orbits[2].hit_index == 1
+    raised = []
+    step_ball = stability._step_ball
+
+    def counting(g, ball):
+        try:
+            return step_ball(g, ball)
+        except StabilityError:
+            raised.append(ball)
+            raise
+
+    monkeypatch.setattr(stability, "_step_ball", counting)
+    capped = exceptional_orbits(f, 5, bit_cap=0)
+    orbit = capped.orbits[2]
+    assert (orbit.hit_index, orbit.straddle_index) == (None, 1)
+    assert len(raised) == 1
+    assert summability(capped, 2.0).verdict != "Converged"
 
 
 def test_stability_orbit_beyond_double_range(tmp_path, capsys):

@@ -344,6 +344,18 @@ class TestDegreeSequence:
         assert seq.degrees == [2, 4, 8, 16, 32]
         assert seq.is_multiplicative
 
+    def test_composition_stops_above_degree_64(self):
+        # a dominant cubic with no inverse is composed; substituting into
+        # its degree-27 iterate (degree 81, 2407 terms per component) once
+        # took 34 s on its own
+        x, y, t = (HomogeneousPolynomial.monomial(*e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        f = RationalSurfaceMap([x * x * t + y * y * y, y * t * t + x * x * y,
+                                t * t * t + x * y * t * 3])
+        seq = degree_sequence(f, 5)
+        assert seq.degrees == [3, 9, 27]
+        assert seq.truncated_at == 4
+        assert not seq.is_multiplicative
+
 
 class TestDerivatives:
     def test_unitary_norm_one(self):

@@ -466,7 +466,6 @@ class TestObservables:
         for ob in obs:
             assert abs(ob(p)) <= 1.0 + 1e-12
             assert ob(p) == pytest.approx(ob(scaled), abs=1e-12)
-            assert ob.lipschitz > 0
 
     def test_random_observable_deterministic_and_bounded(self):
         a, b = random_observable(11), random_observable(11)
@@ -486,7 +485,7 @@ class TestObservables:
 
 class TestAverages:
     def test_constant_average_is_exactly_one(self, period_clouds):
-        one = Observable(fn=lambda p: 1.0, name="one", lipschitz=0.0)
+        one = Observable(fn=lambda p: 1.0, name="one")
         for cloud in period_clouds.values():
             assert measure_average(cloud, one) == 1.0
 
@@ -516,7 +515,7 @@ class TestInvariance:
             assert res < 1e-8
 
     def test_constant_residual_exactly_zero(self, henon, cloud5):
-        half = Observable(fn=lambda p: 0.5, name="half", lipschitz=0.0)
+        half = Observable(fn=lambda p: 0.5, name="half")
         assert invariance_residual(henon, cloud5, half) == 0.0
 
     def test_perturbed_cloud_breaks_invariance_at_noise_scale(self, henon, cloud5):
@@ -551,7 +550,7 @@ class TestMixing:
 
     def test_constant_factor_gives_zero(self, henon, cloud5):
         phi = random_observable(5)
-        const = Observable(fn=lambda p: 2.0, name="two", lipschitz=0.0)
+        const = Observable(fn=lambda p: 2.0, name="two")
         for n in range(4):
             assert abs(mixing_correlation(henon, cloud5, phi, const, n)) < 1e-12
             assert abs(mixing_correlation(henon, cloud5, const, phi, n)) < 1e-12

@@ -304,15 +304,15 @@ class TestClassPartialSums:
 
 class TestBridgeAndGrid:
     def test_finiteness_matches_summability_verdicts(self):
-        from biratdyn.stability import forward_summability
+        from biratdyn.stability import exceptional_orbits, summability
 
         h_vals = green_at_inverse_indeterminacy(henon_map(), 30)
         assert all(math.isfinite(v) for v in h_vals)
-        assert forward_summability(henon_map(), 2.0, 30).verdict == "Converged"
+        assert summability(exceptional_orbits(henon_map(), 30), 2.0).verdict == "Converged"
 
         s_vals = green_at_inverse_indeterminacy(cremona_involution(), 10)
         assert all(v == -math.inf for v in s_vals)
-        assert forward_summability(cremona_involution(), 2.0, 10).verdict == "Diverging"
+        assert summability(exceptional_orbits(cremona_involution(), 10), 2.0).verdict == "Diverging"
 
     def test_grid_shape_and_finiteness(self):
         grid = green_grid(henon_map(), 8, chart=2, center=(0.0, 0.0),

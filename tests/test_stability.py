@@ -26,10 +26,8 @@ from biratdyn.stability import (
     _eval_ball_poly,
     _orbit_of_point,
     _step_ball,
-    backward_summability,
     check_orbit_separation,
     exceptional_orbits,
-    forward_summability,
     partial_sums_from_log_distances,
     report_from_log_distances,
     summability,
@@ -402,38 +400,38 @@ class TestShadowBalls:
 
 class TestSummabilityOnMaps:
     def test_henon_all_terms_zero_converged(self):
-        rep = forward_summability(henon_map(), 2.0, 50)
+        rep = summability(exceptional_orbits(henon_map(), 50), 2.0)
         assert rep.verdict == "Converged"
         assert all(s == 0.0 for s in rep.partial_sums)
-        mirror = backward_summability(henon_map(), 2.0, 50)
+        mirror = summability(exceptional_orbits(henon_map().inverse, 50), 2.0)
         assert mirror.verdict == "Converged"
         assert all(s == 0.0 for s in mirror.partial_sums)
 
     def test_sigma_diverges_at_zero_both_ways(self):
-        fwd = forward_summability(cremona_involution(), 2.0, 10)
-        bwd = backward_summability(cremona_involution(), 2.0, 10)
+        fwd = summability(exceptional_orbits(cremona_involution(), 10), 2.0)
+        bwd = summability(exceptional_orbits(cremona_involution().inverse, 10), 2.0)
         assert fwd.verdict == "Diverging" and fwd.hit_index == 0
         assert bwd.verdict == "Diverging" and bwd.hit_index == 0
 
     def test_linear_vacuous_converged(self):
-        rep = forward_summability(diagonal_scaling_map(), 2.0, 10)
+        rep = summability(exceptional_orbits(diagonal_scaling_map(), 10), 2.0)
         assert rep.verdict == "Converged" and rep.vacuous
 
     def test_forward_backward_verdicts_agree(self):
         for f in (henon_map(), cremona_involution(), lsigma_map(), twisted_involution()):
-            fwd = forward_summability(f, 2.0, 40)
-            bwd = backward_summability(f, 2.0, 40)
+            fwd = summability(exceptional_orbits(f, 40), 2.0)
+            bwd = summability(exceptional_orbits(f.inverse, 40), 2.0)
             assert fwd.verdict == bwd.verdict, f.name
 
     def test_switchover_reported_in_summability(self):
-        rep = forward_summability(twisted_involution(), 2.0, 30, bit_cap=1 << 10)
+        rep = summability(exceptional_orbits(twisted_involution(), 30, bit_cap=1 << 10), 2.0)
         assert rep.switchover_index is not None
         assert rep.verdict == "Converged"
         diffs = [b - a for a, b in zip(rep.partial_sums, rep.partial_sums[1:])]
         assert all(d <= 1e-15 for d in diffs)  # nonincreasing
 
     def test_tail_bound_formula(self):
-        rep = forward_summability(henon_map(), 2.0, 50)
+        rep = summability(exceptional_orbits(henon_map(), 50), 2.0)
         expected = 2.0**-50 / (1 - 0.5) * abs(math.log(2.0**-52))
         assert rep.tail_bound == pytest.approx(expected, rel=1e-12)
 
