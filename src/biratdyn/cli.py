@@ -71,7 +71,7 @@ from .lyapunov import (
     hyperbolicity_verdict,
 )
 from .mapfile import ExperimentConfig, MapFileError, load_config, load_map, map_payload
-from .maps import DEGREE_CHECK_ITERATES, RationalSurfaceMap, chart_embed, degree_sequence
+from .maps import DEGREE_CHECK_ITERATES, RationalSurfaceMap, degree_sequence
 from .measure import (
     IndeterminateEncounter,
     MeasureError,
@@ -81,7 +81,7 @@ from .measure import (
     mixing_correlation,
     saddle_cloud,
 )
-from .potential import OrbitHitIndeterminacy, PotentialError, green_functional_check, green_grid
+from .potential import PotentialError, _chart_residuals, green_grid
 from .stability import StabilityError, check_orbit_separation, summability
 
 EXIT_OK = 0
@@ -296,21 +296,17 @@ def cmd_green(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> int:
         inverse_sidecar = _write_pgm(out / f"green_{name}_inverse.pgm",
                                      sampled(f.inverse), cfg)
 
-    rng = np.random.default_rng(cfg.seed)
-    samples = []
-    worst = 0.0
-    indeterminate = 0
-    for _ in range(16 if cfg.n_series > 0 else 0):
-        u = cfg.center[0] + cfg.halfwidth * (2.0 * rng.random() - 1.0)
-        v = cfg.center[1] + cfg.halfwidth * (2.0 * rng.random() - 1.0)
-        try:
-            p = ProjectivePoint.numeric_point(*chart_embed(cfg.chart, u, v))
-            res = green_functional_check(f, p, cfg.n_series)
-            worst = max(worst, res)
-        except OrbitHitIndeterminacy:
-            res = None
-            indeterminate += 1
-        samples.append({"u": u, "v": v, "residual": res})
+    samples, residuals = [], []
+    if cfg.n_series > 0:  # depth 0 takes no samples
+        # 16 residual samples, each drawn as (u, v) in turn
+        uv = np.random.default_rng(cfg.seed).random((16, 2))
+        us = cfg.center[0] + cfg.halfwidth * (2.0 * uv[:, 0] - 1.0)
+        vs = cfg.center[1] + cfg.halfwidth * (2.0 * uv[:, 1] - 1.0)
+        residuals = _chart_residuals(f, cfg.n_series, cfg.chart, us, vs)
+        samples = [{"u": u, "v": v, "residual": res}
+                   for u, v, res in zip(us.tolist(), vs.tolist(), residuals)]
+    worst = max([0.0] + [res for res in residuals if res is not None])
+    indeterminate = residuals.count(None)
 
     doc = _report_header("green", cfg, f)
     doc["rho"] = rho

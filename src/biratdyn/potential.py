@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cohomology import CohomologyLattice, SpectralData, spectral_data
-from .geometry import ProjectivePoint, proj_distance
+from .geometry import GeometryError, ProjectivePoint, _term_sum, proj_distance
 from .maps import RationalSurfaceMap, chart_embed
 
 __all__ = [
@@ -97,41 +97,136 @@ def gamma_plus(f: RationalSurfaceMap, p: ProjectivePoint) -> float:
     return math.log(norm) / float(f.degree)
 
 
-def _normalized_orbit_logs(f: RationalSurfaceMap, p: ProjectivePoint, N: int):
-    """Unit-normalized numeric orbit with per-step image log-norms.
+def _norms(w):
+    """Euclidean norm of each row of an (M, 3) complex array: the dot that
+    ``np.linalg.norm`` takes on one complex 3-vector, lane by lane."""
+    return np.sqrt(np.vecdot(w.real, w.real) + np.vecdot(w.imag, w.imag))
 
-    Returns (points, lognorms) where ``points[j]`` is the unit lift of the
-    j-th iterate and ``lognorms[j] = log norm(F(points[j]))``.  A zero
-    image (exact indeterminacy hit) yields a -inf entry and truncation; an
-    image too small for doubles to renormalize raises
+
+def _chart_lifts(chart: int, us, vs) -> np.ndarray:
+    """Unit lifts of the chart points ``(us[m], vs[m])``, scaled as
+    :class:`ProjectivePoint` scales one point; a lane whose norm is zero or
+    not finite raises :class:`GeometryError`."""
+    coords = np.stack(np.broadcast_arrays(*chart_embed(chart, us, vs)), axis=-1).astype(complex)
+    n = _norms(coords)
+    if not np.all(np.isfinite(n) & (n >= 1e-300)):
+        raise GeometryError("zero or non-finite vector does not define a projective point")
+    return coords / n[:, None]
+
+
+def _weighted_sum(logs, d: float):
+    """``sum_j d**-j (logs[..., j] / d)`` per lane, accumulated in index
+    order; 0.0 over no logs."""
+    if not logs.shape[-1]:
+        return np.zeros(logs.shape[:-1])
+    weights = np.array([d ** (-j) for j in range(logs.shape[-1])])
+    return np.add.accumulate(weights * (logs / d), axis=-1)[..., -1]
+
+
+def _telescoped(logs, d: float):
+    # log norm(F^N z) accumulated as a Horner recurrence over the
+    # normalized orbit: A <- d*A + log a_j, then divide by d^N
+    acc = 0.0
+    for j in range(logs.shape[-1]):
+        acc = d * acc + logs[..., j]
+    return acc / d ** logs.shape[-1]
+
+
+def _stopped(logs):
+    """Lanes whose orbit stopped: a zero image or the floor."""
+    return logs[..., -1] == -math.inf
+
+
+def _orbit(f: RationalSurfaceMap, lifts: np.ndarray, N: int, keep_orbit: bool):
+    """Step an (M, 3) batch of unit lifts N times together: the one orbit
+    loop of the potential.
+
+    Each lane does the arithmetic of a scalar orbit exactly: the components
+    are `_term_sum` over object arrays of Python complex, the norm is
+    :func:`_norms`, the division numpy's and the logarithm ``math.log``.
+    Returns ``(logs, floor, orbit)``.  ``logs[m, j] = log norm(F(v_j))``
+    for the unit lift ``v_j`` of the j-th iterate of lane m; a zero image
+    stops the lane, and its logs are -inf from that step on.  A nonzero
+    image below ``_ORBIT_FLOOR * coeff_scale`` is too small for doubles to
+    renormalize: it stops the lane the same way and ``floor[m]`` records
+    the step (-1 on the other lanes).  ``orbit[m, j] = v_j`` when
+    ``keep_orbit``, else None.  The termwise and telescoped sums of every
+    lane that completes agree to 1e-9 relative; a disagreement raises
+    :class:`PotentialError`.
+    """
+    rows = [c._numeric_terms() for c in f.components]
+    tiny = _ORBIT_FLOOR * f.coeff_scale()
+    M = len(lifts)
+    logs = np.full((M, N), -math.inf)
+    floor = np.full(M, -1)
+    orbit = np.empty((M, N, 3), dtype=complex) if keep_orbit else None
+    live = np.arange(M)
+    v = lifts
+    for j in range(N):
+        if not len(live):
+            break
+        if keep_orbit:
+            orbit[live, j] = v
+        # a lone lane takes its Python complex scalars, which do the same
+        # operations as one-element object arrays without a ufunc call each
+        x, y, t = v[0].tolist() if len(live) == 1 else v.T.astype(object)
+        w = np.empty((len(live), 3), dtype=complex)
+        for k, terms in enumerate(rows):
+            acc = _term_sum(terms, x, y, t)
+            w[:, k] = 0j if acc is None else acc
+        norm = _norms(w)
+        stop = norm < tiny  # a zero image too, as tiny > 0; NaN lanes go on
+        if np.count_nonzero(stop):
+            floor[live[stop & (norm != 0.0)]] = j
+            live, w, norm = live[~stop], w[~stop], norm[~stop]
+        logs[live, j] = [math.log(a) for a in norm.tolist()]
+        v = w / norm[:, None]
+    done = ~_stopped(logs)
+    d = float(f.degree)
+    total, tele = _weighted_sum(logs[done], d), _telescoped(logs[done], d)
+    denom = np.maximum(np.maximum(np.abs(total), np.abs(tele)), 1e-9)
+    bad = np.flatnonzero(np.abs(total - tele) > 1e-9 * denom)
+    if len(bad):
+        m = bad[0]
+        raise PotentialError(
+            "termwise and telescoped partial sums disagree: "
+            f"{float(total[m])!r} vs {float(tele[m])!r}"
+        )
+    return logs, floor, orbit
+
+
+def _green_sums(f: RationalSurfaceMap, logs) -> np.ndarray:
+    """Termwise partial sums of an (M, N) block of kernel logs; -inf on the
+    lanes that stopped."""
+    out = np.full(len(logs), -math.inf)
+    go = ~_stopped(logs)
+    out[go] = _weighted_sum(logs[go], float(f.degree))
+    return out
+
+
+def _point_logs(f: RationalSurfaceMap, points, N: int, keep_orbit: bool):
+    """Kernel logs of a list of points, one lane each, and their orbits.
+
+    A point given exactly on I(f) takes no step: its logs are all -inf and
+    it has no orbit row (``orbit`` holds the other points', in order).  The
+    first lane in order that hits the floor raises
     :class:`OrbitHitIndeterminacy`.
     """
-    pts = []
-    logs = []
-    if _exact_on_indeterminacy(f, p):
-        return [p.unit_vector()], [-math.inf]
-    v = p.unit_vector()
-    scale = f.coeff_scale()
-    for j in range(N):
-        pts.append(v)
-        w = f.evaluate_numeric(v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            logs.append(-math.inf)
-            return pts, logs
-        if norm < _ORBIT_FLOOR * scale:
-            raise OrbitHitIndeterminacy(j)
-        logs.append(math.log(norm))
-        v = w / norm
-    return pts, logs
+    on_i = np.array([_exact_on_indeterminacy(f, p) for p in points], dtype=bool)
+    lifts = np.array([p.unit_vector() for p in points], dtype=complex).reshape(-1, 3)
+    logs = np.full((len(points), N), -math.inf)
+    logs[~on_i], floor, orbit = _orbit(f, lifts[~on_i], N, keep_orbit)
+    hit = floor[floor >= 0]
+    if len(hit):
+        raise OrbitHitIndeterminacy(int(hit[0]))
+    return logs, orbit
 
 
-def _weighted_sum(logs, d: float) -> float:
-    """``sum_j d**-j (logs[j] / d)``, accumulated in index order."""
-    total = 0.0
-    for j, a in enumerate(logs):
-        total += d ** (-j) * (a / d)
-    return total
+def _partial_sums(f: RationalSurfaceMap, points, N: int) -> np.ndarray:
+    """:func:`green_partial` at each point, in one kernel call."""
+    if N < 1:
+        raise ValueError("partial sum needs N >= 1")
+    return _green_sums(f, _point_logs(f, points, N, False)[0])
 
 
 def green_partial(f: RationalSurfaceMap, p: ProjectivePoint, N: int) -> float:
@@ -141,29 +236,7 @@ def green_partial(f: RationalSurfaceMap, p: ProjectivePoint, N: int) -> float:
     ``d**-N log norm(F^N z)`` to 1e-9 relative; disagreement raises
     :class:`PotentialError`.
     """
-    if N < 1:
-        raise ValueError("partial sum needs N >= 1")
-    _, logs = _normalized_orbit_logs(f, p, N)
-    if logs and logs[-1] == -math.inf:
-        return -math.inf
-    d = float(f.degree)
-    total = _weighted_sum(logs, d)
-    tele = _telescoped_from_logs(logs, d)
-    denom = max(abs(total), abs(tele), 1e-9)
-    if abs(total - tele) > 1e-9 * denom:
-        raise PotentialError(
-            f"termwise and telescoped partial sums disagree: {total!r} vs {tele!r}"
-        )
-    return total
-
-
-def _telescoped_from_logs(logs, d: float) -> float:
-    # log norm(F^N z) accumulated as a Horner recurrence over the
-    # normalized orbit: A <- d*A + log a_j, then divide by d^N
-    acc = 0.0
-    for a in logs:
-        acc = d * acc + a
-    return acc / d ** len(logs)
+    return float(_partial_sums(f, [p], N)[0])
 
 
 def green_partial_telescoped(f: RationalSurfaceMap, p: ProjectivePoint, N: int) -> float:
@@ -171,10 +244,15 @@ def green_partial_telescoped(f: RationalSurfaceMap, p: ProjectivePoint, N: int) 
     orbit."""
     if N < 1:
         raise ValueError("partial sum needs N >= 1")
-    _, logs = _normalized_orbit_logs(f, p, N)
-    if logs and logs[-1] == -math.inf:
+    logs, _ = _point_logs(f, [p], N, False)
+    if _stopped(logs[0]):
         return -math.inf
-    return _telescoped_from_logs(logs, float(f.degree))
+    return float(_telescoped(logs[0], float(f.degree)))
+
+
+def _functional_residual(logs, d: float):
+    # g_N(f p) from logs[1:], g_{N+1}(p) and gamma(p) from the same orbit
+    return np.abs(_weighted_sum(logs[..., 1:], d) - d * (_weighted_sum(logs, d) - logs[..., 0] / d))
 
 
 def green_functional_check(f: RationalSurfaceMap, p: ProjectivePoint, N: int) -> float:
@@ -185,14 +263,22 @@ def green_functional_check(f: RationalSurfaceMap, p: ProjectivePoint, N: int) ->
     gamma(p))|`` vanishes identically term by term, so anything beyond
     float accumulation noise indicates an implementation fault.
     """
-    d = float(f.degree)
-    pts, logs = _normalized_orbit_logs(f, p, N + 1)
-    if logs[-1] == -math.inf or logs[0] == -math.inf:
-        raise OrbitHitIndeterminacy(len(logs) - 1, "orbit hit indeterminacy during check")
-    g_fp = _weighted_sum(logs[1:], d)
-    g_p_long = _weighted_sum(logs, d)
-    gamma_p = logs[0] / d
-    return abs(g_fp - d * (g_p_long - gamma_p))
+    logs, _ = _point_logs(f, [p], N + 1, False)
+    if _stopped(logs[0]):
+        step = int(np.argmax(logs[0] == -math.inf))
+        raise OrbitHitIndeterminacy(step, "orbit hit indeterminacy during check")
+    return float(_functional_residual(logs[0], float(f.degree)))
+
+
+def _chart_residuals(f: RationalSurfaceMap, N: int, chart: int, us, vs) -> list:
+    """:func:`green_functional_check` at the chart points ``(us[m], vs[m])``
+    in one kernel call: a residual per point, None where its orbit stopped
+    at a zero image or the floor."""
+    logs, _, _ = _orbit(f, _chart_lifts(chart, us, vs), N + 1, False)
+    go = ~_stopped(logs)
+    res = np.full(len(logs), math.nan)
+    res[go] = _functional_residual(logs[go], float(f.degree))
+    return [r if ok else None for r, ok in zip(res.tolist(), go)]
 
 
 def green_at_inverse_indeterminacy(f: RationalSurfaceMap, N: int):
@@ -204,7 +290,7 @@ def green_at_inverse_indeterminacy(f: RationalSurfaceMap, N: int):
     """
     if f.inverse is None:
         raise PotentialError("needs the inverse map")
-    return [green_partial(f, q, N) for q in f.inverse.indeterminacy_set()]
+    return _partial_sums(f, f.inverse.indeterminacy_set(), N).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +386,12 @@ def singularity_fit(
 
 
 def shell_means(fn, center: ProjectivePoint, radii, *, samples_per_shell: int = 256, seed: int = _SHELL_SEED):
-    """Mean of a pointwise function over chordal spheres around a center."""
+    """Mean of a function over chordal spheres around a center; ``fn``
+    takes the sample points of one shell and returns their values."""
     means = []
     for r in radii:
-        vals = [fn(p) for p in shell_points(center, float(r), samples_per_shell, seed)]
-        finite = [v for v in vals if math.isfinite(v)]
+        vals = np.asarray(fn(shell_points(center, float(r), samples_per_shell, seed)), dtype=float)
+        finite = vals[np.isfinite(vals)]
         if len(finite) < samples_per_shell // 2:
             raise InsufficientSamples(f"shell at radius {r} lost most samples")
         means.append(float(np.mean(finite)))
@@ -343,7 +430,7 @@ def green_lelong_estimate(
     """Lelong slope of the truncated Green potential at a point, over the
     shells of ``DEFAULT_LELONG_RADII``."""
     means = shell_means(
-        lambda p: green_partial(f, p, N),
+        lambda pts: _partial_sums(f, pts, N),
         center,
         DEFAULT_LELONG_RADII,
         samples_per_shell=samples_per_shell,
@@ -394,10 +481,10 @@ def green_partial_for_class(
         gamma_basis = [lambda x: d * gamma_plus(f, x)]
     if len(gamma_basis) != L.rank:
         raise PotentialError("one generator potential per lattice rank is required")
-    pts, _ = _normalized_orbit_logs(f, p, N + 1)
-    if len(pts) < N + 1:
+    logs, orbit = _point_logs(f, [p], N + 1, True)
+    if logs[0, -2] == -math.inf:  # the orbit stopped before its N-th iterate
         return -math.inf, c
-    orbit = [ProjectivePoint.numeric_point(*v) for v in pts]
+    orbit = [ProjectivePoint.numeric_point(*v) for v in orbit[0]]
     M = L.Mf.astype(float)
     v = eta.copy()
     total = 0.0
@@ -436,12 +523,8 @@ def green_grid(
         raise ValueError("grid resolution must be at least 2")
     us = np.linspace(center[0] - halfwidth, center[0] + halfwidth, resolution)
     vs = np.linspace(center[1] - halfwidth, center[1] + halfwidth, resolution)
-    out = np.empty((resolution, resolution), dtype=float)
-    for i, vv in enumerate(vs):
-        for j, uu in enumerate(us):
-            p = ProjectivePoint.numeric_point(*chart_embed(chart, uu, vv))
-            try:
-                out[i, j] = green_partial(f, p, N)
-            except OrbitHitIndeterminacy:
-                out[i, j] = -math.inf
-    return out
+    u, v = np.meshgrid(us, vs)
+    lifts = _chart_lifts(chart, u.ravel(), v.ravel())
+    if N < 1:
+        raise ValueError("partial sum needs N >= 1")
+    return _green_sums(f, _orbit(f, lifts, N, False)[0]).reshape(resolution, resolution)

@@ -348,7 +348,7 @@ def test_7_log_pole_strength_estimator(henon):
         w = av / av[2]
         return math.log(abs(z[0] - w[0]) ** 2 + abs(z[1] - w[1]) ** 2) / 2.0
 
-    means = shell_means(unit_log_pole, a, DEFAULT_LELONG_RADII,
+    means = shell_means(lambda pts: [unit_log_pole(p) for p in pts], a, DEFAULT_LELONG_RADII,
                         samples_per_shell=256, seed=3)
     assert lelong_estimate(DEFAULT_LELONG_RADII, means) == pytest.approx(1.0, abs=0.05)
 

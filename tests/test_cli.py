@@ -281,6 +281,19 @@ class TestGreen:
         assert doc["residuals"]["max"] < 1e-7
         assert len(doc["residuals"]["samples"]) == 16
 
+    def test_overflowing_window_exits_2_without_artifacts(self, tmp_path, capsys):
+        # the window's corners overflow the double range: the run stops
+        # before it writes a grid of non-finite pixels
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"halfwidth": 1e160}))
+        out = tmp_path / "out"
+        code = run_cli("green", "--map", str(corpus_path("henon")), "--config", str(cfg),
+                       "--out", str(out))
+        assert code == 2
+        assert ("zero or non-finite vector does not define a projective point"
+                in capsys.readouterr().err)
+        assert list(out.glob("green_*")) == []
+
     def test_zero_iterations_give_zero_field(self, tmp_path, capsys):
         code = run_cli("green", "--map", str(corpus_path("henon")),
                        "--out", str(tmp_path), "--iters", "0", "--grid", "8")

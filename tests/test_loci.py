@@ -231,7 +231,8 @@ def lsigma(m) -> RationalSurfaceMap:
 @SETTINGS
 @given(matrices)
 def test_generated_lsigma_loci_equal_oracle(m):
-    assume(np.linalg.det(np.array(m, dtype=float)) != 0)
+    # the integer determinant exactly: a float one can miss a singular matrix
+    assume(round(np.linalg.det(np.array(m, dtype=float))) != 0)
     f = lsigma(m)
     assert_same_loci(f, ordered=False)
     assert_same_loci(f.inverse, ordered=False)

@@ -10,12 +10,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from test_map_properties import det3, matrices, rationals, twisted
 
+from biratdyn import geometry, potential
 from biratdyn.cohomology import CohomologyLattice, lattice_for_plane_map, spectral_data
 from biratdyn.geometry import ProjectivePoint, proj_distance
+from biratdyn.mapfile import ExperimentConfig, corpus_path, load_map
+from biratdyn.maps import chart_embed
 from biratdyn.potential import (
     DEFAULT_LELONG_RADII,
     InsufficientSamples,
+    OrbitHitIndeterminacy,
     PotentialError,
     gamma_plus,
     green_at_inverse_indeterminacy,
@@ -46,6 +53,107 @@ def random_points(n, seed):
         ProjectivePoint.numeric_point(*(rng.normal(size=3) + 1j * rng.normal(size=3)))
         for _ in range(n)
     ]
+
+
+# ---------------------------------------------------------------------------
+# The scalar orbit loop the batched kernel replaced, kept as a bitwise oracle:
+# one point and one Python-level step at a time.
+# ---------------------------------------------------------------------------
+
+
+def oracle_orbit_logs(f, p, N):
+    """Unit-normalized orbit of one point with its per-step image log-norms;
+    a zero image gives a last -inf entry, an image below the floor raises."""
+    pts = []
+    logs = []
+    if potential._exact_on_indeterminacy(f, p):
+        return [p.unit_vector()], [-math.inf]
+    v = p.unit_vector()
+    scale = f.coeff_scale()
+    for j in range(N):
+        pts.append(v)
+        w = f.evaluate_numeric(v)
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            logs.append(-math.inf)
+            return pts, logs
+        if norm < potential._ORBIT_FLOOR * scale:
+            raise OrbitHitIndeterminacy(j)
+        logs.append(math.log(norm))
+        v = w / norm
+    return pts, logs
+
+
+def oracle_weighted_sum(logs, d):
+    total = 0.0
+    for j, a in enumerate(logs):
+        total += d ** (-j) * (a / d)
+    return total
+
+
+def oracle_telescoped(logs, d):
+    acc = 0.0
+    for a in logs:
+        acc = d * acc + a
+    return acc / d ** len(logs)
+
+
+def oracle_green_partial(f, p, N):
+    _, logs = oracle_orbit_logs(f, p, N)
+    if logs[-1] == -math.inf:
+        return -math.inf
+    return oracle_weighted_sum(logs, float(f.degree))
+
+
+def oracle_telescoped_partial(f, p, N):
+    _, logs = oracle_orbit_logs(f, p, N)
+    if logs[-1] == -math.inf:
+        return -math.inf
+    return oracle_telescoped(logs, float(f.degree))
+
+
+def oracle_functional_check(f, p, N):
+    d = float(f.degree)
+    _, logs = oracle_orbit_logs(f, p, N + 1)
+    if logs[-1] == -math.inf:
+        raise OrbitHitIndeterminacy(len(logs) - 1)
+    return abs(oracle_weighted_sum(logs[1:], d) - d * (oracle_weighted_sum(logs, d) - logs[0] / d))
+
+
+def oracle_grid(f, N, *, chart, center, halfwidth, resolution):
+    """The grid pixel by pixel, and how many pixels took the floor path."""
+    us = np.linspace(center[0] - halfwidth, center[0] + halfwidth, resolution)
+    vs = np.linspace(center[1] - halfwidth, center[1] + halfwidth, resolution)
+    out = np.empty((resolution, resolution))
+    floored = 0
+    for i, vv in enumerate(vs):
+        for j, uu in enumerate(us):
+            p = ProjectivePoint.numeric_point(*chart_embed(chart, uu, vv))
+            try:
+                out[i, j] = oracle_green_partial(f, p, N)
+            except OrbitHitIndeterminacy:
+                out[i, j] = -math.inf
+                floored += 1
+    return out, floored
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool(np.all(a.view(np.int64) == b.view(np.int64)))
+
+
+def same_outcome(a, b) -> bool:
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return same_bits(a, b)
+
+
+def outcome(fn, *args):
+    """A value, or the step of the OrbitHitIndeterminacy it raised."""
+    try:
+        return fn(*args)
+    except OrbitHitIndeterminacy as exc:
+        return ("floor", exc.step)
 
 
 class TestStepPotential:
@@ -98,9 +206,7 @@ class TestPartialSums:
         h = henon_map()
         g30 = green_partial(h, P(0, 0, 1), 30)
         g60 = green_partial(h, P(0, 0, 1), 60)
-        from biratdyn.potential import _normalized_orbit_logs
-
-        _, logs = _normalized_orbit_logs(h, P(0, 0, 1), 60)
+        _, logs = oracle_orbit_logs(h, P(0, 0, 1), 60)
         tail_max = max(abs(a) / 2.0 for a in logs[30:])
         bound = 2.0**-30 / (1 - 0.5) * tail_max
         assert abs(g30 - g60) <= bound + 1e-12
@@ -197,7 +303,8 @@ class TestLelong:
             w = av / av[2]
             return math.log(abs(z[0] - w[0]) ** 2 + abs(z[1] - w[1]) ** 2) / 2.0
 
-        means = shell_means(u, a, DEFAULT_LELONG_RADII, samples_per_shell=256, seed=3)
+        means = shell_means(lambda pts: [u(p) for p in pts], a, DEFAULT_LELONG_RADII,
+                            samples_per_shell=256, seed=3)
         slope = lelong_estimate(DEFAULT_LELONG_RADII, means)
         assert slope == pytest.approx(1.0, abs=0.05)
 
@@ -208,7 +315,8 @@ class TestLelong:
             v = p.unit_vector()
             return float(abs(v[0]) ** 2 - abs(v[1]) ** 2)
 
-        means = shell_means(u, a, DEFAULT_LELONG_RADII, samples_per_shell=256, seed=5)
+        means = shell_means(lambda pts: [u(p) for p in pts], a, DEFAULT_LELONG_RADII,
+                            samples_per_shell=256, seed=5)
         assert lelong_estimate(DEFAULT_LELONG_RADII, means) < 0.01
 
     def test_green_slope_vanishes_at_generic_point(self):
@@ -335,3 +443,113 @@ class TestBridgeAndGrid:
         X = np.vstack([np.ones(10), np.arange(1, 11)]).T
         (logC, log_t), *_ = np.linalg.lstsq(X, np.log(np.array(means[1:]) + 1e-300), rcond=None)
         assert math.exp(log_t) < 2.0
+
+
+class TestBatchedKernel:
+    """One orbit loop serves the grid and every point function, with the
+    bits of the scalar loop."""
+
+    WINDOW = {"chart": ExperimentConfig().chart, "center": ExperimentConfig().center,
+              "halfwidth": ExperimentConfig().halfwidth}
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("name", ["henon", "lsigma", "cremona", "linear"])
+    def test_grid_matches_scalar_oracle(self, name, inverse):
+        f = load_map(corpus_path(name))
+        g = f.inverse if inverse else f
+        N = ExperimentConfig().n_series
+        want, _ = oracle_grid(g, N, resolution=32, **self.WINDOW)
+        assert same_bits(green_grid(g, N, resolution=32, **self.WINDOW), want)
+
+    def test_zero_images_on_the_axes(self):
+        # at 33^2 the axes are grid lines: sigma sends them into its
+        # indeterminacy points, whose image is the zero vector
+        window = dict(self.WINDOW, center=(0.0, 0.0))
+        want, floored = oracle_grid(cremona_involution(), 25, resolution=33, **window)
+        got = green_grid(cremona_involution(), 25, resolution=33, **window)
+        assert floored == 0
+        assert int(np.isneginf(got).sum()) == 65
+        assert same_bits(got, want)
+
+    def test_floor_window(self):
+        window = dict(chart=2, center=(0.0, 0.0), halfwidth=1e-13)
+        want, floored = oracle_grid(cremona_involution(), 25, resolution=3, **window)
+        got = green_grid(cremona_involution(), 25, resolution=3, **window)
+        assert floored > 0
+        assert same_bits(got, want)
+
+    @pytest.mark.parametrize("f", [henon_map(), lsigma_map(), cremona_involution()],
+                             ids=["henon", "lsigma", "cremona"])
+    def test_point_functions_match_oracle(self, f):
+        near = ProjectivePoint.numeric_point(1.0, 1e-14, 1e-14)  # 1e-14 from [1:0:0]
+        pairs = ((green_partial, oracle_green_partial),
+                 (green_partial_telescoped, oracle_telescoped_partial),
+                 (green_functional_check, oracle_functional_check))
+        for p in random_points(8, 47) + [P(1, 0, 0), P(0, 1, 0), near]:
+            for fn, oracle in pairs:
+                assert same_outcome(outcome(fn, f, p, 20), outcome(oracle, f, p, 20))
+            # at depth 0 the pullback identity compares one step with itself
+            assert same_outcome(outcome(green_functional_check, f, p, 0),
+                                outcome(oracle_functional_check, f, p, 0))
+        # one batch of complex starts: the object-array lanes of the kernel
+        batch = random_points(8, 53) + [P(1, 0, 0), P(0, 1, 0)]
+        assert same_bits(potential._partial_sums(f, batch, 20),
+                         [oracle_green_partial(f, p, 20) for p in batch])
+        assert same_bits(green_at_inverse_indeterminacy(f, 20),
+                         [oracle_green_partial(f, q, 20) for q in f.inverse.indeterminacy_set()])
+
+    def test_indeterminacy_outcomes_on_sigma(self):
+        sig = cremona_involution()
+        assert green_partial(sig, P(1, 0, 0), 25) == -math.inf
+        near = ProjectivePoint.numeric_point(1.0, 1e-14, 1e-14)
+        with pytest.raises(OrbitHitIndeterminacy):
+            oracle_green_partial(sig, near, 25)
+        with pytest.raises(OrbitHitIndeterminacy):
+            green_partial(sig, near, 25)
+
+    def test_grid_makes_one_term_loop_per_component_and_step(self, monkeypatch):
+        h = henon_map()
+        calls = []
+        term_sum = geometry._term_sum
+
+        def counting(*args):
+            calls.append(args)
+            return term_sum(*args)
+
+        monkeypatch.setattr(geometry, "_term_sum", counting)
+        monkeypatch.setattr(potential, "_term_sum", counting)
+        green_grid(h, 25, chart=2, center=(0.0, 0.0), halfwidth=1.5, resolution=32)
+        # the scalar loop made 3 * 25 calls per pixel: 76 800
+        assert 0 < len(calls) <= 3 * 25
+
+    def test_non_finite_start_raises(self):
+        with pytest.raises(geometry.GeometryError, match="non-finite"):
+            green_grid(henon_map(), 25, chart=2, center=(0.0, 0.0), halfwidth=1e160,
+                       resolution=2)
+
+
+generated_maps = st.one_of(
+    matrices.filter(lambda m: det3(m) != 0).map(lambda m: twisted(m)[2]),
+    st.builds(henon_map, rationals, rationals.filter(bool)),
+)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(generated_maps, st.integers(0, 2**32 - 1))
+def test_lanes_are_independent(f, seed):
+    """A lane's bits do not depend on the batch: a batch, its permutation
+    and each lane alone agree.  Two lanes start on and next to [1:0:0],
+    which lies in I(f) for both families."""
+    rng = np.random.default_rng(seed)
+    starts = np.vstack([rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)),
+                        [[1, 0, 0], [1, 1e-14, 1e-14j]]])
+    lifts = starts / potential._norms(starts)[:, None]
+    logs, floor, _ = potential._orbit(f, lifts, 12, False)
+    perm = rng.permutation(len(lifts))
+    plogs, pfloor, _ = potential._orbit(f, lifts[perm], 12, False)
+    assert same_bits(plogs, logs[perm])
+    assert np.array_equal(pfloor, floor[perm])
+    for m in range(len(lifts)):
+        one, ofloor, _ = potential._orbit(f, lifts[m:m + 1], 12, False)
+        assert same_bits(one[0], logs[m])
+        assert ofloor[0] == floor[m]
