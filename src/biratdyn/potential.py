@@ -167,9 +167,7 @@ def _orbit(f: RationalSurfaceMap, lifts: np.ndarray, N: int, keep_orbit: bool):
             break
         if keep_orbit:
             orbit[live, j] = v
-        # a lone lane takes its Python complex scalars, which do the same
-        # operations as one-element object arrays without a ufunc call each
-        x, y, t = v[0].tolist() if len(live) == 1 else v.T.astype(object)
+        x, y, t = v.T.astype(object)
         w = np.empty((len(live), 3), dtype=complex)
         for k, terms in enumerate(rows):
             acc = _term_sum(terms, x, y, t)
@@ -521,10 +519,10 @@ def green_grid(
     """
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2")
+    if N < 1:
+        raise ValueError("partial sum needs N >= 1")
     us = np.linspace(center[0] - halfwidth, center[0] + halfwidth, resolution)
     vs = np.linspace(center[1] - halfwidth, center[1] + halfwidth, resolution)
     u, v = np.meshgrid(us, vs)
     lifts = _chart_lifts(chart, u.ravel(), v.ravel())
-    if N < 1:
-        raise ValueError("partial sum needs N >= 1")
     return _green_sums(f, _orbit(f, lifts, N, False)[0]).reshape(resolution, resolution)

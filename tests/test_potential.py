@@ -522,6 +522,12 @@ class TestBatchedKernel:
         # the scalar loop made 3 * 25 calls per pixel: 76 800
         assert 0 < len(calls) <= 3 * 25
 
+    def test_sum_disagreement_raises_from_functional_check(self, monkeypatch):
+        telescoped = potential._telescoped
+        monkeypatch.setattr(potential, "_telescoped", lambda logs, d: telescoped(logs, d) + 1.0)
+        with pytest.raises(PotentialError, match="disagree"):
+            green_functional_check(henon_map(), random_points(1, 3)[0], 10)
+
     def test_non_finite_start_raises(self):
         with pytest.raises(geometry.GeometryError, match="non-finite"):
             green_grid(henon_map(), 25, chart=2, center=(0.0, 0.0), halfwidth=1e160,
