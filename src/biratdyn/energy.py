@@ -37,10 +37,12 @@ nodes, so each check evaluates each function it receives once per grid
 multiples act on jets.  The Green kernel is to enter the same way, as one
 jet of its value and Wirtinger gradient (ROADMAP item 5).
 
-The map's chart expression and its Jacobian come from ``maps.ChartMap``
-and chart points from ``maps.chart_embed``/``chart_coords``; this module
-reads the kernel's guard margins and raises ``ChartMeetsExceptionalSet``
-when a window degenerates.
+The map's chart expression, its Jacobian and its target pivot coordinate
+come from the stateless kernel ``maps.chart_map``, and chart points from
+``maps.chart_embed``/``chart_coords``.  This module alone keeps guard
+margins over the kernel's values: the change of variables widens the
+extremes of |pivot| and |det J| over the nodes of each grid and raises
+``ChartMeetsExceptionalSet`` when a window degenerates.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .geometry import ProjectivePoint
-from .maps import ChartMap, RationalSurfaceMap, chart_coords, chart_embed
+from .maps import RationalSurfaceMap, chart_coords, chart_embed, chart_map
 
 __all__ = [
     "EnergyError",
@@ -714,14 +716,33 @@ def _coeff_scale(poly) -> float:
     return max(abs(complex(c)) for c in poly.terms.values()) if poly.terms else 0.0
 
 
-def _check_guards(chart_map: ChartMap) -> None:
-    """Raise when the margins seen by a chart map show its window
+def _widen(small: float, large: float, values) -> tuple[float, float]:
+    """``(small, large)`` widened to cover the values that are not NaN.
+
+    A NaN lane (a start that left the domain) says nothing about the
+    window, but it turns the batch's ``np.min`` into NaN, which ``min``
+    then drops along with every other lane.  An all-NaN batch leaves both
+    as they were.
+    """
+    lo, hi = float(np.min(values)), float(np.max(values))
+    if math.isnan(lo):
+        values = np.asarray(values)
+        values = values[~np.isnan(values)]
+        if not values.size:
+            return small, large
+        lo, hi = float(np.min(values)), float(np.max(values))
+    return min(small, lo), max(large, hi)
+
+
+def _check_guards(denominator: tuple[float, float], jacobian: tuple[float, float]) -> None:
+    """Raise when the (smallest, largest) |denominator| (the chart map's
+    target pivot coordinate) or |det J| over a window's nodes shows it
     reaching the target chart's line at infinity or the critical set."""
-    if chart_map.denominator_small < 1e-9 * max(chart_map.denominator_large, 1e-300):
+    if denominator[0] < 1e-9 * max(denominator[1], 1e-300):
         raise ChartMeetsExceptionalSet(
             "image of the window degenerates toward the target chart's line at infinity"
         )
-    if chart_map.jacobian_small < 1e-10 * max(chart_map.jacobian_large, 1e-300):
+    if jacobian[0] < 1e-10 * max(jacobian[1], 1e-300):
         raise ChartMeetsExceptionalSet(
             "window meets the critical set: chart Jacobian degenerates"
         )
@@ -815,15 +836,12 @@ def pushforward_energy_check(
 
     _indeterminacy_in_box(f, source_chart)
 
-    forward = ChartMap(f, chart, chart)
-
     # numeric roundtrip sanity of the attached inverse near the window
     c1, c2 = source_chart.affine_center
     probe1 = np.array([c1 + 0.37 * source_chart.halfwidth])
     probe2 = np.array([c2 + 0.23 * source_chart.halfwidth])
-    w1p, w2p, _ = forward(probe1, probe2)
-    backward_probe = ChartMap(f.inverse, chart, chart)
-    s1p, s2p, _ = backward_probe(w1p, w2p)
+    w1p, w2p, _, _ = chart_map(f, chart, chart, probe1, probe2)
+    s1p, s2p, _, _ = chart_map(f.inverse, chart, chart, w1p, w2p)
     if np.all(np.isfinite([s1p[0], s2p[0]])):
         err = abs(s1p[0] - probe1[0]) + abs(s2p[0] - probe2[0])
         if err > 1e-6 * (1.0 + abs(probe1[0]) + abs(probe2[0])):
@@ -838,8 +856,11 @@ def pushforward_energy_check(
     finite = True
     box_lo = np.full(4, math.inf)
     box_hi = np.full(4, -math.inf)
+    denominator = jacobian = (math.inf, 0.0)
     for z1c, z2c in _chunks(source_chart):
-        w1, w2, J = forward(z1c, z2c)
+        w1, w2, J, D = chart_map(f, chart, chart, z1c, z2c)
+        denominator = _widen(*denominator, np.abs(D))
+        jacobian = _widen(*jacobian, np.abs(J[0][0] * J[1][1] - J[0][1] * J[1][0]))
         crit_min = _critical_proxy_min(f, chart_embed(chart, z1c, z2c), crit_min)
         chiv = np.asarray(chi(z1c, z2c).value)
         u1, u2 = _gradient(u(w1, w2))
@@ -856,7 +877,7 @@ def pushforward_energy_check(
             for axis, vals in enumerate((w1b.real, w1b.imag, w2b.real, w2b.imag)):
                 box_lo[axis] = min(box_lo[axis], float(vals.min()))
                 box_hi[axis] = max(box_hi[axis], float(vals.max()))
-    _check_guards(forward)
+    _check_guards(denominator, jacobian)
     if crit_min < 1e-2:
         raise ChartMeetsExceptionalSet(
             f"window approaches the critical set (normalized distance {crit_min:.2e})"
@@ -879,12 +900,14 @@ def pushforward_energy_check(
     )
     _indeterminacy_in_box(f.inverse, target_chart)
 
-    backward = ChartMap(f.inverse, chart, chart)
     target_sum = 0.0
     crit_min_back = math.inf
     finite = True
+    denominator = jacobian = (math.inf, 0.0)
     for y1c, y2c in _chunks(target_chart):
-        s1, s2, K = backward(y1c, y2c)
+        s1, s2, K, D = chart_map(f.inverse, chart, chart, y1c, y2c)
+        denominator = _widen(*denominator, np.abs(D))
+        jacobian = _widen(*jacobian, np.abs(K[0][0] * K[1][1] - K[0][1] * K[1][0]))
         crit_min_back = _critical_proxy_min(
             f.inverse, chart_embed(chart, y1c, y2c), crit_min_back
         )
@@ -904,7 +927,7 @@ def pushforward_energy_check(
         density = np.broadcast_to(density, y1c.shape)
         finite = finite and bool(np.all(np.isfinite(density)))
         target_sum += float(np.sum(density))
-    _check_guards(backward)
+    _check_guards(denominator, jacobian)
     if crit_min_back < 1e-2:
         raise ChartMeetsExceptionalSet(
             f"image window approaches the inverse critical set (normalized distance {crit_min_back:.2e})"

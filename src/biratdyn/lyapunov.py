@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import ProjectivePoint, _unit_distances
-from .maps import EPS_EXCEPTIONAL, ChartMap, RationalSurfaceMap, chart_coords
+from .maps import EPS_EXCEPTIONAL, RationalSurfaceMap, chart_coords, chart_map
 from .measure import WeightedPointCloud
 
 __all__ = [
@@ -156,63 +156,51 @@ def _gram_half_factors(z1: np.ndarray, z2: np.ndarray):
     return half, half_inv
 
 
-class _CocycleStepper:
-    """Batched one-step evaluation of the corrected tangent cocycle."""
+def _cocycle_step(
+    f: RationalSurfaceMap, v: np.ndarray, chart_in: Optional[np.ndarray] = None
+):
+    """One step of the corrected tangent cocycle at a batch of unit
+    representatives.
 
-    def __init__(self, f: RationalSurfaceMap):
-        self._f = f
-        self._evaluators: dict[tuple[int, int], ChartMap] = {}
-
-    def _evaluator(self, chart_in: int, chart_out: int) -> ChartMap:
-        key = (chart_in, chart_out)
-        if key not in self._evaluators:
-            self._evaluators[key] = ChartMap(self._f, chart_in, chart_out)
-        return self._evaluators[key]
-
-    def step(self, v: np.ndarray, chart_in: Optional[np.ndarray] = None):
-        """One cocycle step at a batch of unit representatives.
-
-        Returns the corrected 2x2 step matrices, the next unit
-        representatives, a finiteness mask, and the output chart indices.
-        ``chart_in`` defaults to the largest coordinate of each input; a
-        caller chaining steps must pass the previous output charts so the
-        orthonormal frames of consecutive steps agree (the output frame of
-        one step is the input frame of the next — re-deriving the chart
-        from a re-anchored representative could silently jump frames when
-        two coordinates tie in modulus).
-        """
-        m = v.shape[0]
-        with np.errstate(all="ignore"):
-            # every term of a component of degree >= 1 involves a batch row
-            image = np.stack(
-                [comp.evaluate_numeric(v.T) for comp in self._f.components], axis=1
-            )
-            norms = np.linalg.norm(image, axis=1)
-            w = image / np.where(norms > 0, norms, 1.0)[:, None]
-        if chart_in is None:
-            chart_in = np.argmax(np.abs(v), axis=1)
-        chart_out = np.argmax(np.abs(w), axis=1)
-        mats = np.full((m, 2, 2), np.nan, dtype=complex)
-        ok = np.isfinite(norms) & (norms > 0)
-        for ci in range(3):
-            for co in range(3):
-                idx = np.nonzero((chart_in == ci) & (chart_out == co) & ok)[0]
-                if idx.size == 0:
-                    continue
-                z1, z2 = chart_coords(ci, v[idx]).T
-                with np.errstate(all="ignore"):
-                    w1, w2, jac = self._evaluator(ci, co)(z1, z2)
-                (j11, j12), (j21, j22) = jac
-                jmat = np.empty((idx.size, 2, 2), dtype=complex)
-                jmat[:, 0, 0] = j11
-                jmat[:, 0, 1] = j12
-                jmat[:, 1, 0] = j21
-                jmat[:, 1, 1] = j22
-                out_half, _ = _gram_half_factors(w1, w2)
-                _, in_half_inv = _gram_half_factors(z1, z2)
-                mats[idx] = out_half @ jmat @ in_half_inv
-        finite = np.all(np.isfinite(mats), axis=(1, 2)) & ok
-        return mats, w, finite, chart_out
+    Returns the corrected 2x2 step matrices, the next unit
+    representatives, a finiteness mask, and the output chart indices.
+    ``chart_in`` defaults to the largest coordinate of each input; a
+    caller chaining steps must pass the previous output charts so the
+    orthonormal frames of consecutive steps agree (the output frame of
+    one step is the input frame of the next — re-deriving the chart
+    from a re-anchored representative could silently jump frames when
+    two coordinates tie in modulus).
+    """
+    m = v.shape[0]
+    with np.errstate(all="ignore"):
+        # every term of a component of degree >= 1 involves a batch row
+        image = np.stack([comp.evaluate_numeric(v.T) for comp in f.components], axis=1)
+        norms = np.linalg.norm(image, axis=1)
+        w = image / np.where(norms > 0, norms, 1.0)[:, None]
+    if chart_in is None:
+        chart_in = np.argmax(np.abs(v), axis=1)
+    chart_out = np.argmax(np.abs(w), axis=1)
+    mats = np.full((m, 2, 2), np.nan, dtype=complex)
+    ok = np.isfinite(norms) & (norms > 0)
+    for ci in range(3):
+        for co in range(3):
+            idx = np.nonzero((chart_in == ci) & (chart_out == co) & ok)[0]
+            if idx.size == 0:
+                continue
+            z1, z2 = chart_coords(ci, v[idx]).T
+            with np.errstate(all="ignore"):
+                w1, w2, jac, _ = chart_map(f, ci, co, z1, z2)
+            (j11, j12), (j21, j22) = jac
+            jmat = np.empty((idx.size, 2, 2), dtype=complex)
+            jmat[:, 0, 0] = j11
+            jmat[:, 0, 1] = j12
+            jmat[:, 1, 0] = j21
+            jmat[:, 1, 1] = j22
+            out_half, _ = _gram_half_factors(w1, w2)
+            _, in_half_inv = _gram_half_factors(z1, z2)
+            mats[idx] = out_half @ jmat @ in_half_inv
+    finite = np.all(np.isfinite(mats), axis=(1, 2)) & ok
+    return mats, w, finite, chart_out
 
 
 def step_norm(f: RationalSurfaceMap, p: ProjectivePoint) -> float:
@@ -221,9 +209,8 @@ def step_norm(f: RationalSurfaceMap, p: ProjectivePoint) -> float:
     Matches the derivative norm from the homogeneous projection formula;
     returns ``inf`` at indeterminacy points.
     """
-    stepper = _CocycleStepper(f)
     v = p.unit_vector()[None, :]
-    mats, _, finite, _ = stepper.step(v)
+    mats, _, finite, _ = _cocycle_step(f, v)
     if not finite[0]:
         return math.inf
     return float(np.linalg.svd(mats[0], compute_uv=False)[0])
@@ -259,7 +246,6 @@ def cocycle_exponents(
     """
     if n < 1:
         raise LyapunovError("need at least one cocycle step")
-    stepper = _CocycleStepper(f)
     ind_points = [q.numeric().unit_vector() for q in f.indeterminacy_set()]
 
     m = cloud.size
@@ -279,7 +265,7 @@ def cocycle_exponents(
         alive &= dists >= exclusion_radius
         if not alive.any():
             break
-        mats, w, finite, chart_out = stepper.step(v, chart_state)
+        mats, w, finite, chart_out = _cocycle_step(f, v, chart_state)
         alive &= finite
         # dead rows get a harmless identity so batched QR stays defined
         safe = np.where(alive[:, None, None], mats, np.eye(2, dtype=complex))
@@ -357,9 +343,8 @@ def integrability_partial(
     therefore the full truncation level at every stage, which keeps the
     sequence growing and flags it as inconsistent.
     """
-    stepper = _CocycleStepper(f)
     v = np.stack([p.unit_vector() for p in cloud.points])
-    mats, _, finite, _ = stepper.step(v)
+    mats, _, finite, _ = _cocycle_step(f, v)
     values = []
     for k in range(cloud.size):
         if not finite[k]:

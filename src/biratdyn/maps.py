@@ -7,10 +7,12 @@ and critical loci, degree sequences under iteration, and
 derivative data in affine charts and in the Fubini-Study metric.
 
 The affine charts of the plane are reached through one embedding pair,
-`chart_embed` and `chart_coords`, and every batched chart-to-chart
-evaluation (values, 2x2 Jacobian, guard margins) goes through one kernel,
-`ChartMap`; the potential, energy, saddle-search and cocycle layers share
-both.
+`chart_embed` and `chart_coords`, which the potential, energy,
+saddle-search and cocycle layers share.  Every batched chart-to-chart
+evaluation goes through one stateless kernel, `chart_map`: it returns the
+image, its 2x2 Jacobian and the target pivot coordinate, and keeps
+nothing between calls.  Guard margins over those values belong to their
+one reader, the change-of-variables check in `energy`.
 """
 
 from __future__ import annotations
@@ -862,70 +864,27 @@ def chart_coords(chart: int, v) -> np.ndarray:
     return v[..., others] / v[..., chart, None]
 
 
-class ChartMap:
+def chart_map(f: RationalSurfaceMap, chart_in: int, chart_out: int, z1, z2):
     """Chart expression of a plane map, evaluated in batches.
 
-    Takes source coordinates in chart ``chart_in`` to target coordinates in
-    chart ``chart_out`` together with the 2x2 Jacobian.  Guard margins are
-    the smallest and largest |denominator| (the target pivot coordinate of
-    F) and |det J| seen over all calls, NaN lanes aside; they tell when a
-    window meets the target chart's line at infinity or the critical set.
+    Takes source coordinates ``(z1, z2)`` in chart ``chart_in`` to target
+    coordinates ``(w1, w2)`` in chart ``chart_out``.  Returns them with the
+    2x2 Jacobian entries (``J[l][j] = dw_l / dz_j``) and ``D``, the target
+    pivot coordinate of F that both are divided by; a small |D| means the
+    point nears the target chart's line at infinity.
     """
-
-    def __init__(self, f: RationalSurfaceMap, chart_in: int, chart_out: int):
-        self.f = f
-        self.chart_in = chart_in
-        self.chart_out = chart_out
-        self.in_vars = [i for i in range(3) if i != chart_in]
-        self.out_vars = [i for i in range(3) if i != chart_out]
-        self.denominator_small = math.inf
-        self.denominator_large = 0.0
-        self.jacobian_small = math.inf
-        self.jacobian_large = 0.0
-
-    def __call__(self, z1, z2):
-        """Return image coordinates (w1, w2) in the target chart and the
-        2x2 Jacobian entries (J[l][j] = dw_l / dz_j).  An empty batch gives
-        empty results and leaves the guard margins as they were."""
-        hom = chart_embed(self.chart_in, z1, z2)
-        comps = self.f.components
-        F = [c.evaluate_numeric(hom) for c in comps]
-        D = np.asarray(F[self.chart_out])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w1 = F[self.out_vars[0]] / D
-            w2 = F[self.out_vars[1]] / D
-            dF = [[c.derivative(v).evaluate_numeric(hom) for v in self.in_vars] for c in comps]
-            J = [[None, None], [None, None]]
-            for l, out in enumerate(self.out_vars):
-                for j in range(2):
-                    J[l][j] = (dF[out][j] * D - F[out] * dF[self.chart_out][j]) / (D * D)
-        if np.broadcast(z1, z2).size == 0:
-            return w1, w2, J
-        self.denominator_small, self.denominator_large = _widen(
-            self.denominator_small, self.denominator_large, np.abs(D)
-        )
-        self.jacobian_small, self.jacobian_large = _widen(
-            self.jacobian_small,
-            self.jacobian_large,
-            np.abs(J[0][0] * J[1][1] - J[0][1] * J[1][0]),
-        )
-        return w1, w2, J
-
-
-def _widen(small: float, large: float, values) -> tuple[float, float]:
-    """``(small, large)`` widened to cover the values that are not NaN.
-
-    A NaN lane (a start that left the domain) says nothing about the
-    window, but it turns the batch's ``np.min`` into NaN, which ``min``
-    then drops along with every other lane.  An all-NaN batch leaves both
-    as they were.
-    """
-    lo, hi = float(np.min(values)), float(np.max(values))
-    if math.isnan(lo):
-        values = np.asarray(values)
-        values = values[~np.isnan(values)]
-        if not values.size:
-            return small, large
-        lo, hi = float(np.min(values)), float(np.max(values))
-    return min(small, lo), max(large, hi)
-
+    in_vars = [i for i in range(3) if i != chart_in]
+    out_vars = [i for i in range(3) if i != chart_out]
+    hom = chart_embed(chart_in, z1, z2)
+    comps = f.components
+    F = [c.evaluate_numeric(hom) for c in comps]
+    D = np.asarray(F[chart_out])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w1 = F[out_vars[0]] / D
+        w2 = F[out_vars[1]] / D
+        dF = [[c.derivative(v).evaluate_numeric(hom) for v in in_vars] for c in comps]
+        J = [[None, None], [None, None]]
+        for l, out in enumerate(out_vars):
+            for j in range(2):
+                J[l][j] = (dF[out][j] * D - F[out] * dF[chart_out][j]) / (D * D)
+    return w1, w2, J, D

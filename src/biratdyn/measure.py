@@ -32,7 +32,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .geometry import HomogeneousPolynomial, ProjectivePoint, _unit_distances, proj_distance
-from .maps import EPS_EXCEPTIONAL, ChartMap, RationalSurfaceMap, chart_embed, image_point
+from .maps import EPS_EXCEPTIONAL, RationalSurfaceMap, chart_embed, chart_map, image_point
 
 __all__ = [
     "MeasureError",
@@ -342,7 +342,8 @@ class _AffineDynamics:
     """Batch evaluation of a chart self-map and its iterated derivative."""
 
     def __init__(self, f: RationalSurfaceMap, chart: int):
-        self._evaluator = ChartMap(f, chart, chart)
+        self._f = f
+        self._chart = chart
 
     def advance(self, x: np.ndarray, y: np.ndarray, n: int):
         """Apply the chart map ``n`` times, chaining 2x2 derivative blocks."""
@@ -353,7 +354,7 @@ class _AffineDynamics:
         d = np.ones_like(x)
         with np.errstate(all="ignore"):
             for _ in range(n):
-                w1, w2, jac = self._evaluator(w1, w2)
+                w1, w2, jac, _ = chart_map(self._f, self._chart, self._chart, w1, w2)
                 (j11, j12), (j21, j22) = jac
                 a, b, c, d = (
                     j11 * a + j12 * c,

@@ -106,9 +106,11 @@ def _norms(w):
 def _chart_lifts(chart: int, us, vs) -> np.ndarray:
     """Unit lifts of the chart points ``(us[m], vs[m])``, scaled as
     :class:`ProjectivePoint` scales one point; a lane whose norm is zero or
-    not finite raises :class:`GeometryError`."""
+    not finite raises :class:`GeometryError`, which is then the only
+    report of an overflowing norm."""
     coords = np.stack(np.broadcast_arrays(*chart_embed(chart, us, vs)), axis=-1).astype(complex)
-    n = _norms(coords)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = _norms(coords)
     if not np.all(np.isfinite(n) & (n >= 1e-300)):
         raise GeometryError("zero or non-finite vector does not define a projective point")
     return coords / n[:, None]

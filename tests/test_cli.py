@@ -294,6 +294,19 @@ class TestGreen:
                 in capsys.readouterr().err)
         assert list(out.glob("green_*")) == []
 
+    def test_overflowing_window_reports_one_stderr_line(self, tmp_path):
+        # in a child process, so a numpy RuntimeWarning about the overflowing
+        # lift norms would reach stderr ahead of the error line
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"halfwidth": 1e160}))
+        out = tmp_path / "out"
+        proc = run_cli_process("green", "--map", str(corpus_path("henon")), "--grid", "8",
+                               "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "error: zero or non-finite vector does not define a projective point"]
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_zero_iterations_give_zero_field(self, tmp_path, capsys):
         code = run_cli("green", "--map", str(corpus_path("henon")),
                        "--out", str(tmp_path), "--iters", "0", "--grid", "8")

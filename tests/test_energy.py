@@ -47,8 +47,9 @@ from biratdyn.energy import (
     smoothed_log_distance,
     smoothed_log_form,
 )
+from biratdyn.energy import _check_guards, _widen
 from biratdyn.geometry import HomogeneousPolynomial, ProjectivePoint
-from biratdyn.maps import RationalSurfaceMap
+from biratdyn.maps import RationalSurfaceMap, chart_map
 from biratdyn.standard_maps import cremona_involution, henon_map, linear_map
 
 ORIGIN = ProjectivePoint.exact_point(0, 0, 1)
@@ -503,6 +504,66 @@ class TestPushforward:
         chart = GridChart(center=ORIGIN, chart=2, halfwidth=0.6, resolution=12)
         with pytest.raises(EnergyError):
             pushforward_energy_check(random_trig(56), henon_map(), form, chart)
+
+    def test_pivot_vanishing_at_a_node_trips_the_line_at_infinity_guard(self):
+        # the target pivot z1 - z2 is exactly zero at the 64 nodes with
+        # z1 == z2, where the image node lies on the chart's line at
+        # infinity; a linear map has no indeterminacy and no critical set,
+        # so only the margin guard can stop the check
+        f = linear_map([[1, 0, 0], [0, 0, 1], [1, -1, 0]], name="pivot-z1-minus-z2")
+        chart = GridChart(center=ORIGIN, chart=2, halfwidth=0.5, resolution=8)
+        with np.errstate(all="ignore"), pytest.raises(
+            ChartMeetsExceptionalSet, match="line at infinity"
+        ):
+            pushforward_energy_check(random_trig(57), f, BETA, chart)
+
+
+# ---------------------------------------------------------------------------
+# change-of-variables guard margins
+# ---------------------------------------------------------------------------
+
+
+NO_NODES = (math.inf, 0.0)
+
+
+def henon_margins(z1, z2, denominator=NO_NODES, jacobian=NO_NODES):
+    """The margins ``pushforward_energy_check`` widens over one chunk of
+    Hénon's chart-2 map."""
+    _, _, J, D = chart_map(henon_map(), 2, 2, z1, z2)
+    det = J[0][0] * J[1][1] - J[0][1] * J[1][0]
+    return _widen(*denominator, np.abs(D)), _widen(*jacobian, np.abs(det))
+
+
+class TestGuardMargins:
+    def test_margins_of_no_nodes_fire_no_guard(self):
+        # the margins a check starts from, before any node widens them
+        _check_guards(NO_NODES, NO_NODES)
+
+    def test_margins_skip_nan_lanes(self):
+        # a NaN lane used to turn the batch minimum into NaN, which min()
+        # then dropped along with every finite lane of the batch
+        denominator, jacobian = henon_margins(np.array([np.nan, 0.5]), np.array([0.1, 0.2]))
+        assert jacobian == (0.25, 0.25)
+        assert (denominator, jacobian) == henon_margins(np.array([0.5]), np.array([0.2]))
+        # an all-NaN batch leaves the margins as they were
+        again = henon_margins(np.array([np.nan]), np.array([np.nan]), denominator, jacobian)
+        assert again == (denominator, jacobian)
+        assert henon_margins(np.array([np.nan]), np.array([np.nan]))[1] == NO_NODES
+
+    def test_line_at_infinity_guard(self):
+        _check_guards((1e-8, 1.0), (1.0, 1.0))
+        with pytest.raises(ChartMeetsExceptionalSet, match="line at infinity"):
+            _check_guards((1e-10, 1.0), (1.0, 1.0))
+        # the guard is relative to the largest pivot seen
+        with pytest.raises(ChartMeetsExceptionalSet, match="line at infinity"):
+            _check_guards((1e-3, 1e7), (1.0, 1.0))
+
+    def test_chart_jacobian_guard(self):
+        _check_guards((1.0, 1.0), (1e-9, 1.0))
+        with pytest.raises(ChartMeetsExceptionalSet, match="chart Jacobian degenerates"):
+            _check_guards((1.0, 1.0), (1e-11, 1.0))
+        with pytest.raises(ChartMeetsExceptionalSet, match="chart Jacobian degenerates"):
+            _check_guards((1.0, 1.0), (1e-4, 1e7))
 
 
 # ---------------------------------------------------------------------------
