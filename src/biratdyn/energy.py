@@ -40,14 +40,16 @@ jet of its value and Wirtinger gradient (ROADMAP item 5).
 The map's chart expression, its Jacobian and its target pivot coordinate
 come from the stateless kernel ``maps.chart_map``, and chart points from
 ``maps.chart_embed``/``chart_coords``.  This module alone keeps guard
-margins over the kernel's values: the change of variables widens the
-extremes of |pivot| and |det J| over the nodes of each grid and raises
-``ChartMeetsExceptionalSet`` when a window degenerates.
+margins over the kernel's values: one guarded loop integrates both windows
+of the change of variables, widens the extremes of |pivot| and |det J|
+over each window's nodes and raises ``ChartMeetsExceptionalSet`` when it
+degenerates.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -122,6 +124,11 @@ class ChartMeetsExceptionalSet(EnergyError):
 # ---------------------------------------------------------------------------
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer; ``True`` and ``False`` are not counts."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class GridChart:
     """Uniform midpoint grid on a box in an affine chart of the plane.
@@ -139,9 +146,9 @@ class GridChart:
     resolution: int = 24
 
     def __post_init__(self) -> None:
-        if not 0 <= self.chart <= 2:
+        if not _is_integer(self.chart) or not 0 <= self.chart <= 2:
             raise EnergyError("chart index must be 0, 1 or 2")
-        if int(self.resolution) != self.resolution or self.resolution < 8:
+        if not _is_integer(self.resolution) or self.resolution < 8:
             raise EnergyError("grid resolution must be an integer >= 8")
         if not self.halfwidth > 0:
             raise EnergyError("grid halfwidth must be positive")
@@ -207,6 +214,14 @@ class GridChart:
 # ---------------------------------------------------------------------------
 
 
+def _min_eigenvalues(a, b, c) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian node matrix [[a, b], [conj(b), c]]
+    with a, c real."""
+    mid = (a + c) / 2.0
+    rad = np.sqrt(((a - c) / 2.0) ** 2 + np.abs(b) ** 2)
+    return mid - rad
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteForm11:
     """Hermitian coefficient field (a, b, c) of a (1,1)-form: the node
@@ -237,9 +252,7 @@ class DiscreteForm11:
         return cls(a, b, c)
 
     def min_eigenvalue(self) -> float:
-        mid = (self.a + self.c) / 2.0
-        rad = np.sqrt(((self.a - self.c) / 2.0) ** 2 + np.abs(self.b) ** 2)
-        return float(np.min(mid - rad))
+        return float(np.min(_min_eigenvalues(self.a, self.b, self.c)))
 
     def require_positive(self) -> None:
         worst = self.min_eigenvalue()
@@ -553,14 +566,6 @@ class EnergyComparisonReport:
     premise_margin: float
 
 
-def _hessian_min_eig(h11, h12, h22) -> np.ndarray:
-    ha = np.real(h11)
-    hc = np.real(h22)
-    mid = (ha + hc) / 2.0
-    rad = np.sqrt(((ha - hc) / 2.0) ** 2 + np.abs(h12) ** 2)
-    return mid - rad
-
-
 def energy_monotonicity_check(
     u: ChartFunction,
     v: ChartFunction,
@@ -583,8 +588,10 @@ def energy_monotonicity_check(
         raise PremiseViolated("order premise u <= v fails on the grid")
 
     # dd^c has matrix 2 H; dd^c + c*beta >= 0 means eig_min(2H) + c/2 >= 0
-    eig_u = 2.0 * _hessian_min_eig(*_hessian_of(u, ju, z1, z2))
-    eig_v = 2.0 * _hessian_min_eig(*_hessian_of(v, jv, z1, z2))
+    eig_u, eig_v = (
+        2.0 * _min_eigenvalues(np.real(h11), h12, np.real(h22))
+        for h11, h12, h22 in (_hessian_of(u, ju, z1, z2), _hessian_of(v, jv, z1, z2))
+    )
     worst = float(min(np.min(eig_u), np.min(eig_v)))
     if c is None:
         c = max(0.0, -2.0 * worst) * (1.0 + 1e-9)
@@ -712,10 +719,6 @@ def cauchy_diagnostic(
 # ---------------------------------------------------------------------------
 
 
-def _coeff_scale(poly) -> float:
-    return max(abs(complex(c)) for c in poly.terms.values()) if poly.terms else 0.0
-
-
 def _widen(small: float, large: float, values) -> tuple[float, float]:
     """``(small, large)`` widened to cover the values that are not NaN.
 
@@ -769,7 +772,7 @@ def _critical_proxy_min(f: RationalSurfaceMap, hom, current: float) -> float:
     )
     smallest = current
     for poly, _mult in f.critical_set():
-        scale = _coeff_scale(poly)
+        scale = max(abs(complex(c)) for c in poly.terms.values()) if poly.terms else 0.0
         if scale == 0.0:
             continue
         vals = np.abs(poly.evaluate_numeric(hom)) / (scale * norms**poly.degree)
@@ -811,6 +814,39 @@ class PushforwardCheck:
     target_chart: GridChart
 
 
+def _window_integral(g: RationalSurfaceMap, window: GridChart, integrand, labels) -> float:
+    """Midpoint sum over ``window`` of ``integrand(z1, z2, w1, w2, J)``, the
+    node densities given the chunk's images under ``g`` and chart Jacobian:
+    the one chunk loop of the change of variables.  After the loop it
+    raises on the |pivot| and |det J| margins, then on the critical-set
+    proxy, then on a non-finite integrand; ``labels`` (side, critical-set
+    message) names the window in the last two errors."""
+    side, near_critical = labels
+    chart = window.chart
+    total = 0.0
+    crit_min = math.inf
+    finite = True
+    denominator = jacobian = (math.inf, 0.0)
+    for z1, z2 in _chunks(window):
+        w1, w2, J, D = chart_map(g, chart, chart, z1, z2)
+        denominator = _widen(*denominator, np.abs(D))
+        jacobian = _widen(*jacobian, np.abs(J[0][0] * J[1][1] - J[0][1] * J[1][0]))
+        crit_min = _critical_proxy_min(g, chart_embed(chart, z1, z2), crit_min)
+        density = np.broadcast_to(integrand(z1, z2, w1, w2, J), z1.shape)
+        finite = finite and bool(np.all(np.isfinite(density)))
+        total += float(np.sum(density))
+    _check_guards(denominator, jacobian)
+    if crit_min < 1e-2:
+        raise ChartMeetsExceptionalSet(f"{near_critical} (normalized distance {crit_min:.2e})")
+    if not finite:
+        raise EnergyError(f"{side} integrand is not finite on the grid")
+    return total * window.cell_volume
+
+
+_SOURCE = ("source", "window approaches the critical set")
+_TARGET = ("target", "image window approaches the inverse critical set")
+
+
 def pushforward_energy_check(
     u: ChartFunction,
     f: RationalSurfaceMap,
@@ -847,46 +883,29 @@ def pushforward_energy_check(
         if err > 1e-6 * (1.0 + abs(probe1[0]) + abs(probe2[0])):
             raise EnergyError("attached inverse fails a numeric roundtrip near the window")
 
-    sc1, sc2 = source_chart.affine_center
-    widths = (_WINDOW_SCALE * source_chart.halfwidth,) * 4
-    chi = bump_function((sc1, sc2), widths)
-
-    source_sum = 0.0
-    crit_min = math.inf
-    finite = True
+    chi = bump_function((c1, c2), (_WINDOW_SCALE * source_chart.halfwidth,) * 4)
     box_lo = np.full(4, math.inf)
     box_hi = np.full(4, -math.inf)
-    denominator = jacobian = (math.inf, 0.0)
-    for z1c, z2c in _chunks(source_chart):
-        w1, w2, J, D = chart_map(f, chart, chart, z1c, z2c)
-        denominator = _widen(*denominator, np.abs(D))
-        jacobian = _widen(*jacobian, np.abs(J[0][0] * J[1][1] - J[0][1] * J[1][0]))
-        crit_min = _critical_proxy_min(f, chart_embed(chart, z1c, z2c), crit_min)
-        chiv = np.asarray(chi(z1c, z2c).value)
+
+    def source_density(z1, z2, w1, w2, J):
+        # |u ∘ f| against T, and the box that the cutoff's image fills
+        chiv = np.asarray(chi(z1, z2).value)
         u1, u2 = _gradient(u(w1, w2))
         g1 = J[0][0] * u1 + J[1][0] * u2
         g2 = J[0][1] * u1 + J[1][1] * u2
         density = _pairing_density(g1, g2, g1, g2, a, b, c) * chiv
-        density = np.broadcast_to(density, z1c.shape)
-        finite = finite and bool(np.all(np.isfinite(density)))
-        source_sum += float(np.sum(density))
-        mask = np.broadcast_to(chiv, z1c.shape) > 1e-9
+        mask = np.broadcast_to(chiv, z1.shape) > 1e-9
         if mask.any():
-            w1b = np.broadcast_to(np.asarray(w1), z1c.shape)[mask]
-            w2b = np.broadcast_to(np.asarray(w2), z1c.shape)[mask]
+            w1b = np.broadcast_to(np.asarray(w1), z1.shape)[mask]
+            w2b = np.broadcast_to(np.asarray(w2), z1.shape)[mask]
             for axis, vals in enumerate((w1b.real, w1b.imag, w2b.real, w2b.imag)):
                 box_lo[axis] = min(box_lo[axis], float(vals.min()))
                 box_hi[axis] = max(box_hi[axis], float(vals.max()))
-    _check_guards(denominator, jacobian)
-    if crit_min < 1e-2:
-        raise ChartMeetsExceptionalSet(
-            f"window approaches the critical set (normalized distance {crit_min:.2e})"
-        )
-    if not finite:
-        raise EnergyError("source integrand is not finite on the grid")
+        return density
+
+    source_value = _window_integral(f, source_chart, source_density, _SOURCE)
     if not np.all(np.isfinite(box_lo)):
         raise EnergyError("cutoff support is empty on the source grid")
-    source_value = source_sum * source_chart.cell_volume
 
     mids = (box_lo + box_hi) / 2.0
     halfwidth = float(max((box_hi - box_lo) / 2.0)) * _TARGET_PAD
@@ -900,19 +919,9 @@ def pushforward_energy_check(
     )
     _indeterminacy_in_box(f.inverse, target_chart)
 
-    target_sum = 0.0
-    crit_min_back = math.inf
-    finite = True
-    denominator = jacobian = (math.inf, 0.0)
-    for y1c, y2c in _chunks(target_chart):
-        s1, s2, K, D = chart_map(f.inverse, chart, chart, y1c, y2c)
-        denominator = _widen(*denominator, np.abs(D))
-        jacobian = _widen(*jacobian, np.abs(K[0][0] * K[1][1] - K[0][1] * K[1][0]))
-        crit_min_back = _critical_proxy_min(
-            f.inverse, chart_embed(chart, y1c, y2c), crit_min_back
-        )
+    def target_density(y1, y2, s1, s2, K):
+        # |u| against the pushforward of T: matrix K^T M(s) conj(K)
         chiv = np.asarray(chi(s1, s2).value)
-        # pushforward of T: matrix K^T M(s) conj(K) in target coordinates
         k11, k12 = K[0][0], K[0][1]
         k21, k22 = K[1][0], K[1][1]
         col1_1 = a * np.conj(k11) + b * np.conj(k21)
@@ -922,19 +931,10 @@ def pushforward_energy_check(
         m_a = np.real(k11 * col1_1 + k21 * col1_2)
         m_b = k11 * col2_1 + k21 * col2_2
         m_c = np.real(k12 * col2_1 + k22 * col2_2)
-        u1, u2 = _gradient(u(y1c, y2c))
-        density = _pairing_density(u1, u2, u1, u2, m_a, m_b, m_c) * chiv
-        density = np.broadcast_to(density, y1c.shape)
-        finite = finite and bool(np.all(np.isfinite(density)))
-        target_sum += float(np.sum(density))
-    _check_guards(denominator, jacobian)
-    if crit_min_back < 1e-2:
-        raise ChartMeetsExceptionalSet(
-            f"image window approaches the inverse critical set (normalized distance {crit_min_back:.2e})"
-        )
-    if not finite:
-        raise EnergyError("target integrand is not finite on the grid")
-    target_value = target_sum * target_chart.cell_volume
+        u1, u2 = _gradient(u(y1, y2))
+        return _pairing_density(u1, u2, u1, u2, m_a, m_b, m_c) * chiv
+
+    target_value = _window_integral(f.inverse, target_chart, target_density, _TARGET)
 
     gap = abs(source_value - target_value)
     scale = max(abs(source_value), abs(target_value), 1e-300)

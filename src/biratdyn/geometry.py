@@ -259,11 +259,6 @@ class ProjectivePoint:
         v = self.unit_vector()
         return ProjectivePoint(v, exact=False)
 
-    def chart_index(self) -> int:
-        """Index of a largest-modulus coordinate (affine chart selector)."""
-        v = self.unit_vector()
-        return int(np.argmax(np.abs(v)))
-
     def _integer_form(self) -> tuple[tuple[int, ...], int]:
         """Exact coordinates times their least common denominator, as the
         flat Python-int tuple (re0, im0, re1, im1, re2, im2), together with

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Union
 
@@ -244,7 +244,8 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        if len(self.center) != 2 or not all(_finite_real(c) for c in self.center):
+        if (not isinstance(self.center, (list, tuple)) or len(self.center) != 2
+                or not all(_finite_real(c) for c in self.center)):
             raise MapFileError("center must be a pair of finite reals")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if type(self.seed) is not int or not (0 <= self.seed < 2**64):
@@ -272,11 +273,6 @@ class ExperimentConfig:
             raise MapFileError("chart must be 0, 1, or 2")
         if not isinstance(self.out_dir, str):
             raise MapFileError("out_dir must be a string")
-
-    def to_json(self) -> str:
-        data = asdict(self)
-        data["center"] = list(data["center"])
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
     def with_overrides(self, **kwargs) -> "ExperimentConfig":
         updates = {k: v for k, v in kwargs.items() if v is not None}

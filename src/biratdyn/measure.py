@@ -296,43 +296,6 @@ class WeightedPointCloud:
             lines.append(f"{coords},{w},{k},{hi!r},{lo!r}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_csv(cls, text: str) -> "WeightedPointCloud":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if len(lines) < 3 or not lines[0].startswith("#"):
-            raise MeasureError("malformed cloud CSV")
-        header = lines[0][1:].strip()
-        fields = dict(
-            part.strip().split("=", 1) for part in header.split(";") if "=" in part
-        )
-        provenance = fields.get("provenance", "Unknown")
-        seed_text = fields.get("seed", "None")
-        seed = None if seed_text == "None" else int(seed_text)
-        points, weights, periods, moduli = [], [], [], []
-        for ln in lines[2:]:
-            cells = ln.split(",")
-            if len(cells) != 10:
-                raise MeasureError(f"malformed cloud CSV row: {ln!r}")
-            vals = [float(c) for c in cells[:6]]
-            points.append(
-                ProjectivePoint.numeric_point(
-                    complex(vals[0], vals[1]),
-                    complex(vals[2], vals[3]),
-                    complex(vals[4], vals[5]),
-                )
-            )
-            weights.append(Fraction(cells[6]))
-            periods.append(int(cells[7]))
-            moduli.append((float(cells[8]), float(cells[9])))
-        return cls(
-            points=tuple(points),
-            weights=tuple(weights),
-            provenance=provenance,
-            periods=tuple(periods),
-            eigenvalue_moduli=tuple(moduli),
-            seed=seed,
-        )
-
 
 # ---------------------------------------------------------------------------
 # vectorized affine dynamics for the periodic-point search

@@ -42,7 +42,6 @@ __all__ = [
     "SingularityFit",
     "gamma_plus",
     "green_partial",
-    "green_partial_telescoped",
     "green_functional_check",
     "green_at_inverse_indeterminacy",
     "singularity_fit",
@@ -237,17 +236,6 @@ def green_partial(f: RationalSurfaceMap, p: ProjectivePoint, N: int) -> float:
     :class:`PotentialError`.
     """
     return float(_partial_sums(f, [p], N)[0])
-
-
-def green_partial_telescoped(f: RationalSurfaceMap, p: ProjectivePoint, N: int) -> float:
-    """Telescoped evaluation ``d**-N log norm(F^N z)`` on the normalized
-    orbit."""
-    if N < 1:
-        raise ValueError("partial sum needs N >= 1")
-    logs, _ = _point_logs(f, [p], N, False)
-    if _stopped(logs[0]):
-        return -math.inf
-    return float(_telescoped(logs[0], float(f.degree)))
 
 
 def _functional_residual(logs, d: float):

@@ -47,7 +47,7 @@ from biratdyn.energy import (
     smoothed_log_distance,
     smoothed_log_form,
 )
-from biratdyn.energy import _check_guards, _widen
+from biratdyn.energy import _TARGET, _check_guards, _widen, _window_integral
 from biratdyn.geometry import HomogeneousPolynomial, ProjectivePoint
 from biratdyn.maps import RationalSurfaceMap, chart_map
 from biratdyn.standard_maps import cremona_involution, henon_map, linear_map
@@ -75,6 +75,25 @@ class TestGridChart:
     def test_rejects_small_resolution(self):
         with pytest.raises(EnergyError):
             GridChart(center=ORIGIN, chart=2, halfwidth=1.0, resolution=7)
+
+    @pytest.mark.parametrize("field,value", [
+        ("resolution", 12.0), ("resolution", True), ("resolution", np.float64(12.0)),
+        ("chart", 2.0), ("chart", True), ("chart", np.bool_(True)),
+    ])
+    def test_rejects_non_integer_chart_or_resolution(self, field, value):
+        with pytest.raises(EnergyError, match="chart index" if field == "chart" else "resolution"):
+            GridChart(center=ORIGIN, **{field: value})
+
+    def test_accepts_numpy_integers(self):
+        chart = GridChart(center=ORIGIN, chart=np.int64(2), halfwidth=0.5,
+                          resolution=np.int32(8))
+        assert energy(coordinate_part(1, "re"), BETA, chart) == pytest.approx(1.0, rel=1e-12)
+
+    def test_target_resolution_is_checked_like_a_grid_resolution(self):
+        chart = GridChart(center=ORIGIN, chart=2, halfwidth=0.6, resolution=8)
+        with pytest.raises(EnergyError, match="resolution"):
+            pushforward_energy_check(random_trig(58), henon_map(), BETA, chart,
+                                     target_resolution=12.0)
 
     def test_rejects_center_on_chart_line_at_infinity(self):
         with pytest.raises(EnergyError):
@@ -447,7 +466,16 @@ def _rotation_map() -> RationalSurfaceMap:
     return linear_map(m, name="rotation35"), linear_map(minv, name="rotation35-inv")
 
 
+def assert_pinned(check, source, target, discrepancy):
+    """The three floats of a check, bit for bit (``float.hex`` strings)."""
+    got = (check.source_value, check.target_value, check.relative_discrepancy)
+    assert tuple(x.hex() for x in got) == (source, target, discrepancy)
+
+
 class TestPushforward:
+    # the float.hex pins hold the change of variables to its float
+    # operations in their order: any reordering moves the last bits
+
     def test_unitary_rotation_is_an_isometry(self):
         f, finv = _rotation_map()
         f.inverse = finv
@@ -456,6 +484,8 @@ class TestPushforward:
         chart = GridChart(center=ORIGIN, chart=2, halfwidth=1.0, resolution=24)
         check = pushforward_energy_check(u, f, BETA, chart)
         assert check.relative_discrepancy < 1e-3
+        assert_pinned(check, "0x1.f467e60a61c7bp-5", "0x1.f46c89195cce6p-5",
+                      "0x1.2fa12867ebe3fp-15")
 
     def test_henon_window_away_from_exceptional_sets(self):
         h = henon_map()
@@ -463,6 +493,8 @@ class TestPushforward:
         u = random_trig(52, terms=3, amplitude=0.5)
         check = pushforward_energy_check(u, h, BETA, chart)
         assert check.relative_discrepancy < 0.02
+        assert_pinned(check, "0x1.e2240c4946490p-11", "0x1.e1ebb385dfea5p-11",
+                      "0x1.deb0c2b0fd6d4p-12")
 
     def test_log_singularity_with_finite_potential_form(self):
         h = henon_map()
@@ -479,6 +511,8 @@ class TestPushforward:
         assert math.isfinite(check.source_value)
         assert math.isfinite(check.target_value)
         assert check.relative_discrepancy < 0.05
+        assert_pinned(check, "0x1.724686f562382p-1", "0x1.6d1cf3512480dp-1",
+                      "0x1.c8da9c0570171p-7")
 
     def test_window_meeting_indeterminacy_is_rejected(self):
         sigma = cremona_involution()
@@ -516,6 +550,33 @@ class TestPushforward:
             ChartMeetsExceptionalSet, match="line at infinity"
         ):
             pushforward_energy_check(random_trig(57), f, BETA, chart)
+
+
+class TestWindowIntegral:
+    # the target window's errors, which no whole check reaches: its
+    # integrand and its critical-set proxy stay tame on every test window
+
+    def test_non_finite_target_integrand(self):
+        h = henon_map()
+        chart = GridChart(center=ORIGIN, chart=2, halfwidth=0.5, resolution=8)
+
+        def nan_density(z1, z2, w1, w2, J):
+            return np.where(np.abs(z1) < 0.1, np.nan, 1.0)
+
+        with pytest.raises(EnergyError, match="^target integrand is not finite on the grid$"):
+            _window_integral(h.inverse, chart, nan_density, _TARGET)
+
+    def test_target_window_near_the_inverse_critical_set(self):
+        # sigma's critical set is xyt = 0; this window runs along y = 0 at
+        # distance 0.02, where neither margin guard fires
+        sigma = cremona_involution()
+        center = ProjectivePoint.numeric_point(1.0, 0.02, 1.0)
+        chart = GridChart(center=center, chart=2, halfwidth=0.01, resolution=8)
+        with pytest.raises(
+            ChartMeetsExceptionalSet,
+            match=r"^image window approaches the inverse critical set \(normalized distance",
+        ):
+            _window_integral(sigma, chart, lambda *nodes: 1.0, _TARGET)
 
 
 # ---------------------------------------------------------------------------

@@ -96,10 +96,6 @@ class TestProjectivePoint:
         assert p.unit_vector() is v and not v.flags.writeable
         assert v.tolist() == [0.8, 0.6000000000000001j, 0j]
 
-    def test_chart_index(self):
-        assert P(1, 0, 0).chart_index() == 0
-        assert P(1, 5, 2).chart_index() == 1
-
     def test_reduced_representative(self):
         p = ProjectivePoint([CR(Fraction(2, 3)), CR(Fraction(4, 3)), CR(2)])
         r = p.reduced()

@@ -1,6 +1,7 @@
-"""Every module-level import in the package is used, importing the
-package leaves sympy unloaded, and the package's defaulted parameters stay
-within a fixed budget.
+"""Every module-level import in the package is used, every package
+attribute named after a submodule is that submodule, importing the package
+leaves sympy unloaded, and the package's defaulted parameters stay within
+a fixed budget.
 
 An import that no code reads still costs load time and misleads readers
 about a module's dependencies.  A name counts as used when the module
@@ -18,6 +19,7 @@ forget; the budget makes every new one a reviewed, one-line change.
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -51,6 +53,15 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_package_attribute_is_the_submodule(path):
+    # a re-exported name equal to a submodule's would shadow the module:
+    # `import biratdyn.x as m` and `from biratdyn import x` would then give it
+    name = path.stem
+    importlib.import_module(f"biratdyn.{name}")
+    assert getattr(biratdyn, name) is sys.modules[f"biratdyn.{name}"]
 
 
 def test_guard_flags_an_unused_import():

@@ -7,6 +7,7 @@ lossless.  Oracles are roundtrip identities on the bundled corpus plus
 validation rejections for malformed inputs.
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -167,7 +168,7 @@ class TestExperimentConfig:
     def test_json_roundtrip(self, tmp_path):
         cfg = ExperimentConfig(seed=7, grid=32, max_period=4)
         path = tmp_path / "cfg.json"
-        path.write_text(cfg.to_json())
+        path.write_text(json.dumps(dataclasses.asdict(cfg)))
         again = load_config(path)
         assert again == cfg
 

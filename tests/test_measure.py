@@ -168,14 +168,22 @@ class TestWeightedPointCloud:
         assert text == cloud.to_csv()  # deterministic
         assert text.splitlines()[0].startswith("#")
         assert "SaddleOrbits(1)" in text.splitlines()[0]
-        back = WeightedPointCloud.from_csv(text)
-        assert back.size == cloud.size
-        assert back.weights == cloud.weights
-        assert back.periods == cloud.periods
-        for p, q in zip(back.points, cloud.points):
-            assert proj_distance(p, q) < 1e-12
-        for (a, b), (c, d) in zip(back.eigenvalue_moduli, cloud.eigenvalue_moduli):
-            assert abs(a - c) < 1e-12 and abs(b - d) < 1e-12
+        header, columns, *rows = text.splitlines()
+        assert header == f"# provenance=SaddleOrbits(1); seed={cloud.seed}; size={cloud.size}"
+        assert columns.split(",")[6:] == [
+            "weight", "period", "eig_modulus_large", "eig_modulus_small"]
+        assert len(rows) == cloud.size
+        for row, p, w, k, moduli in zip(rows, cloud.points, cloud.weights,
+                                        cloud.periods, cloud.eigenvalue_moduli):
+            cells = row.split(",")
+            assert len(cells) == len(columns.split(",")) == 10
+            re0, im0, re1, im1, re2, im2 = map(float, cells[:6])
+            back = ProjectivePoint.numeric_point(complex(re0, im0), complex(re1, im1),
+                                                 complex(re2, im2))
+            assert proj_distance(back, p) < 1e-12
+            assert Fraction(cells[6]) == w
+            assert int(cells[7]) == k
+            assert (float(cells[8]), float(cells[9])) == moduli
 
 
 class TestSaddleSearch:
