@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import DEGREE_CHECK_ITERATES, RationalSurfaceMap, apply, degree_sequence
+from .maps import DEGREE_CHECK_ITERATES, RationalSurfaceMap, degree_sequence
 
 __all__ = [
     "CohomologyLattice",
@@ -34,7 +34,6 @@ __all__ = [
     "remainder_growth_constant",
     "lattice_for_plane_map",
     "plane_expansion_rate",
-    "indeterminacy_image_positivity",
 ]
 
 
@@ -320,22 +319,3 @@ def lattice_for_plane_map(f: RationalSurfaceMap) -> CohomologyLattice:
         beta_class=[1],
     )
 
-
-def indeterminacy_image_positivity(f: RationalSurfaceMap, L: CohomologyLattice):
-    """Pairings of the expanding class with the images of indeterminacy points.
-
-    Each indeterminacy point of a plane map blows up to a curve; on the
-    rank-one plane lattice its class is its degree times the hyperplane
-    class.  Returns one pairing per indeterminacy point.  Raises
-    :class:`SpectralError` if an image curve cannot be identified.
-    """
-    if L.rank != 1:
-        raise SpectralError("image positivity check is implemented for the plane lattice")
-    sd = spectral_data(L)
-    values = []
-    for p in f.indeterminacy_set():
-        img = apply(f, p)
-        if img.kind != "blowup" or not img.curve_known:
-            raise SpectralError(f"image curve of indeterminacy point {p!r} unavailable")
-        values.append(L.pairing(sd.theta_plus, (img.curve.degree,)))
-    return values

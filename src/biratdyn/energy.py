@@ -915,7 +915,7 @@ def pushforward_energy_check(
         ),
         chart=chart,
         halfwidth=halfwidth,
-        resolution=target_resolution or source_chart.resolution,
+        resolution=source_chart.resolution if target_resolution is None else target_resolution,
     )
     _indeterminacy_in_box(f.inverse, target_chart)
 

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import ProjectivePoint, _unit_distances
+from .geometry import _unit_distances
 from .maps import EPS_EXCEPTIONAL, RationalSurfaceMap, chart_coords, chart_map
 from .measure import WeightedPointCloud
 
@@ -44,7 +44,6 @@ __all__ = [
     "cocycle_exponents",
     "integrability_partial",
     "hyperbolicity_verdict",
-    "step_norm",
 ]
 
 _TRUNCATION_LEVELS = tuple(float(2**k) for k in range(1, 13))
@@ -201,19 +200,6 @@ def _cocycle_step(
             mats[idx] = out_half @ jmat @ in_half_inv
     finite = np.all(np.isfinite(mats), axis=(1, 2)) & ok
     return mats, w, finite, chart_out
-
-
-def step_norm(f: RationalSurfaceMap, p: ProjectivePoint) -> float:
-    """Top singular value of the corrected chart step matrix at one point.
-
-    Matches the derivative norm from the homogeneous projection formula;
-    returns ``inf`` at indeterminacy points.
-    """
-    v = p.unit_vector()[None, :]
-    mats, _, finite, _ = _cocycle_step(f, v)
-    if not finite[0]:
-        return math.inf
-    return float(np.linalg.svd(mats[0], compute_uv=False)[0])
 
 
 def _chordal_to_points(v: np.ndarray, targets: list[np.ndarray]) -> np.ndarray:

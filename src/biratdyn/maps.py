@@ -643,10 +643,12 @@ def _gaussian_roots(a: list) -> tuple[list[ComplexRational], list[complex]]:
     if len(s) == 2:
         return [-s[0] / s[1]], []
     lc = s[-1]
-    coeffs = [mpmath.mpc(int(c.re), int(c.im)) for c in reversed(s)]
     approx = None
     for prec in _ROOT_PRECISIONS:
         with mpmath.workprec(prec):
+            # built at the working precision, so integers above 2**53 keep
+            # every digit that precision holds
+            coeffs = [mpmath.mpc(int(c.re), int(c.im)) for c in reversed(s)]
             try:
                 approx = mpmath.polyroots(coeffs, maxsteps=prec, extraprec=prec,
                                           roots_init=approx)

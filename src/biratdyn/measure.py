@@ -16,9 +16,9 @@ uniform across points, and always sum to 1.
 
 Cloud diagnostics mirror how such a measure is used: averages of bounded
 observables, the invariance residual ``|mu(phi o f) - mu(phi)|``, centered
-correlation coefficients along the orbit (a mixing proxy), mass decay of
-shrinking balls, and a standard-error agreement gate between clouds built
-from different period cutoffs.
+correlation coefficients along the orbit (a mixing proxy), and a
+standard-error agreement gate between clouds built from different period
+cutoffs.
 """
 
 from __future__ import annotations
@@ -41,14 +41,12 @@ __all__ = [
     "Observable",
     "WeightedPointCloud",
     "AgreementRow",
-    "BallMassReport",
     "saddle_periodic_points",
     "saddle_cloud",
     "measure_average",
     "invariance_residual",
     "mixing_correlation",
     "cloud_agreement",
-    "ball_mass_decay",
     "coordinate_observables",
     "random_observable",
     "bump_observable",
@@ -69,11 +67,6 @@ _DEDUPE_TOL = 1e-7
 _EXPANSION_GAP = 1e-6
 _CERTIFY_RADIUS = 1e-7
 _CHORDAL_FIX_TOL = 1e-9
-# ball-mass decay: radii base * rho^(-k/2) for k < _BALL_STEPS, at up to
-# _BALL_CENTERS atoms
-_BALL_BASE_RADIUS = 0.9
-_BALL_STEPS = 9
-_BALL_CENTERS = 7
 # cloud agreement: means may differ by this many summed standard errors
 _AGREEMENT_FACTOR = 3.0
 
@@ -707,69 +700,7 @@ def mixing_correlation(
 
 
 # ---------------------------------------------------------------------------
-# ball-mass decay and cloud agreement
-
-
-@dataclass(frozen=True)
-class BallMassReport:
-    """Mass of shrinking chordal balls around cloud atoms.
-
-    ``radii[k] = base * rho^(-k/2)``; ``masses[k]`` averages the ball mass
-    over the sampled centers.  ``fitted_exponent`` is the mean decay rate of
-    ``-log(mass)`` per step ``k`` over the resolvable range, to be compared
-    with the reference rate ``log(rho)``.
-    """
-
-    radii: tuple[float, ...]
-    masses: tuple[float, ...]
-    fitted_exponent: float
-    reference_rate: float
-    centers_used: int
-
-
-def ball_mass_decay(
-    cloud: WeightedPointCloud,
-    rho: float,
-) -> BallMassReport:
-    """Fit the decay exponent of ball masses ``mu(B(x, base * rho^(-k/2)))``.
-
-    Centers are cloud atoms at evenly spaced indices.  Masses below 1.5
-    atoms are excluded from each center's fit (the atomic floor), and
-    centers with fewer than three resolvable radii are skipped.
-    """
-    if rho <= 1:
-        raise MeasureError("rho must exceed 1")
-    n = cloud.size
-    radii = [_BALL_BASE_RADIUS * rho ** (-k / 2.0) for k in range(_BALL_STEPS)]
-    stride = max(1, n // _BALL_CENTERS)
-    centers = cloud.points[::stride][:_BALL_CENTERS]
-    weights = [float(w) for w in cloud.weights]
-    floor = 1.5 / n
-    mass_rows: list[list[float]] = []
-    slopes: list[float] = []
-    for c in centers:
-        dists = [proj_distance(p, c) for p in cloud.points]
-        masses = [
-            math.fsum(w for w, d in zip(weights, dists) if d < r) for r in radii
-        ]
-        mass_rows.append(masses)
-        usable = [(k, math.log(m)) for k, m in enumerate(masses) if m > floor]
-        if len(usable) >= 3:
-            ks = np.array([k for k, _ in usable], dtype=float)
-            ls = np.array([v for _, v in usable])
-            slopes.append(-float(np.polyfit(ks, ls, 1)[0]))
-    if not slopes:
-        raise MeasureError("cloud too sparse to resolve any ball-mass decay")
-    mean_masses = tuple(
-        float(np.mean([row[k] for row in mass_rows])) for k in range(_BALL_STEPS)
-    )
-    return BallMassReport(
-        radii=tuple(radii),
-        masses=mean_masses,
-        fitted_exponent=float(np.mean(slopes)),
-        reference_rate=math.log(rho),
-        centers_used=len(centers),
-    )
+# cloud agreement
 
 
 @dataclass(frozen=True)

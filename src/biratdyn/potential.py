@@ -14,8 +14,7 @@ The weight is always the degree.  A plane map is algebraically stable,
 potential of the lift is then ``lim d**-n log norm(F^n z)``.  Weighted by
 any other rate ``rho != d``, the sums of the lift's step potentials no
 longer telescope to ``rho**-N log norm(F^N z)`` and are not a Green
-potential.  Only the class-valued sums of :func:`green_partial_for_class`
-take another rate, their lattice's.
+potential.
 
 Normalization note: potentials built from homogeneous lifts differ from
 chart-level conventions by an additive constant.  All functional
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cohomology import CohomologyLattice, SpectralData, spectral_data
 from .geometry import GeometryError, ProjectivePoint, _term_sum, proj_distance
 from .maps import RationalSurfaceMap, chart_embed
 
@@ -49,7 +47,6 @@ __all__ = [
     "shell_means",
     "lelong_estimate",
     "green_lelong_estimate",
-    "green_partial_for_class",
     "green_grid",
 ]
 
@@ -424,65 +421,6 @@ def green_lelong_estimate(
         samples_per_shell=samples_per_shell,
     )
     return lelong_estimate(DEFAULT_LELONG_RADII, means)
-
-
-# ---------------------------------------------------------------------------
-# Class-valued partial sums
-# ---------------------------------------------------------------------------
-
-
-def green_partial_for_class(
-    f: RationalSurfaceMap,
-    L: CohomologyLattice,
-    eta,
-    p: ProjectivePoint,
-    N: int,
-    *,
-    sd: SpectralData | None = None,
-    eta_potential=None,
-    gamma_basis=None,
-):
-    """Partial Green sum attached to an arbitrary lattice class.
-
-    Evaluates ``rho**-n [ p_eta(f^n x) + sum_{j<n} gamma(Mf^j eta)(f^(n-1-j) x) ]``
-    where ``rho = sd.rho`` is the lattice's rate, ``gamma(v)`` is linear in
-    the class ``v`` over per-generator step potentials and ``p_eta`` is the
-    smooth chart potential of ``eta`` (zero for the expanding class
-    itself).  Returns ``(value, c)`` with ``c`` the pairing of ``eta``
-    against the contracting class: the sums converge to ``c`` times the
-    invariant potential.
-
-    For the rank-one plane lattice the generator potential defaults to
-    ``x -> log norm(F(z))`` (the step potential scaled by the degree), which
-    makes the expanding-class case reduce exactly to :func:`green_partial`.
-    """
-    if N < 1:
-        raise ValueError("needs N >= 1")
-    if sd is None:
-        sd = spectral_data(L)
-    eta = np.asarray(eta, dtype=float)
-    c = L.pairing(eta, sd.theta_minus)
-    if gamma_basis is None:
-        if L.rank != 1:
-            raise PotentialError("per-generator potentials required for rank > 1")
-        d = float(f.degree)
-        gamma_basis = [lambda x: d * gamma_plus(f, x)]
-    if len(gamma_basis) != L.rank:
-        raise PotentialError("one generator potential per lattice rank is required")
-    logs, orbit = _point_logs(f, [p], N + 1, True)
-    if logs[0, -2] == -math.inf:  # the orbit stopped before its N-th iterate
-        return -math.inf, c
-    orbit = [ProjectivePoint.numeric_point(*v) for v in orbit[0]]
-    M = L.Mf.astype(float)
-    v = eta.copy()
-    total = 0.0
-    for j in range(N):
-        x = orbit[N - 1 - j]
-        total += sum(float(v[i]) * gamma_basis[i](x) for i in range(L.rank))
-        v = M @ v
-    if eta_potential is not None:
-        total += eta_potential(orbit[N])
-    return total * sd.rho ** (-N), float(c)
 
 
 # ---------------------------------------------------------------------------

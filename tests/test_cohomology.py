@@ -18,7 +18,6 @@ from biratdyn.cohomology import (
     check_adjoint,
     class_decomposition,
     cone_K_test,
-    indeterminacy_image_positivity,
     lattice_for_plane_map,
     remainder_growth_constant,
     spectral_data,
@@ -201,10 +200,3 @@ class TestPlaneLattice:
         L = lattice_for_plane_map(diagonal_scaling_map())
         with pytest.raises(NoExpansion):
             spectral_data(L)
-
-    def test_indeterminacy_images_pair_positively(self):
-        for f in (henon_map(), lsigma_map()):
-            L = lattice_for_plane_map(f)
-            values = indeterminacy_image_positivity(f, L)
-            assert len(values) == len(f.indeterminacy_set())
-            assert all(v >= 1 - 1e-12 for v in values)

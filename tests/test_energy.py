@@ -91,9 +91,10 @@ class TestGridChart:
 
     def test_target_resolution_is_checked_like_a_grid_resolution(self):
         chart = GridChart(center=ORIGIN, chart=2, halfwidth=0.6, resolution=8)
-        with pytest.raises(EnergyError, match="resolution"):
-            pushforward_energy_check(random_trig(58), henon_map(), BETA, chart,
-                                     target_resolution=12.0)
+        for value in (12.0, 0, False):
+            with pytest.raises(EnergyError, match="resolution"):
+                pushforward_energy_check(random_trig(58), henon_map(), BETA, chart,
+                                         target_resolution=value)
 
     def test_rejects_center_on_chart_line_at_infinity(self):
         with pytest.raises(EnergyError):

@@ -1,7 +1,8 @@
-"""Every module-level import in the package is used, every package
-attribute named after a submodule is that submodule, importing the package
-leaves sympy unloaded, and the package's defaulted parameters stay within
-a fixed budget.
+"""Every module-level import in the package is used, every export list
+names exactly what its module defines in public, every package attribute
+named after a submodule is that submodule, importing the package leaves
+sympy unloaded, and the package's defaulted parameters stay within a fixed
+budget.
 
 An import that no code reads still costs load time and misleads readers
 about a module's dependencies.  A name counts as used when the module
@@ -13,7 +14,9 @@ the modular coprimality certificate cannot decide, and importing it takes
 about half a second, so it is loaded on first use: ``stability``,
 ``green``, ``measure`` and ``lyapunov`` compute without it on the corpus.
 Each defaulted parameter is an option that callers may set or
-forget; the budget makes every new one a reviewed, one-line change.
+forget; the budget makes every new one a reviewed, one-line change.  An
+export list that names a deleted function, or omits a new one, misstates
+the public API, so both directions are checked.
 """
 
 from __future__ import annotations
@@ -34,6 +37,15 @@ MODULES = sorted(p for p in Path(biratdyn.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
 
 
+def declared_exports(tree: ast.Module) -> list[str] | None:
+    """The literal ``__all__`` a module assigns, or None."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return list(ast.literal_eval(node.value))
+    return None
+
+
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = []
@@ -43,11 +55,20 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in tree.body:
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
-            read |= set(ast.literal_eval(node.value))
+    read |= set(declared_exports(tree) or ())
     return [name for name in imported if name not in read]
+
+
+def export_faults(source: str, namespace) -> tuple[list[str], list[str]]:
+    """Names ``__all__`` lists that the module lacks, and public top-level
+    functions and classes it does not list."""
+    tree = ast.parse(source)
+    listed = declared_exports(tree)
+    public = [node.name for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")]
+    return ([name for name in listed if name not in namespace],
+            [name for name in public if name not in listed])
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -66,6 +87,26 @@ def test_package_attribute_is_the_submodule(path):
 
 def test_guard_flags_an_unused_import():
     assert unused_imports("import math\nfrom os import path, sep\nprint(sep)\n") == ["math", "path"]
+
+
+EXPORTING = [p for p in MODULES if declared_exports(ast.parse(p.read_text())) is not None]
+
+
+@pytest.mark.parametrize("path", EXPORTING, ids=lambda p: p.name)
+def test_export_list_matches_public_definitions(path):
+    module = importlib.import_module(f"biratdyn.{path.stem}")
+    assert export_faults(path.read_text(), vars(module)) == ([], [])
+
+
+def test_package_exports_resolve():
+    assert [name for name in biratdyn.__all__ if not hasattr(biratdyn, name)] == []
+
+
+def test_guard_flags_stale_and_unlisted_exports():
+    source = "__all__ = ['gone', 'kept']\ndef kept(): pass\ndef extra(): pass\nclass _Hidden: pass\n"
+    namespace: dict = {}
+    exec(source, namespace)
+    assert export_faults(source, namespace) == (["gone"], ["extra"])
 
 
 def test_import_leaves_sympy_unloaded():
@@ -115,7 +156,7 @@ def test_map_only_commands_compute_without_sympy(tmp_path):
 
 # defaulted parameters of every function and method in the package; raise
 # only for an option that two callers need with different values
-DEFAULTED_PARAMETER_BUDGET = 50
+DEFAULTED_PARAMETER_BUDGET = 47
 
 
 def defaulted_parameters(source: str) -> int:

@@ -35,6 +35,7 @@ from biratdyn.maps import (
     PositiveDimensionalLocus,
     RationalSurfaceMap,
     _combination,
+    _gaussian_roots,
     _line_restriction,
     _resultant_in_y,
     compose,
@@ -244,6 +245,31 @@ def test_generated_henon_loci_equal_oracle(c, delta):
     f = henon_map(c, delta)
     assert_same_loci(f, ordered=False)
     assert_same_loci(f.inverse, ordered=False)
+
+
+def test_degree_four_square_loci_equal_oracle():
+    """g = f o f for f = L o sigma, with f^-1 o f^-1 as its inverse.  The
+    eliminants of I(g^-1) have coefficients above 2**53, which once lost
+    digits before root isolation and ended every command on g in exit 2."""
+    f = lsigma([[1, 1, 0], [1, -1, -1], [-1, 2, -1]])
+    g = compose(f, f)
+    g.inverse = compose(f.inverse, f.inverse)
+    g.inverse.inverse = g
+    assert g.degree == 4
+    assert_same_loci(g, ordered=False)
+    assert_same_loci(g.inverse, ordered=False)
+
+
+def test_roots_of_coefficients_above_double_precision():
+    """-11682510375976562500 (t - 2) (99 t - 161) (t - 1) (t + 1), whose
+    integer coefficients lie beyond 2**53, as those of I(g^-1) above do:
+    rounded to doubles, its roots never isolate."""
+    scale = 11682510375976562500
+    exact, numeric = _gaussian_roots([ComplexRational(scale * c)
+                                      for c in (322, -359, -223, 359, -99)])
+    assert exact == [ComplexRational(2), ComplexRational(Fraction(161, 99)),
+                     ComplexRational(1), ComplexRational(-1)]
+    assert numeric == []
 
 
 def is_rational_square(q: Fraction) -> bool:

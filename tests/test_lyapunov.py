@@ -36,10 +36,10 @@ from biratdyn.lyapunov import (
     LyapunovError,
     LyapunovEstimate,
     _chordal_to_points,
+    _cocycle_step,
     cocycle_exponents,
     hyperbolicity_verdict,
     integrability_partial,
-    step_norm,
 )
 from biratdyn.maps import derivative_norm
 from biratdyn.measure import WeightedPointCloud, saddle_cloud, saddle_periodic_points
@@ -162,10 +162,14 @@ class TestHenonExponents:
             assert a + b == pytest.approx(math.log(0.25), abs=1e-10)
 
     def test_step_norm_matches_homogeneous_formula(self, henon, cloud6):
-        for p in cloud6.points[:10]:
-            assert step_norm(henon, p) == pytest.approx(
-                derivative_norm(henon, p), rel=1e-9
-            )
+        points = cloud6.points[:10]
+        mats, _, finite, _ = _cocycle_step(
+            henon, np.stack([p.unit_vector() for p in points])
+        )
+        assert finite.all()
+        for p, mat in zip(points, mats):
+            top = float(np.linalg.svd(mat, compute_uv=False)[0])
+            assert top == pytest.approx(derivative_norm(henon, p), rel=1e-9)
 
 
 class TestExclusion:

@@ -297,3 +297,17 @@ def test_stability_orbit_beyond_double_range(tmp_path, capsys):
     path = save_map(twisted([[0, 1, 2], [-1, -1, 2], [1, 2, -1]])[2], tmp_path / "f.map")
     assert main(["stability", "--map", str(path), "--out", str(tmp_path), "--iters", "20"]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["inspect"], ["green", "--grid", "8"]],
+                         ids=["inspect", "green"])
+def test_degree_four_square_exits_0(command, tmp_path, capsys):
+    """g = f o f for f = L o sigma, saved with f^-1 o f^-1 as its inverse.
+    Its inverse's eliminants have coefficients above 2**53, which once lost
+    digits before root isolation and ended every command on g in exit 2."""
+    _, _, f = twisted([[1, 1, 0], [1, -1, -1], [-1, 2, -1]])
+    g = compose(f, f, name="g")
+    g.inverse = compose(f.inverse, f.inverse, name="g-inverse")
+    path = save_map(g, tmp_path / "g.map")
+    assert main([*command, "--map", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()

@@ -41,7 +41,6 @@ from biratdyn.measure import (
     NoSaddlesFound,
     Observable,
     WeightedPointCloud,
-    ball_mass_decay,
     bump_observable,
     cloud_agreement,
     coordinate_observables,
@@ -572,15 +571,6 @@ class TestMixing:
         assert c0 > 1e-3  # genuine time-0 variance
         assert max(values) < 0.8 * c0  # orbit decorrelation sets in ...
         assert min(values[:5]) < 0.2 * c0  # ... and dips well below the variance
-
-
-class TestBallMass:
-    def test_fitted_exponent_meets_threshold(self, cloud6):
-        report = ball_mass_decay(cloud6, rho=2.0)
-        assert report.reference_rate == pytest.approx(math.log(2.0))
-        assert len(report.radii) == len(report.masses)
-        assert all(a >= b for a, b in zip(report.masses, report.masses[1:]))
-        assert report.fitted_exponent >= 0.4 * math.log(2.0)
 
 
 class TestCloudAgreement:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from test_map_properties import det3, matrices, rationals, twisted
 
 from biratdyn import geometry, potential
-from biratdyn.cohomology import CohomologyLattice, lattice_for_plane_map, spectral_data
 from biratdyn.geometry import ProjectivePoint, proj_distance
 from biratdyn.mapfile import ExperimentConfig, corpus_path, load_map
 from biratdyn.maps import chart_embed
@@ -30,7 +29,6 @@ from biratdyn.potential import (
     green_grid,
     green_lelong_estimate,
     green_partial,
-    green_partial_for_class,
     lelong_estimate,
     shell_means,
     shell_points,
@@ -340,81 +338,6 @@ class TestLelong:
     def test_too_few_shells_rejected(self):
         with pytest.raises(InsufficientSamples):
             lelong_estimate([1e-3, 1e-2], [0.0, 0.0])
-
-
-class TestClassPartialSums:
-    def test_expanding_class_reduces_to_plain_sum(self):
-        h = henon_map()
-        L = lattice_for_plane_map(h)
-        sd = spectral_data(L)
-        for p in random_points(10, 29):
-            val, c = green_partial_for_class(h, L, sd.theta_plus, p, 20, sd=sd)
-            assert c == pytest.approx(1.0, abs=1e-12)
-            assert val == pytest.approx(green_partial(h, p, 20), abs=1e-9)
-
-    def test_scaled_class_scales_linearly(self):
-        h = henon_map()
-        L = lattice_for_plane_map(h)
-        sd = spectral_data(L)
-        p = random_points(1, 31)[0]
-        val2, c2 = green_partial_for_class(h, L, [2.0], p, 15, sd=sd)
-        val1, _ = green_partial_for_class(h, L, [1.0], p, 15, sd=sd)
-        assert c2 == pytest.approx(2.0, abs=1e-12)
-        assert val2 == pytest.approx(2.0 * val1, rel=1e-12, abs=1e-12)
-
-    def test_contracting_orthogonal_class_decays(self):
-        # rank-3 harness: a class pairing to zero with the contracting
-        # eigenvector contributes sums decaying like n (t/rho)^n
-        h = henon_map()
-        Q = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
-        M = [[3, -1, 0], [1, 0, 0], [0, 0, 1]]
-        L = CohomologyLattice(3, Q, M, M, [], [1, 0, 0])
-        sd = spectral_data(L)
-        eta = np.array([0.0, 0.0, 1.0])
-        assert abs(L.pairing(eta, sd.theta_minus)) < 1e-12
-
-        def g0(p):
-            v = p.unit_vector()
-            return float(np.real(v[0] * np.conj(v[1])))
-
-        def g1(p):
-            v = p.unit_vector()
-            return float(abs(v[1]) ** 2 - abs(v[2]) ** 2)
-
-        def g2(p):
-            v = p.unit_vector()
-            return math.sin(float(np.real(v[2] * np.conj(v[0]))))
-
-        basis = [g0, g1, g2]
-        rho = sd.rho
-        pts = random_points(20, 37)
-        means = []
-        for n in (4, 8, 16):
-            vals = []
-            for p in pts:
-                v, c = green_partial_for_class(h, L, eta, p, n, sd=sd, gamma_basis=basis)
-                assert c == pytest.approx(0.0, abs=1e-12)
-                vals.append(abs(v))
-            means.append(float(np.mean(vals)))
-        assert means[2] < means[1] < means[0]
-        # residual growth rate is 1, so the envelope is ~ n / rho^n
-        assert means[2] < 10 * 16 / rho**16
-
-    def test_class_sums_weighted_by_lattice_rate(self):
-        # constant generator potentials make the sum exact: Mf fixes the
-        # third generator, so each of the n steps adds 1 and the value is
-        # n / rho^n at the lattice's rate (3 + sqrt 5) / 2, not the degree 2
-        h = henon_map()
-        Q = [[1, 0, 0], [0, -1, 0], [0, 0, -1]]
-        M = [[3, -1, 0], [1, 0, 0], [0, 0, 1]]
-        L = CohomologyLattice(3, Q, M, M, [], [1, 0, 0])
-        sd = spectral_data(L)
-        assert sd.rho == pytest.approx((3 + math.sqrt(5)) / 2, rel=1e-12)
-        basis = [lambda p: 1.0] * 3
-        p = random_points(1, 41)[0]
-        for n in (1, 5, 12):
-            v, _ = green_partial_for_class(h, L, [0.0, 0.0, 1.0], p, n, gamma_basis=basis)
-            assert v == pytest.approx(n * sd.rho ** (-n), rel=1e-12)
 
 
 class TestBridgeAndGrid:
