@@ -413,7 +413,7 @@ def cmd_energy_selftest(cfg: ExperimentConfig, out: Path, instances: int) -> int
     control_box = GridChart(center=origin, chart=2, halfwidth=0.8, resolution=32)
     levels = [0.5 + 0.25 * k for k in range(9)]
     concentrated = DiscreteForm11.from_function(
-        control_box, smoothed_log_form(sing, control_box.step / 4))
+        smoothed_log_form(sing, control_box.step / 4))
     control_diag = cauchy_diagnostic(log_distance(sing), concentrated,
                                      control_box, levels=levels)
     checks.append({

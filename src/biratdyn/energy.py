@@ -32,10 +32,14 @@ these two densities:
 
 A ``ChartFunction`` is one callable: ``f(z1, z2)`` returns a ``Jet`` whose
 value, gradient and optional complex Hessian come from one pass over the
-nodes, so each check evaluates each function it receives once per grid
-(once per chunk in the change of variables), and sums and scalar
-multiples act on jets.  The Green kernel is to enter the same way, as one
-jet of its value and Wirtinger gradient (ROADMAP item 5).
+nodes, and sums and scalar multiples act on jets.  A ``DiscreteForm11``
+is likewise a closure giving its coefficients on given nodes.  Each check
+evaluates each function and form it receives once on every node:
+``energy`` and ``energy_monotonicity_check`` on the whole grid at once,
+``cauchy_diagnostic`` and the change of variables one chunk of the grid
+at a time, so that neither holds an array as large as its grid.  The
+Green kernel is to enter the same way, as one jet of its value and
+Wirtinger gradient (ROADMAP item 5).
 
 The map's chart expression, its Jacobian and its target pivot coordinate
 come from the stateless kernel ``maps.chart_map``, and chart points from
@@ -209,6 +213,17 @@ class GridChart:
         )
 
 
+def _chunks(chart: GridChart):
+    """The grid's nodes as r flat chunks of r^3 nodes, one per Re z1 node:
+    the one chunk loop of the checks that do not hold the whole grid."""
+    ax0 = chart.axis(0)
+    y1g, x2g, y2g = np.meshgrid(chart.axis(1), chart.axis(2), chart.axis(3), indexing="ij")
+    y1f = y1g.ravel()
+    z2f = (x2g + 1j * y2g).ravel()
+    for x1 in ax0:
+        yield x1 + 1j * y1f, z2f
+
+
 # ---------------------------------------------------------------------------
 # (1,1)-forms as Hermitian matrix fields
 # ---------------------------------------------------------------------------
@@ -222,23 +237,31 @@ def _min_eigenvalues(a, b, c) -> np.ndarray:
     return mid - rad
 
 
+Form11Function = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteForm11:
-    """Hermitian coefficient field (a, b, c) of a (1,1)-form: the node
-    matrix is [[a, b], [conj(b), c]] with a, c real."""
+    """A (1,1)-form by its Hermitian coefficient closure: ``T(z1, z2)``
+    returns (a, b, c) on the given nodes, the node matrix being
+    [[a, b], [conj(b), c]] with a, c real.  A form holds no samples, so
+    each check evaluates it on the nodes it is working on, chunk by chunk
+    where the check walks its grid in chunks."""
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
+    coefficients: Form11Function
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=np.float64))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.complex128))
-        object.__setattr__(self, "c", np.asarray(self.c, dtype=np.float64))
+    def __call__(self, z1: np.ndarray, z2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        a, b, c = self.coefficients(z1, z2)
+        return (
+            np.asarray(a, dtype=np.float64),
+            np.asarray(b, dtype=np.complex128),
+            np.asarray(c, dtype=np.float64),
+        )
 
     @classmethod
     def constant(cls, a: float, b: complex, c: float) -> "DiscreteForm11":
-        return cls(np.float64(a), np.complex128(b), np.float64(c))
+        coefficients = (np.float64(a), np.complex128(b), np.float64(c))
+        return cls(lambda z1, z2: coefficients)
 
     @classmethod
     def euclidean(cls) -> "DiscreteForm11":
@@ -246,27 +269,26 @@ class DiscreteForm11:
         return cls.constant(0.5, 0.0, 0.5)
 
     @classmethod
-    def from_function(cls, chart: GridChart, fn) -> "DiscreteForm11":
-        z1, z2 = chart.nodes()
-        a, b, c = fn(z1, z2)
-        return cls(a, b, c)
+    def from_function(cls, fn: Form11Function) -> "DiscreteForm11":
+        """The form whose coefficients on any nodes are ``fn(z1, z2)``,
+        such as a ``smoothed_log_form`` closure."""
+        return cls(fn)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.min(_min_eigenvalues(self.a, self.b, self.c)))
-
-    def require_positive(self) -> None:
-        worst = self.min_eigenvalue()
-        if worst < -_POSITIVITY_TOL:
-            raise NonPositiveT(
-                f"form has a node eigenvalue {worst:.3e} below -{_POSITIVITY_TOL:.0e}"
-            )
-
-    def mass_density(self) -> np.ndarray:
-        """Volume density of beta ^ T per unit 4-volume: 2 tr(M)."""
-        return 2.0 * (self.a + self.c)
+    def min_eigenvalue(self, z1: np.ndarray, z2: np.ndarray) -> float:
+        """Smallest eigenvalue of the node matrices on (z1, z2)."""
+        return float(np.min(_min_eigenvalues(*self(z1, z2))))
 
 
-Form11Function = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+def _positive_coefficients(T: DiscreteForm11, z1: np.ndarray, z2: np.ndarray):
+    """``T``'s coefficients on the nodes (z1, z2); raises ``NonPositiveT``
+    when a node matrix has an eigenvalue below the rounding tolerance."""
+    a, b, c = T(z1, z2)
+    worst = float(np.min(_min_eigenvalues(a, b, c)))
+    if worst < -_POSITIVITY_TOL:
+        raise NonPositiveT(
+            f"form has a node eigenvalue {worst:.3e} below -{_POSITIVITY_TOL:.0e}"
+        )
+    return a, b, c
 
 
 def smoothed_log_form(a: Sequence[complex], s: float) -> Form11Function:
@@ -523,9 +545,10 @@ def _gradient(jet: Jet) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(jet.d1), np.asarray(jet.d2)
 
 
-def _grid_energy(p, q, T: DiscreteForm11, chart: GridChart) -> float:
-    """Midpoint-rule E_T from the node gradients p of phi and q of psi."""
-    density = _pairing_density(*p, *q, T.a, T.b, T.c)
+def _grid_energy(p, q, coefficients, chart: GridChart) -> float:
+    """Midpoint-rule E_T from the node gradients p of phi and q of psi and
+    the node coefficients of T."""
+    density = _pairing_density(*p, *q, *coefficients)
     total = float(np.sum(np.broadcast_to(density, chart.shape)))
     return total * chart.cell_volume
 
@@ -538,11 +561,11 @@ def energy(
 ) -> float:
     """Midpoint-rule value of E_T(phi, psi) = int d(phi)^d^c(psi)^T over the
     chart box (psi defaults to phi)."""
-    T.require_positive()
     z1, z2 = chart.nodes()
+    coefficients = _positive_coefficients(T, z1, z2)
     p = _gradient(phi(z1, z2))
     q = p if psi is None else _gradient(psi(z1, z2))
-    return _grid_energy(p, q, T, chart)
+    return _grid_energy(p, q, coefficients, chart)
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +601,8 @@ def energy_monotonicity_check(
 
     When ``c`` is omitted it is fitted as the smallest admissible bound for
     the two complex Hessians on the grid."""
-    T.require_positive()
     z1, z2 = chart.nodes()
+    coefficients = _positive_coefficients(T, z1, z2)
     ju, jv = u(z1, z2), v(z1, z2)
     uu = np.asarray(ju.value, dtype=np.float64)
     vv = np.asarray(jv.value, dtype=np.float64)
@@ -601,13 +624,15 @@ def energy_monotonicity_check(
             f"Hessian premise dd^c >= -c*beta fails: margin {margin:.3e} with c={c:g}"
         )
 
-    mass_density = np.broadcast_to(np.asarray(gap * T.mass_density()), chart.shape)
+    # beta ^ T has volume density 2 tr(M)
+    ta, _, tc = coefficients
+    mass_density = np.broadcast_to(np.asarray(gap * (2.0 * (ta + tc))), chart.shape)
     mass = float(np.sum(mass_density)) * chart.cell_volume
 
     gu, gv = _gradient(ju), _gradient(jv)
-    e_uv = _grid_energy(gu, gv, T, chart)
-    e_vv = _grid_energy(gv, gv, T, chart)
-    e_uu = _grid_energy(gu, gu, T, chart)
+    e_uv = _grid_energy(gu, gv, coefficients, chart)
+    e_vv = _grid_energy(gv, gv, coefficients, chart)
+    e_uu = _grid_energy(gu, gu, coefficients, chart)
     first = e_uv - e_vv + c * mass
     second = e_uu - e_uv + c * mass
     return EnergyComparisonReport(
@@ -676,39 +701,44 @@ def cauchy_diagnostic(
 ) -> CauchyDiagnostic:
     """Seminorm distance matrix of the regularized levels of ``u`` against
     ``T``.  Uses the chain rule grad(u_j) = m'(u + j) grad(u), so only one
-    gradient field of ``u`` is ever evaluated."""
-    T.require_positive()
+    gradient field of ``u`` is ever evaluated.
+
+    The grid is walked in the chunks of the change of variables: on each
+    chunk ``u``'s jet and ``T``'s coefficients are evaluated once, ``T`` is
+    checked positive (``NonPositiveT``), and the squared distances are
+    summed into one level-by-level array, so no array spans the whole grid.
+    Square roots are taken after the last chunk."""
     level_list = tuple(float(j) for j in levels)
     if len(level_list) < 2:
         raise EnergyError("need at least two levels")
-    z1, z2 = chart.nodes()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ju = u(z1, z2)
-        uval = np.broadcast_to(np.asarray(ju.value, dtype=np.float64), chart.shape)
-        p1, p2 = _gradient(ju)
-        density = np.broadcast_to(
-            np.asarray(_pairing_density(p1, p2, p1, p2, T.a, T.b, T.c)), chart.shape
-        )
-    usable = np.isfinite(uval) & np.isfinite(density)
-    density = np.where(usable, density, 0.0)
-
-    weights = [_m_slope(uval + j, _SMOOTHING_WIDTH) for j in level_list]
-    vol = chart.cell_volume
     n = len(level_list)
-    matrix = np.zeros((n, n))
-    seminorms = []
-    for i in range(n):
-        seminorms.append(math.sqrt(max(float(np.sum(weights[i] ** 2 * density)) * vol, 0.0)))
-        for k in range(i + 1, n):
-            diff = weights[i] - weights[k]
-            val = math.sqrt(max(float(np.sum(diff**2 * density)) * vol, 0.0))
-            matrix[i, k] = matrix[k, i] = val
+    # squared seminorms on the diagonal, squared distances above it
+    sums = np.zeros((n, n))
+    for z1, z2 in _chunks(chart):
+        a, b, c = _positive_coefficients(T, z1, z2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ju = u(z1, z2)
+            uval = np.broadcast_to(np.asarray(ju.value, dtype=np.float64), z1.shape)
+            p1, p2 = _gradient(ju)
+            density = np.broadcast_to(
+                np.asarray(_pairing_density(p1, p2, p1, p2, a, b, c)), z1.shape
+            )
+        usable = np.isfinite(uval) & np.isfinite(density)
+        density = np.where(usable, density, 0.0)
+        weights = [_m_slope(uval + j, _SMOOTHING_WIDTH) for j in level_list]
+        for i in range(n):
+            sums[i, i] += float(np.sum(weights[i] ** 2 * density))
+            for k in range(i + 1, n):
+                sums[i, k] += float(np.sum((weights[i] - weights[k]) ** 2 * density))
+    norms = np.sqrt(np.maximum(sums * chart.cell_volume, 0.0))
+    upper = np.triu(norms, 1)
+    matrix = upper + upper.T
     consecutive = tuple(float(matrix[i, i + 1]) for i in range(n - 1))
     decays = consecutive[-1] <= max(_DECAY_FACTOR * consecutive[0], _DECAY_FLOOR)
     return CauchyDiagnostic(
         levels=level_list,
         matrix=matrix,
-        seminorms=tuple(seminorms),
+        seminorms=tuple(float(x) for x in np.diag(norms)),
         consecutive=consecutive,
         decays=decays,
     )
@@ -780,27 +810,6 @@ def _critical_proxy_min(f: RationalSurfaceMap, hom, current: float) -> float:
     return smallest
 
 
-def _chunks(chart: GridChart):
-    ax0 = chart.axis(0)
-    y1g, x2g, y2g = np.meshgrid(chart.axis(1), chart.axis(2), chart.axis(3), indexing="ij")
-    y1f = y1g.ravel()
-    z2f = (x2g + 1j * y2g).ravel()
-    for x1 in ax0:
-        yield x1 + 1j * y1f, z2f
-
-
-def _form_coefficients(T) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The constant coefficients (a, b, c) of a form with scalar fields."""
-    if not isinstance(T, DiscreteForm11):
-        raise EnergyError("T must be a DiscreteForm11")
-    if T.a.ndim or T.b.ndim or T.c.ndim:
-        raise EnergyError(
-            "change-of-variables checks need the form as constants, "
-            "not node samples tied to one grid"
-        )
-    return T.a, T.b, T.c
-
-
 @dataclass(frozen=True)
 class PushforwardCheck:
     """Both sides of the change-of-variables identity: the windowed energy
@@ -857,17 +866,19 @@ def pushforward_energy_check(
 ) -> PushforwardCheck:
     """Dual-route seminorm check across a biholomorphic window of ``f``.
 
-    ``T`` must have constant coefficients, so it can be pushed forward
-    pointwise.  Both windows lie in the source box's chart.  A smooth
-    cutoff supported on ``_WINDOW_SCALE`` times the source box weights both
-    integrals; the identity is exact in the continuum, so the relative
-    discrepancy measures pure quadrature error.  Raises
-    ``ChartMeetsExceptionalSet`` when the window or its image touches the
-    indeterminacy or critical loci, where the premises fail.
+    ``T`` is evaluated on the source nodes and, for the pushed-forward
+    form, on the preimages of the target nodes.  Both windows lie in the
+    source box's chart.  A smooth cutoff supported on ``_WINDOW_SCALE``
+    times the source box weights both integrals; the identity is exact in
+    the continuum, so the relative discrepancy measures pure quadrature
+    error.  Raises ``ChartMeetsExceptionalSet`` when the window or its
+    image touches the indeterminacy or critical loci, where the premises
+    fail.
     """
     if f.inverse is None:
         raise EnergyError("map has no attached inverse; the target-side integral needs one")
-    a, b, c = _form_coefficients(T)
+    if not isinstance(T, DiscreteForm11):
+        raise EnergyError("T must be a DiscreteForm11")
     chart = source_chart.chart
 
     _indeterminacy_in_box(f, source_chart)
@@ -893,7 +904,7 @@ def pushforward_energy_check(
         u1, u2 = _gradient(u(w1, w2))
         g1 = J[0][0] * u1 + J[1][0] * u2
         g2 = J[0][1] * u1 + J[1][1] * u2
-        density = _pairing_density(g1, g2, g1, g2, a, b, c) * chiv
+        density = _pairing_density(g1, g2, g1, g2, *T(z1, z2)) * chiv
         mask = np.broadcast_to(chiv, z1.shape) > 1e-9
         if mask.any():
             w1b = np.broadcast_to(np.asarray(w1), z1.shape)[mask]
@@ -922,6 +933,7 @@ def pushforward_energy_check(
     def target_density(y1, y2, s1, s2, K):
         # |u| against the pushforward of T: matrix K^T M(s) conj(K)
         chiv = np.asarray(chi(s1, s2).value)
+        a, b, c = T(s1, s2)
         k11, k12 = K[0][0], K[0][1]
         k21, k22 = K[1][0], K[1][1]
         col1_1 = a * np.conj(k11) + b * np.conj(k21)

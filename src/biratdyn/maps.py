@@ -48,6 +48,13 @@ DEGREE_CHECK_ITERATES = 5
 # largest iterate degree composed exactly: the next, 81 for a cubic, takes
 # tens of seconds to substitute
 _MAX_COMPOSED_DEGREE = 64
+# fixed Gaussian-integer points where the dominance test evaluates det J
+# exactly once its numeric tries are inconclusive
+_DOMINANCE_POINTS = (
+    (ComplexRational(1, 2), ComplexRational(-3, 1), ComplexRational(2, -1)),
+    (ComplexRational(2, 0), ComplexRational(5, 1), ComplexRational(-1, -3)),
+    (ComplexRational(-4, 3), ComplexRational(1, -1), ComplexRational(3, 2)),
+)
 
 
 class MapError(ValueError):
@@ -97,6 +104,16 @@ class DegreeSequence:
 
     def __len__(self):
         return len(self.degrees)
+
+
+def _det3(m):
+    """Cofactor expansion of a 3x3 determinant along its first row, over
+    polynomials or exact values alike."""
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
 
 
 class RationalSurfaceMap:
@@ -152,9 +169,10 @@ class RationalSurfaceMap:
             inverse.inverse = self
 
     def _dominant(self) -> bool:
-        """Dominance test: a numeric nonzero Jacobian determinant at a random
-        point is a certificate; the degenerate-looking case falls back to
-        the exact symbolic determinant."""
+        """Dominance test: a nonzero Jacobian determinant at any point is a
+        certificate.  Three random points are tried numerically, then the
+        fixed Gaussian-integer points exactly; only when det J is 0 at all
+        of those is the exact symbolic determinant built."""
         rng = np.random.default_rng(715225739)
         for _ in range(3):
             z = rng.normal(size=3) + 1j * rng.normal(size=3)
@@ -171,6 +189,10 @@ class RationalSurfaceMap:
                 scale *= max(np.linalg.norm(row), 1e-300)
             if abs(np.linalg.det(M)) > 1e-10 * scale:
                 return True
+        m = self.jacobian_matrix()
+        for point in _DOMINANCE_POINTS:
+            if not _det3([[entry.evaluate_exact(point) for entry in row] for row in m]).is_zero():
+                return True
         return not self.jacobian_determinant().is_zero()
 
     # -- basic data ---------------------------------------------------------
@@ -180,13 +202,7 @@ class RationalSurfaceMap:
 
     def jacobian_determinant(self) -> HomogeneousPolynomial:
         if self._jacobian_det is None:
-            m = self.jacobian_matrix()
-            det = (
-                m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-            )
-            self._jacobian_det = det
+            self._jacobian_det = _det3(self.jacobian_matrix())
         return self._jacobian_det
 
     def evaluate_exact(self, coords) -> tuple[ComplexRational, ComplexRational, ComplexRational]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .geometry import ComplexRational, HomogeneousPolynomial
-from .maps import RationalSurfaceMap, compose
+from .maps import RationalSurfaceMap, compose, _det3
 
 X = HomogeneousPolynomial.monomial(1, 0, 0)
 Y = HomogeneousPolynomial.monomial(0, 1, 0)
@@ -53,12 +53,7 @@ def linear_map(matrix, name: str = "linear") -> RationalSurfaceMap:
     """Linear automorphism of P^2 from an invertible 3x3 matrix over Q(i);
     the exact inverse is attached automatically."""
     m = [[_cr(e) for e in row] for row in matrix]
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    if det.is_zero():
+    if _det3(m).is_zero():
         raise ValueError("matrix is singular")
     adj = [
         [

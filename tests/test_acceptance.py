@@ -31,10 +31,8 @@ every random draw is seeded.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,7 +283,7 @@ def test_5_energy_monotonicity_cauchy_and_pushforward(henon):
                              levels=range(1, 9)).decays
     control_box = GridChart(center=origin, chart=2, halfwidth=0.8, resolution=32)
     concentrated = DiscreteForm11.from_function(
-        control_box, smoothed_log_form(sing, control_box.step / 4))
+        smoothed_log_form(sing, control_box.step / 4))
     assert not cauchy_diagnostic(log_distance(sing), concentrated, control_box,
                                  levels=[0.5 + 0.25 * k for k in range(9)]).decays
 

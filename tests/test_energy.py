@@ -20,6 +20,7 @@ All numeric targets below are derived independently of the implementation:
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,15 @@ from biratdyn.energy import (
     smoothed_log_distance,
     smoothed_log_form,
 )
-from biratdyn.energy import _TARGET, _check_guards, _widen, _window_integral
+from biratdyn.energy import (
+    _SMOOTHING_WIDTH,
+    _TARGET,
+    _check_guards,
+    _m_slope,
+    _pairing_density,
+    _widen,
+    _window_integral,
+)
 from biratdyn.geometry import HomogeneousPolynomial, ProjectivePoint
 from biratdyn.maps import RationalSurfaceMap, chart_map
 from biratdyn.standard_maps import cremona_involution, henon_map, linear_map
@@ -133,26 +142,27 @@ class TestGridChart:
 
 class TestDiscreteForm11:
     def test_euclidean_min_eigenvalue(self):
-        assert BETA.min_eigenvalue() == pytest.approx(0.5, abs=1e-15)
+        assert BETA.min_eigenvalue(*unit_box(8).nodes()) == pytest.approx(0.5, abs=1e-15)
 
     def test_indefinite_matrix_rejected_by_energy(self):
         bad = DiscreteForm11.constant(0.5, 0.9, 0.5)  # eigenvalues 1.4, -0.4
-        assert bad.min_eigenvalue() < -1e-12
+        assert bad.min_eigenvalue(*unit_box(8).nodes()) < -1e-12
         with pytest.raises(NonPositiveT):
             energy(coordinate_part(1, "re"), bad, unit_box(8))
 
     def test_smoothed_log_form_is_positive(self):
         chart = wide_box(12)
-        z1, z2 = chart.nodes()
-        a, b, c = smoothed_log_form((0.1, -0.05), 0.02)(z1, z2)
-        form = DiscreteForm11(a, b, c)
-        assert form.min_eigenvalue() >= -1e-12
+        form = DiscreteForm11.from_function(smoothed_log_form((0.1, -0.05), 0.02))
+        assert form.min_eigenvalue(*chart.nodes()) >= -1e-12
 
     def test_beta_wedge_beta_mass_is_twice_volume(self):
+        # v - u = 1 and both Hessians vanish, so the comparison mass is
+        # the integral of beta ^ beta over the box
         chart = wide_box(10, halfwidth=0.6)
-        density = BETA.mass_density()
-        total = float(np.sum(np.broadcast_to(density, chart.shape))) * chart.cell_volume
-        assert total == pytest.approx(2 * (2 * 0.6) ** 4, rel=1e-12)
+        report = energy_monotonicity_check(
+            constant_function(-1.0), constant_function(0.0), BETA, chart)
+        assert report.c == 0.0
+        assert report.comparison_mass == pytest.approx(2 * (2 * 0.6) ** 4, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +196,7 @@ class TestEnergyQuadrature:
         phi = random_trig(11)
         psi = random_trig(12)
         t = DiscreteForm11.constant(0.8, 0.1 + 0.2j, 0.7)
-        assert t.min_eigenvalue() > 0
+        assert t.min_eigenvalue(*chart.nodes()) > 0
         e_sum = energy(phi + psi, t, chart)
         e_phi = energy(phi, t, chart)
         e_psi = energy(psi, t, chart)
@@ -391,7 +401,7 @@ class TestMonotonicityCheck:
     def test_mixed_form_also_passes(self):
         chart = wide_box(10)
         t = DiscreteForm11.constant(0.7, 0.2 + 0.1j, 0.8)
-        assert t.min_eigenvalue() > 0
+        assert t.min_eigenvalue(*chart.nodes()) > 0
         for seed in (400, 401, 402):
             v = random_trig(seed, terms=3, amplitude=0.4)
             u = v + constant_function(-0.7)
@@ -436,7 +446,7 @@ class TestCauchyDiagnostic:
         assert smooth.decays
         # concentrate T at the singular point of u: its local potential is
         # -inf there in the unsmoothed limit
-        t = DiscreteForm11.from_function(chart, smoothed_log_form(SING_C, chart.step / 4))
+        t = DiscreteForm11.from_function(smoothed_log_form(SING_C, chart.step / 4))
         bad = cauchy_diagnostic(u, t, chart, levels=levels)
         assert not bad.decays
         cons = np.asarray(bad.consecutive)
@@ -444,6 +454,91 @@ class TestCauchyDiagnostic:
         # seminorms keep growing instead of saturating
         semis = np.asarray(bad.seminorms)
         assert semis[-1] > semis[len(semis) // 2] * 1.1
+
+
+def whole_grid_cauchy(u, coefficients, chart, levels):
+    """(matrix, seminorms, consecutive) of the Cauchy diagnostic summed over
+    the whole grid at once, as the diagnostic did before it walked chunks:
+    the reference for the chunked sums."""
+    z1, z2 = chart.nodes()
+    a, b, c = coefficients(z1, z2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ju = u(z1, z2)
+        uval = np.broadcast_to(np.asarray(ju.value, dtype=np.float64), chart.shape)
+        p1, p2 = np.asarray(ju.d1), np.asarray(ju.d2)
+        density = np.broadcast_to(np.asarray(_pairing_density(p1, p2, p1, p2, a, b, c)),
+                                  chart.shape)
+    density = np.where(np.isfinite(uval) & np.isfinite(density), density, 0.0)
+    weights = [_m_slope(uval + j, _SMOOTHING_WIDTH) for j in levels]
+    vol = chart.cell_volume
+    n = len(levels)
+    matrix = np.zeros((n, n))
+    seminorms = []
+    for i in range(n):
+        seminorms.append(math.sqrt(max(float(np.sum(weights[i] ** 2 * density)) * vol, 0.0)))
+        for k in range(i + 1, n):
+            diff = weights[i] - weights[k]
+            val = math.sqrt(max(float(np.sum(diff**2 * density)) * vol, 0.0))
+            matrix[i, k] = matrix[k, i] = val
+    return matrix, tuple(seminorms), tuple(float(matrix[i, i + 1]) for i in range(n - 1))
+
+
+# energy-selftest's Cauchy check: the smooth case on 24^4 nodes and the
+# concentrated-form control on 32^4
+SELFTEST_SING = (0.1 + 0.05j, -0.2 + 0.0j)
+CONTROL_BOX = GridChart(center=ORIGIN, chart=2, halfwidth=0.8, resolution=32)
+CONTROL_LEVELS = [0.5 + 0.25 * k for k in range(9)]
+
+
+def selftest_case(name):
+    """(u, coefficient closure, chart, levels, expected decays)."""
+    if name == "smooth-r24":
+        box = GridChart(center=ORIGIN, chart=2, halfwidth=0.8, resolution=24)
+        return log_distance(SELFTEST_SING), BETA.coefficients, box, list(range(1, 9)), True
+    concentrated = smoothed_log_form(SELFTEST_SING, CONTROL_BOX.step / 4)
+    return log_distance(SELFTEST_SING), concentrated, CONTROL_BOX, CONTROL_LEVELS, False
+
+
+class TestChunkedCauchy:
+    @pytest.mark.parametrize("name", ["smooth-r24", "control-r32"])
+    def test_chunks_agree_with_the_whole_grid_sums(self, name):
+        u, coefficients, chart, levels, decays = selftest_case(name)
+        diag = cauchy_diagnostic(u, DiscreteForm11.from_function(coefficients), chart, levels)
+        matrix, seminorms, consecutive = whole_grid_cauchy(u, coefficients, chart, levels)
+        # only the summation order differs: a few units in the last place
+        np.testing.assert_allclose(diag.matrix, matrix, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(diag.seminorms, seminorms, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(diag.consecutive, consecutive, rtol=1e-12, atol=0)
+        assert diag.decays is decays
+
+    def test_control_runs_in_bounded_memory(self):
+        # the whole-grid sums held over 137 MB here, plus a 32 MB sampled form
+        tracemalloc.start()
+        try:
+            form = DiscreteForm11.from_function(
+                smoothed_log_form(SELFTEST_SING, CONTROL_BOX.step / 4))
+            cauchy_diagnostic(log_distance(SELFTEST_SING), form, CONTROL_BOX, CONTROL_LEVELS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_indefinite_chunk_raises(self):
+        # positive where Re z1 <= 0.25, indefinite beyond: the walk passes
+        # the first chunks and raises on the first indefinite one
+        chart = wide_box(12)
+        calls = []
+
+        def coefficients(z1, z2):
+            calls.append(z1)
+            return 0.5, 2.0 * np.maximum(np.real(z1), 0.0), 0.5
+
+        with pytest.raises(NonPositiveT):
+            cauchy_diagnostic(log_distance(SING_C), DiscreteForm11.from_function(coefficients),
+                              chart, levels=range(1, 5))
+        x1 = chart.axis(0)
+        assert len(calls) == int(np.argmax(x1 > 0.25)) + 1
+        assert 1 < len(calls) < chart.resolution
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +625,23 @@ class TestPushforward:
         with pytest.raises(EnergyError):
             pushforward_energy_check(random_trig(55), f, BETA, chart)
 
+    def test_node_varying_form(self):
+        # the form is evaluated on the source nodes and on the preimages of
+        # the target nodes; the identity holds as tightly as for beta
+        h = henon_map()
+        chart = GridChart(center=ORIGIN, chart=2, halfwidth=0.6, resolution=24)
+        u = random_trig(52, terms=3, amplitude=0.5)
+        form = DiscreteForm11.from_function(smoothed_log_form((0.3 - 0.2j, -0.4 + 0.1j), 0.7))
+        check = pushforward_energy_check(u, h, form, chart)
+        assert check.relative_discrepancy < 1e-3
+        flat = pushforward_energy_check(u, h, BETA, chart)
+        assert abs(check.source_value / flat.source_value - 1.0) > 0.1
+
     @pytest.mark.parametrize("form", [
-        DiscreteForm11(np.full(3, 0.5), np.zeros(3), np.full(3, 0.5)),
         (0.5, 0.0, 0.5),
-    ], ids=["node-samples", "not-a-form"])
+        smoothed_log_form((0.0, 0.0), 1.0),
+    ], ids=["not-a-form", "bare-closure"])
     def test_form_that_cannot_be_pushed_is_rejected(self, form):
-        # only a form with constant coefficients pushes forward pointwise
         chart = GridChart(center=ORIGIN, chart=2, halfwidth=0.6, resolution=12)
         with pytest.raises(EnergyError):
             pushforward_energy_check(random_trig(56), henon_map(), form, chart)
@@ -681,10 +787,22 @@ class TestOneEvaluationPerGrid:
             assert len(calls) == 9
 
     def test_cauchy_diagnostic(self):
+        # the diagnostic walks the grid one chunk per Re z1 node, and
+        # evaluates u and the form's closure once on each chunk
         chart = wide_box(12)
-        calls = []
-        cauchy_diagnostic(counted(log_distance(SING_C), calls), BETA, chart, levels=range(1, 5))
-        assert len(calls) == node_calls(calls, chart) == 1
+        calls, form_calls = [], []
+        closure = smoothed_log_form(SING_C, 0.5)
+
+        def coefficients(z1, z2):
+            form_calls.append((z1, z2))
+            return closure(z1, z2)
+
+        form = DiscreteForm11.from_function(coefficients)
+        cauchy_diagnostic(counted(log_distance(SING_C), calls), form, chart, levels=range(1, 5))
+        for recorded in (calls, form_calls):
+            assert len(recorded) == 12
+            assert all(z1.shape == (12**3,) for z1, _ in recorded)
+        assert all(a is c and b is d for (a, b), (c, d) in zip(calls, form_calls))
 
     def test_pushforward_check_evaluates_once_per_chunk(self):
         chart = GridChart(center=ORIGIN, chart=2, halfwidth=0.6, resolution=12)

@@ -8,7 +8,8 @@ An import that no code reads still costs load time and misleads readers
 about a module's dependencies.  A name counts as used when the module
 reads it anywhere (as a name or as the root of an attribute chain) or
 re-exports it through ``__all__``.  The package ``__init__`` only
-re-exports, so it is exempt.  sympy is needed only to factor
+re-exports, so it is exempt; the test modules are held to the same
+rule.  sympy is needed only to factor
 (``inspect``'s and ``energy-selftest``'s critical set) and for a gcd that
 the modular coprimality certificate cannot decide, and importing it takes
 about half a second, so it is loaded on first use: ``stability``,
@@ -35,6 +36,7 @@ import biratdyn
 
 MODULES = sorted(p for p in Path(biratdyn.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def declared_exports(tree: ast.Module) -> list[str] | None:
@@ -71,7 +73,8 @@ def export_faults(source: str, namespace) -> tuple[list[str], list[str]]:
             [name for name in public if name not in listed])
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: f"{p.parent.name}/{p.name}" if p in TEST_MODULES else p.name)
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
 

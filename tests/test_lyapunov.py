@@ -34,7 +34,6 @@ from biratdyn.lyapunov import (
     AllOrbitsExcluded,
     IntegrabilityReport,
     LyapunovError,
-    LyapunovEstimate,
     _chordal_to_points,
     _cocycle_step,
     cocycle_exponents,

@@ -9,7 +9,6 @@ validation rejections for malformed inputs.
 
 import dataclasses
 import json
-from pathlib import Path
 
 import pytest
 

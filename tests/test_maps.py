@@ -115,6 +115,20 @@ class TestConstruction:
         with pytest.raises(MapError):
             RationalSurfaceMap([mono(1, 0, 0), mono(0, 1, 0), HomogeneousPolynomial.zero(1)])
 
+    def test_nearly_parallel_rows_are_certified_without_the_symbolic_determinant(self):
+        # det J = 1e-12 exactly: below every numeric try's threshold, so the
+        # exact value at a Gaussian-integer point is the certificate
+        f = RationalSurfaceMap([mono(1, 0, 0), mono(1, 0, 0) + mono(0, 1, 0, Fraction(1, 10**12)),
+                                mono(0, 0, 1)])
+        assert f._jacobian_det is None
+        assert f.jacobian_determinant() == HomogeneousPolynomial.constant(Fraction(1, 10**12))
+
+    def test_identically_vanishing_determinant_rejected_after_the_exact_points(self):
+        # [x : x + y : x + y]: det J is 0 at every point and as a polynomial
+        with pytest.raises(MapError, match="not dominant"):
+            RationalSurfaceMap([mono(1, 0, 0), mono(1, 0, 0) + mono(0, 1, 0),
+                                mono(1, 0, 0) + mono(0, 1, 0)])
+
     def test_common_factor_divided_out(self):
         # [x^2 : xy : xt] is the identity in disguise
         f = RationalSurfaceMap([mono(2, 0, 0), mono(1, 1, 0), mono(1, 0, 1)])
