@@ -78,10 +78,10 @@ from .measure import (
     coordinate_observables,
     invariance_residual,
     measure_average,
-    mixing_correlation,
+    mixing_correlations,
     saddle_cloud,
 )
-from .potential import PotentialError, _chart_residuals, green_grid
+from .potential import PotentialError, _chart_residuals, _grid_axes, green_grid
 from .stability import StabilityError, check_orbit_separation, summability
 
 EXIT_OK = 0
@@ -211,8 +211,7 @@ def _write_pgm(path: Path, grid: np.ndarray, cfg: ExperimentConfig) -> dict:
 
 def _grid_csv(grid: np.ndarray, cfg: ExperimentConfig) -> str:
     n = grid.shape[0]
-    us = np.linspace(cfg.center[0] - cfg.halfwidth, cfg.center[0] + cfg.halfwidth, n)
-    vs = np.linspace(cfg.center[1] - cfg.halfwidth, cfg.center[1] + cfg.halfwidth, n)
+    us, vs = _grid_axes(cfg.center, cfg.halfwidth, n)
     lines = ["u,v,value"]
     for i in range(n):
         for j in range(n):
@@ -267,8 +266,8 @@ def cmd_stability(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path) -> in
         "fails_at": sep.fails_at,
         "witness": None if sep.witness is None else str(sep.witness),
     }
-    doc["forward"] = json.loads(fwd.to_json())
-    doc["backward"] = json.loads(bwd.to_json())
+    doc["forward"] = fwd.to_dict()
+    doc["backward"] = bwd.to_dict()
     doc["separation_diagnostic"] = sep.min_distance
     _write_json(out / f"stability_{_safe_name(f)}.json", doc)
     print(f"separation: {sep}")
@@ -339,8 +338,7 @@ def cmd_measure(f: RationalSurfaceMap, cfg: ExperimentConfig, out: Path,
     mixing = {
         "observable": phi.name,
         "lags": list(range(lags + 1)),
-        "values": [mixing_correlation(f, cloud, phi.fn, phi.fn, k)
-                   for k in range(lags + 1)],
+        "values": mixing_correlations(f, cloud, phi.fn, phi.fn, lags),
     }
 
     doc = _report_header("measure", cfg, f)
@@ -412,8 +410,7 @@ def cmd_energy_selftest(cfg: ExperimentConfig, out: Path, instances: int) -> int
     smooth_diag = cauchy_diagnostic(log_distance(sing), beta, box, levels=range(1, 9))
     control_box = GridChart(center=origin, chart=2, halfwidth=0.8, resolution=32)
     levels = [0.5 + 0.25 * k for k in range(9)]
-    concentrated = DiscreteForm11.from_function(
-        smoothed_log_form(sing, control_box.step / 4))
+    concentrated = DiscreteForm11(smoothed_log_form(sing, control_box.step / 4))
     control_diag = cauchy_diagnostic(log_distance(sing), concentrated,
                                      control_box, levels=levels)
     checks.append({

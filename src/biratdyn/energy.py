@@ -268,12 +268,6 @@ class DiscreteForm11:
         """The Euclidean Kähler form dx1^dy1 + dx2^dy2 (matrix I/2)."""
         return cls.constant(0.5, 0.0, 0.5)
 
-    @classmethod
-    def from_function(cls, fn: Form11Function) -> "DiscreteForm11":
-        """The form whose coefficients on any nodes are ``fn(z1, z2)``,
-        such as a ``smoothed_log_form`` closure."""
-        return cls(fn)
-
     def min_eigenvalue(self, z1: np.ndarray, z2: np.ndarray) -> float:
         """Smallest eigenvalue of the node matrices on (z1, z2)."""
         return float(np.min(_min_eigenvalues(*self(z1, z2))))

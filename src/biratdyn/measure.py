@@ -45,7 +45,7 @@ __all__ = [
     "saddle_cloud",
     "measure_average",
     "invariance_residual",
-    "mixing_correlation",
+    "mixing_correlations",
     "cloud_agreement",
     "coordinate_observables",
     "random_observable",
@@ -667,36 +667,41 @@ def invariance_residual(
     return abs(_weighted_mean(pushed, weights) - _weighted_mean(direct, weights))
 
 
-def mixing_correlation(
+def mixing_correlations(
     f: RationalSurfaceMap,
     cloud: WeightedPointCloud,
     phi: Callable[[ProjectivePoint], float],
     psi: Callable[[ProjectivePoint], float],
-    steps: int,
-) -> float:
-    """Centered correlation ``mu(phi . (psi o f^n)) - mu(phi) mu(psi o f^n)``.
+    lags: int,
+) -> tuple:
+    """Centered correlations ``mu(phi . (psi o f^n)) - mu(phi) mu(psi o f^n)``
+    for ``n = 0, ..., lags``, from one walk of the cloud.
 
-    ``steps = 0`` with ``phi = psi`` returns the (nonnegative) variance.
-    On a finite periodic-orbit cloud, correlations fall from the time-0
-    value while atoms decorrelate and partially recur once ``steps``
-    reaches the orbit periods; the decay toward 0 is a proxy statement
-    about the underlying measure, not the atoms.
+    Lag 0 with ``phi = psi`` is the (nonnegative) variance.  On a finite
+    periodic-orbit cloud, correlations fall from the time-0 value while
+    atoms decorrelate and partially recur once the lag reaches the orbit
+    periods; the decay toward 0 is a proxy statement about the underlying
+    measure, not the atoms.
     """
-    if steps < 0:
-        raise MeasureError("steps must be nonnegative")
+    if lags < 0:
+        raise MeasureError("lags must be nonnegative")
     weights = [float(w) for w in cloud.weights]
-    current = list(cloud.points)
-    for _ in range(steps):
-        current = [_image_point(f, p) for p in current]
     phis = [float(phi(p)) for p in cloud.points]
-    psis = [float(psi(p)) for p in current]
     mean_phi = _weighted_mean(phis, weights)
-    mean_psi = _weighted_mean(psis, weights)
-    total = math.fsum(
-        w * (a - mean_phi) * (b - mean_psi)
-        for w, a, b in zip(weights, phis, psis)
-    )
-    return total / math.fsum(weights)
+    mass = math.fsum(weights)
+    current = list(cloud.points)
+    out = []
+    for n in range(lags + 1):
+        if n:
+            current = [_image_point(f, p) for p in current]
+        psis = [float(psi(p)) for p in current]
+        mean_psi = _weighted_mean(psis, weights)
+        total = math.fsum(
+            w * (a - mean_phi) * (b - mean_psi)
+            for w, a, b in zip(weights, phis, psis)
+        )
+        out.append(total / mass)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

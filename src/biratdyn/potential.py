@@ -7,7 +7,8 @@ picks up a logarithmic singularity there.  Its weighted orbit sums
 ``g_N(p) = sum_{j<N} d**-j gamma(f^j p)`` converge (for stable maps) to
 the invariant potential; the identity ``g_N(p) = d**-N log norm(F^N z)``
 provides a second, telescoped evaluation path and every partial-sum call
-cross-checks the two.
+cross-checks the two.  Every value comes from one batched orbit loop,
+:func:`_orbit`; the step potential is its one-step sum, ``gamma = g_1``.
 
 The weight is always the degree.  A plane map is algebraically stable,
 ``(f^n)* = (f*)^n``, exactly when ``deg f^n = d^n``, and the invariant
@@ -38,7 +39,6 @@ __all__ = [
     "OrbitHitIndeterminacy",
     "InsufficientSamples",
     "SingularityFit",
-    "gamma_plus",
     "green_partial",
     "green_functional_check",
     "green_at_inverse_indeterminacy",
@@ -78,19 +78,6 @@ def _exact_on_indeterminacy(f: RationalSurfaceMap, p: ProjectivePoint) -> bool:
     if not p.exact:
         return False
     return all(v.is_zero() for v in f.evaluate_exact(p.coords))
-
-
-def gamma_plus(f: RationalSurfaceMap, p: ProjectivePoint) -> float:
-    """Step potential ``log norm(F(z)) / d`` at one point; minus infinity
-    exactly on I(f)."""
-    if _exact_on_indeterminacy(f, p):
-        return -math.inf
-    v = p.unit_vector()
-    w = f.evaluate_numeric(v)
-    norm = float(np.linalg.norm(w))
-    if norm == 0.0:
-        return -math.inf
-    return math.log(norm) / float(f.degree)
 
 
 def _norms(w):
@@ -135,21 +122,20 @@ def _stopped(logs):
     return logs[..., -1] == -math.inf
 
 
-def _orbit(f: RationalSurfaceMap, lifts: np.ndarray, N: int, keep_orbit: bool):
+def _orbit(f: RationalSurfaceMap, lifts: np.ndarray, N: int):
     """Step an (M, 3) batch of unit lifts N times together: the one orbit
     loop of the potential.
 
     Each lane does the arithmetic of a scalar orbit exactly: the components
     are `_term_sum` over object arrays of Python complex, the norm is
     :func:`_norms`, the division numpy's and the logarithm ``math.log``.
-    Returns ``(logs, floor, orbit)``.  ``logs[m, j] = log norm(F(v_j))``
-    for the unit lift ``v_j`` of the j-th iterate of lane m; a zero image
-    stops the lane, and its logs are -inf from that step on.  A nonzero
-    image below ``_ORBIT_FLOOR * coeff_scale`` is too small for doubles to
-    renormalize: it stops the lane the same way and ``floor[m]`` records
-    the step (-1 on the other lanes).  ``orbit[m, j] = v_j`` when
-    ``keep_orbit``, else None.  The termwise and telescoped sums of every
-    lane that completes agree to 1e-9 relative; a disagreement raises
+    Returns ``(logs, floor)``.  ``logs[m, j] = log norm(F(v_j))`` for the
+    unit lift ``v_j`` of the j-th iterate of lane m; a zero image stops the
+    lane, and its logs are -inf from that step on.  A nonzero image below
+    ``_ORBIT_FLOOR * coeff_scale`` is too small for doubles to renormalize:
+    it stops the lane the same way and ``floor[m]`` records the step (-1 on
+    the other lanes).  The termwise and telescoped sums of every lane that
+    completes agree to 1e-9 relative; a disagreement raises
     :class:`PotentialError`.
     """
     rows = [c._numeric_terms() for c in f.components]
@@ -157,14 +143,11 @@ def _orbit(f: RationalSurfaceMap, lifts: np.ndarray, N: int, keep_orbit: bool):
     M = len(lifts)
     logs = np.full((M, N), -math.inf)
     floor = np.full(M, -1)
-    orbit = np.empty((M, N, 3), dtype=complex) if keep_orbit else None
     live = np.arange(M)
     v = lifts
     for j in range(N):
         if not len(live):
             break
-        if keep_orbit:
-            orbit[live, j] = v
         x, y, t = v.T.astype(object)
         w = np.empty((len(live), 3), dtype=complex)
         for k, terms in enumerate(rows):
@@ -188,7 +171,7 @@ def _orbit(f: RationalSurfaceMap, lifts: np.ndarray, N: int, keep_orbit: bool):
             "termwise and telescoped partial sums disagree: "
             f"{float(total[m])!r} vs {float(tele[m])!r}"
         )
-    return logs, floor, orbit
+    return logs, floor
 
 
 def _green_sums(f: RationalSurfaceMap, logs) -> np.ndarray:
@@ -200,29 +183,28 @@ def _green_sums(f: RationalSurfaceMap, logs) -> np.ndarray:
     return out
 
 
-def _point_logs(f: RationalSurfaceMap, points, N: int, keep_orbit: bool):
-    """Kernel logs of a list of points, one lane each, and their orbits.
+def _point_logs(f: RationalSurfaceMap, points, N: int):
+    """Kernel logs of a list of points, one lane each.
 
-    A point given exactly on I(f) takes no step: its logs are all -inf and
-    it has no orbit row (``orbit`` holds the other points', in order).  The
-    first lane in order that hits the floor raises
+    A point given exactly on I(f) takes no step: its logs are all -inf.
+    The first lane in order that hits the floor raises
     :class:`OrbitHitIndeterminacy`.
     """
     on_i = np.array([_exact_on_indeterminacy(f, p) for p in points], dtype=bool)
     lifts = np.array([p.unit_vector() for p in points], dtype=complex).reshape(-1, 3)
     logs = np.full((len(points), N), -math.inf)
-    logs[~on_i], floor, orbit = _orbit(f, lifts[~on_i], N, keep_orbit)
+    logs[~on_i], floor = _orbit(f, lifts[~on_i], N)
     hit = floor[floor >= 0]
     if len(hit):
         raise OrbitHitIndeterminacy(int(hit[0]))
-    return logs, orbit
+    return logs
 
 
 def _partial_sums(f: RationalSurfaceMap, points, N: int) -> np.ndarray:
     """:func:`green_partial` at each point, in one kernel call."""
     if N < 1:
         raise ValueError("partial sum needs N >= 1")
-    return _green_sums(f, _point_logs(f, points, N, False)[0])
+    return _green_sums(f, _point_logs(f, points, N))
 
 
 def green_partial(f: RationalSurfaceMap, p: ProjectivePoint, N: int) -> float:
@@ -248,7 +230,7 @@ def green_functional_check(f: RationalSurfaceMap, p: ProjectivePoint, N: int) ->
     gamma(p))|`` vanishes identically term by term, so anything beyond
     float accumulation noise indicates an implementation fault.
     """
-    logs, _ = _point_logs(f, [p], N + 1, False)
+    logs = _point_logs(f, [p], N + 1)
     if _stopped(logs[0]):
         step = int(np.argmax(logs[0] == -math.inf))
         raise OrbitHitIndeterminacy(step, "orbit hit indeterminacy during check")
@@ -259,7 +241,7 @@ def _chart_residuals(f: RationalSurfaceMap, N: int, chart: int, us, vs) -> list:
     """:func:`green_functional_check` at the chart points ``(us[m], vs[m])``
     in one kernel call: a residual per point, None where its orbit stopped
     at a zero image or the floor."""
-    logs, _, _ = _orbit(f, _chart_lifts(chart, us, vs), N + 1, False)
+    logs, _ = _orbit(f, _chart_lifts(chart, us, vs), N + 1)
     go = ~_stopped(logs)
     res = np.full(len(logs), math.nan)
     res[go] = _functional_residual(logs[go], float(f.degree))
@@ -342,8 +324,8 @@ def singularity_fit(
     logs_d = []
     vals = []
     for r in radii:
-        for p in shell_points(q, r, samples_per_shell, _SHELL_SEED):
-            g = gamma_plus(f, p)
+        pts = shell_points(q, r, samples_per_shell, _SHELL_SEED)
+        for p, g in zip(pts, _partial_sums(f, pts, 1).tolist()):
             if not math.isfinite(g):
                 continue
             d = min(proj_distance(p, t) for t in I_pts)
@@ -405,20 +387,14 @@ def lelong_estimate(radii, means) -> float:
 DEFAULT_LELONG_RADII = tuple(float(r) for r in np.geomspace(1e-5, 1e-2, 8))
 
 
-def green_lelong_estimate(
-    f: RationalSurfaceMap,
-    center: ProjectivePoint,
-    N: int,
-    *,
-    samples_per_shell: int = 256,
-) -> float:
-    """Lelong slope of the truncated Green potential at a point, over the
-    shells of ``DEFAULT_LELONG_RADII``."""
+def green_lelong_estimate(f: RationalSurfaceMap, center: ProjectivePoint, N: int) -> float:
+    """Lelong slope of the truncated Green potential at a point, over 128
+    samples on each shell of ``DEFAULT_LELONG_RADII``."""
     means = shell_means(
         lambda pts: _partial_sums(f, pts, N),
         center,
         DEFAULT_LELONG_RADII,
-        samples_per_shell=samples_per_shell,
+        samples_per_shell=128,
     )
     return lelong_estimate(DEFAULT_LELONG_RADII, means)
 
@@ -426,6 +402,14 @@ def green_lelong_estimate(
 # ---------------------------------------------------------------------------
 # Grid export
 # ---------------------------------------------------------------------------
+
+
+def _grid_axes(center, halfwidth: float, resolution: int):
+    """The two coordinate axes of the grid window: entry ``[i, j]`` of a
+    grid sits at ``(us[j], vs[i])``."""
+    us = np.linspace(center[0] - halfwidth, center[0] + halfwidth, resolution)
+    vs = np.linspace(center[1] - halfwidth, center[1] + halfwidth, resolution)
+    return us, vs
 
 
 def green_grid(
@@ -449,8 +433,6 @@ def green_grid(
         raise ValueError("grid resolution must be at least 2")
     if N < 1:
         raise ValueError("partial sum needs N >= 1")
-    us = np.linspace(center[0] - halfwidth, center[0] + halfwidth, resolution)
-    vs = np.linspace(center[1] - halfwidth, center[1] + halfwidth, resolution)
-    u, v = np.meshgrid(us, vs)
+    u, v = np.meshgrid(*_grid_axes(center, halfwidth, resolution))
     lifts = _chart_lifts(chart, u.ravel(), v.ravel())
-    return _green_sums(f, _orbit(f, lifts, N, False)[0]).reshape(resolution, resolution)
+    return _green_sums(f, _orbit(f, lifts, N)[0]).reshape(resolution, resolution)

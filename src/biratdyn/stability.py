@@ -23,7 +23,6 @@ convergence into a testable Cauchy criterion.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -106,8 +105,9 @@ class SummabilityReport:
     switchover_index: int | None = None
     vacuous: bool = False
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        """The report as JSON values: floats as their ``repr`` strings."""
+        return {
             "rho": repr(self.rho),
             "partial_sums": [repr(s) for s in self.partial_sums],
             "tail_bound": repr(self.tail_bound),
@@ -117,7 +117,6 @@ class SummabilityReport:
             "switchover_index": self.switchover_index,
             "vacuous": self.vacuous,
         }
-        return json.dumps(doc, indent=2, sort_keys=True)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ from biratdyn.measure import (
     cloud_agreement,
     invariance_residual,
     measure_average,
-    mixing_correlation,
+    mixing_correlations,
     random_observable,
     saddle_cloud,
     saddle_periodic_points,
@@ -77,7 +77,6 @@ from biratdyn.potential import (
     _partial_sums,
     _point_logs,
     _telescoped,
-    gamma_plus,
     green_at_inverse_indeterminacy,
     green_functional_check,
     green_lelong_estimate,
@@ -221,7 +220,7 @@ def test_4_potential_identities_envelope_and_decay(maps):
 
     # each map's 500 points are one batch through the Green kernel
     for f, seed in ((h, 5), (ls, 6)):
-        logs, _ = _point_logs(f, random_points(500, seed), 30, False)
+        logs = _point_logs(f, random_points(500, seed), 30)
         a, b = _green_sums(f, logs), _telescoped(logs, float(f.degree))
         assert np.all(np.abs(a - b) <= 1e-9 * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-9))
 
@@ -236,8 +235,8 @@ def test_4_potential_identities_envelope_and_decay(maps):
     assert A > 0 and A2 > 0
     I_pts = h.indeterminacy_set()
     for r in radii:
-        for p in shell_points(P(1, 0, 0), r, 128, 20260825):
-            g = gamma_plus(h, p)
+        shell = shell_points(P(1, 0, 0), r, 128, 20260825)
+        for p, g in zip(shell, _partial_sums(h, shell, 1).tolist()):
             d = min(proj_distance(p, q) for q in I_pts)
             assert A * math.log(d) - B <= g + 1e-9
             assert g <= A2 * math.log(d) + B2 + 1e-9
@@ -248,17 +247,9 @@ def test_4_potential_identities_envelope_and_decay(maps):
         assert float(np.mean(gaps)) < 1e-4
 
     # Monte-Carlo means of |log-step| along orbits fit C * t^j with t < rho
-    pts = [p.unit_vector() for p in random_points(400, 41)]
-    means = []
-    for _ in range(11):
-        vals = [abs(math.log(float(np.linalg.norm(h.evaluate_numeric(v)))) / 2.0)
-                for v in pts]
-        means.append(float(np.mean(vals)))
-        pts = [h.evaluate_numeric(v) / np.linalg.norm(h.evaluate_numeric(v))
-               for v in pts]
+    means = np.mean(np.abs(_point_logs(h, random_points(400, 41), 11)) / float(h.degree), axis=0)
     X = np.vstack([np.ones(10), np.arange(1, 11)]).T
-    (_, log_t), *_ = np.linalg.lstsq(X, np.log(np.array(means[1:]) + 1e-300),
-                                     rcond=None)
+    (_, log_t), *_ = np.linalg.lstsq(X, np.log(means[1:] + 1e-300), rcond=None)
     assert math.exp(log_t) < 2.0
 
 
@@ -282,8 +273,7 @@ def test_5_energy_monotonicity_cauchy_and_pushforward(henon):
     assert cauchy_diagnostic(log_distance(sing), beta, smooth_box,
                              levels=range(1, 9)).decays
     control_box = GridChart(center=origin, chart=2, halfwidth=0.8, resolution=32)
-    concentrated = DiscreteForm11.from_function(
-        smoothed_log_form(sing, control_box.step / 4))
+    concentrated = DiscreteForm11(smoothed_log_form(sing, control_box.step / 4))
     assert not cauchy_diagnostic(log_distance(sing), concentrated, control_box,
                                  levels=[0.5 + 0.25 * k for k in range(9)]).decays
 
@@ -327,9 +317,8 @@ def test_6_measure_agreement_masses_invariance_mixing(henon, cloud5, cloud6):
         assert invariance_residual(henon, cloud5, phi) < 1e-8
 
     phi = random_observable(101)
-    c0 = mixing_correlation(henon, cloud6, phi, phi, 0)
-    lag_values = [abs(mixing_correlation(henon, cloud6, phi, phi, n))
-                  for n in range(1, 11)]
+    c0, *lags = mixing_correlations(henon, cloud6, phi, phi, 10)
+    lag_values = [abs(c) for c in lags]
     assert c0 > 1e-3
     assert max(lag_values) < 0.8 * c0
 
@@ -353,12 +342,10 @@ def test_7_log_pole_strength_estimator(henon):
     assert lelong_estimate(DEFAULT_LELONG_RADII, means) == pytest.approx(1.0, abs=0.05)
 
     generic = ProjectivePoint.numeric_point(0.37 + 0.11j, -0.52 + 0.07j, 1.0)
-    assert green_lelong_estimate(henon, generic, 20, samples_per_shell=128) < 0.01
+    assert green_lelong_estimate(henon, generic, 20) < 0.01
 
     for depth in (15, 25):
-        slope = green_lelong_estimate(henon, P(1, 0, 0), depth,
-                                      samples_per_shell=128)
-        assert slope >= 0.1
+        assert green_lelong_estimate(henon, P(1, 0, 0), depth) >= 0.1
 
 
 def test_8_cocycle_exponents_and_hyperbolicity(henon, cloud6):

@@ -152,7 +152,7 @@ class TestDiscreteForm11:
 
     def test_smoothed_log_form_is_positive(self):
         chart = wide_box(12)
-        form = DiscreteForm11.from_function(smoothed_log_form((0.1, -0.05), 0.02))
+        form = DiscreteForm11(smoothed_log_form((0.1, -0.05), 0.02))
         assert form.min_eigenvalue(*chart.nodes()) >= -1e-12
 
     def test_beta_wedge_beta_mass_is_twice_volume(self):
@@ -446,7 +446,7 @@ class TestCauchyDiagnostic:
         assert smooth.decays
         # concentrate T at the singular point of u: its local potential is
         # -inf there in the unsmoothed limit
-        t = DiscreteForm11.from_function(smoothed_log_form(SING_C, chart.step / 4))
+        t = DiscreteForm11(smoothed_log_form(SING_C, chart.step / 4))
         bad = cauchy_diagnostic(u, t, chart, levels=levels)
         assert not bad.decays
         cons = np.asarray(bad.consecutive)
@@ -503,7 +503,7 @@ class TestChunkedCauchy:
     @pytest.mark.parametrize("name", ["smooth-r24", "control-r32"])
     def test_chunks_agree_with_the_whole_grid_sums(self, name):
         u, coefficients, chart, levels, decays = selftest_case(name)
-        diag = cauchy_diagnostic(u, DiscreteForm11.from_function(coefficients), chart, levels)
+        diag = cauchy_diagnostic(u, DiscreteForm11(coefficients), chart, levels)
         matrix, seminorms, consecutive = whole_grid_cauchy(u, coefficients, chart, levels)
         # only the summation order differs: a few units in the last place
         np.testing.assert_allclose(diag.matrix, matrix, rtol=1e-12, atol=0)
@@ -515,8 +515,7 @@ class TestChunkedCauchy:
         # the whole-grid sums held over 137 MB here, plus a 32 MB sampled form
         tracemalloc.start()
         try:
-            form = DiscreteForm11.from_function(
-                smoothed_log_form(SELFTEST_SING, CONTROL_BOX.step / 4))
+            form = DiscreteForm11(smoothed_log_form(SELFTEST_SING, CONTROL_BOX.step / 4))
             cauchy_diagnostic(log_distance(SELFTEST_SING), form, CONTROL_BOX, CONTROL_LEVELS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -534,7 +533,7 @@ class TestChunkedCauchy:
             return 0.5, 2.0 * np.maximum(np.real(z1), 0.0), 0.5
 
         with pytest.raises(NonPositiveT):
-            cauchy_diagnostic(log_distance(SING_C), DiscreteForm11.from_function(coefficients),
+            cauchy_diagnostic(log_distance(SING_C), DiscreteForm11(coefficients),
                               chart, levels=range(1, 5))
         x1 = chart.axis(0)
         assert len(calls) == int(np.argmax(x1 > 0.25)) + 1
@@ -631,7 +630,7 @@ class TestPushforward:
         h = henon_map()
         chart = GridChart(center=ORIGIN, chart=2, halfwidth=0.6, resolution=24)
         u = random_trig(52, terms=3, amplitude=0.5)
-        form = DiscreteForm11.from_function(smoothed_log_form((0.3 - 0.2j, -0.4 + 0.1j), 0.7))
+        form = DiscreteForm11(smoothed_log_form((0.3 - 0.2j, -0.4 + 0.1j), 0.7))
         check = pushforward_energy_check(u, h, form, chart)
         assert check.relative_discrepancy < 1e-3
         flat = pushforward_energy_check(u, h, BETA, chart)
@@ -797,7 +796,7 @@ class TestOneEvaluationPerGrid:
             form_calls.append((z1, z2))
             return closure(z1, z2)
 
-        form = DiscreteForm11.from_function(coefficients)
+        form = DiscreteForm11(coefficients)
         cauchy_diagnostic(counted(log_distance(SING_C), calls), form, chart, levels=range(1, 5))
         for recorded in (calls, form_calls):
             assert len(recorded) == 12

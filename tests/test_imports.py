@@ -159,7 +159,7 @@ def test_map_only_commands_compute_without_sympy(tmp_path):
 
 # defaulted parameters of every function and method in the package; raise
 # only for an option that two callers need with different values
-DEFAULTED_PARAMETER_BUDGET = 47
+DEFAULTED_PARAMETER_BUDGET = 46
 
 
 def defaulted_parameters(source: str) -> int:

@@ -46,7 +46,7 @@ from biratdyn.measure import (
     coordinate_observables,
     invariance_residual,
     measure_average,
-    mixing_correlation,
+    mixing_correlations,
     random_observable,
     saddle_cloud,
     saddle_periodic_points,
@@ -549,28 +549,57 @@ class TestInvariance:
             invariance_residual(henon, bad, ob)
 
 
+def oracle_mixing_correlation(f, cloud, phi, psi, steps):
+    """One lag's centered correlation from a walk of ``steps`` steps from
+    the start: the per-lag loop that the one walk replaced."""
+    weights = [float(w) for w in cloud.weights]
+    current = list(cloud.points)
+    for _ in range(steps):
+        current = [measure._image_point(f, p) for p in current]
+    phis = [float(phi(p)) for p in cloud.points]
+    psis = [float(psi(p)) for p in current]
+    mean_phi = measure._weighted_mean(phis, weights)
+    mean_psi = measure._weighted_mean(psis, weights)
+    total = math.fsum(w * (a - mean_phi) * (b - mean_psi) for w, a, b in zip(weights, phis, psis))
+    return total / math.fsum(weights)
+
+
 class TestMixing:
     def test_autocovariance_nonnegative(self, henon, cloud5):
         phi = random_observable(5)
-        c0 = mixing_correlation(henon, cloud5, phi, phi, 0)
-        assert c0 >= 0.0
+        assert mixing_correlations(henon, cloud5, phi, phi, 0)[0] >= 0.0
 
     def test_constant_factor_gives_zero(self, henon, cloud5):
         phi = random_observable(5)
         const = Observable(fn=lambda p: 2.0, name="two")
-        for n in range(4):
-            assert abs(mixing_correlation(henon, cloud5, phi, const, n)) < 1e-12
-            assert abs(mixing_correlation(henon, cloud5, const, phi, n)) < 1e-12
+        for a, b in ((phi, const), (const, phi)):
+            values = mixing_correlations(henon, cloud5, a, b, 3)
+            assert len(values) == 4
+            assert max(abs(c) for c in values) < 1e-12
 
     def test_autocorrelations_decay(self, henon, cloud6):
         phi = random_observable(101)
-        c0 = mixing_correlation(henon, cloud6, phi, phi, 0)
-        values = [
-            abs(mixing_correlation(henon, cloud6, phi, phi, n)) for n in range(1, 11)
-        ]
+        c0, *lags = mixing_correlations(henon, cloud6, phi, phi, 10)
+        values = [abs(c) for c in lags]
         assert c0 > 1e-3  # genuine time-0 variance
         assert max(values) < 0.8 * c0  # orbit decorrelation sets in ...
         assert min(values[:5]) < 0.2 * c0  # ... and dips well below the variance
+
+    def test_one_walk_matches_per_lag_walks(self, henon, cloud5, monkeypatch):
+        phi, psi = random_observable(5), random_observable(6)
+        want = [oracle_mixing_correlation(henon, cloud5, phi, psi, n) for n in range(13)]
+        steps = []
+        image_point = measure.image_point
+        monkeypatch.setattr(measure, "image_point",
+                            lambda f, p: steps.append(p) or image_point(f, p))
+        got = mixing_correlations(henon, cloud5, phi, psi, 12)
+        assert [c.hex() for c in got] == [c.hex() for c in want]
+        assert len(steps) == 12 * len(cloud5.points)
+
+    def test_negative_lags_rejected(self, henon, cloud5):
+        phi = random_observable(5)
+        with pytest.raises(MeasureError):
+            mixing_correlations(henon, cloud5, phi, phi, -1)
 
 
 class TestCloudAgreement:

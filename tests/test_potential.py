@@ -23,7 +23,6 @@ from biratdyn.potential import (
     InsufficientSamples,
     OrbitHitIndeterminacy,
     PotentialError,
-    gamma_plus,
     green_at_inverse_indeterminacy,
     green_functional_check,
     green_grid,
@@ -56,6 +55,18 @@ def random_points(n, seed):
 # The scalar orbit loop the batched kernel replaced, kept as a bitwise oracle:
 # one point and one Python-level step at a time.
 # ---------------------------------------------------------------------------
+
+
+def oracle_gamma_plus(f, p):
+    """The step potential ``log norm(F(z)) / d`` of one point as the scalar
+    step computed it; minus infinity exactly on I(f)."""
+    if potential._exact_on_indeterminacy(f, p):
+        return -math.inf
+    w = f.evaluate_numeric(p.unit_vector())
+    norm = float(np.linalg.norm(w))
+    if norm == 0.0:
+        return -math.inf
+    return math.log(norm) / float(f.degree)
 
 
 def oracle_orbit_logs(f, p, N):
@@ -136,7 +147,7 @@ def oracle_grid(f, N, *, chart, center, halfwidth, resolution):
 
 def telescoped_partial(f, p, N):
     """The kernel's telescoped sum ``d**-N log norm(F^N z)`` of one point."""
-    logs, _ = potential._point_logs(f, [p], N, False)
+    logs = potential._point_logs(f, [p], N)
     return float(potential._telescoped(logs[0], float(f.degree)))
 
 
@@ -159,39 +170,57 @@ def outcome(fn, *args):
         return ("floor", exc.step)
 
 
+def step_potential(f, points):
+    """The step potential at each point: the one-step partial sum."""
+    return potential._partial_sums(f, points, 1)
+
+
 class TestStepPotential:
     def test_unitary_map_with_unit_weight_vanishes(self):
         rot = rational_rotation_map()
-        for p in random_points(20, 2):
-            assert abs(gamma_plus(rot, p)) < 1e-14
+        assert np.all(np.abs(step_potential(rot, random_points(20, 2))) < 1e-14)
 
     def test_henon_fixed_point_at_infinity(self):
-        assert gamma_plus(henon_map(), P(0, 1, 0)) == 0.0
+        assert green_partial(henon_map(), P(0, 1, 0), 1) == 0.0
 
     def test_inverse_map_potentials(self):
         # the backward direction runs on the inverse map with the same
         # weight; its indeterminacy point is [0:1:0]
         h = henon_map()
-        assert gamma_plus(h.inverse, P(0, 1, 0)) == -math.inf
-        assert gamma_plus(h.inverse, P(1, 0, 0)) == 0.0
+        assert green_partial(h.inverse, P(0, 1, 0), 1) == -math.inf
+        assert green_partial(h.inverse, P(1, 0, 0), 1) == 0.0
         p = random_points(1, 43)[0]
         assert math.isfinite(green_partial(h, p, 20))
         assert math.isfinite(green_partial(h.inverse, p, 20))
         assert green_functional_check(h, p, 20) < 1e-8
 
     def test_minus_infinity_exactly_on_indeterminacy(self):
-        assert gamma_plus(henon_map(), P(1, 0, 0)) == -math.inf
-        for q in cremona_involution().indeterminacy_set():
-            assert gamma_plus(cremona_involution(), q) == -math.inf
+        assert green_partial(henon_map(), P(1, 0, 0), 1) == -math.inf
+        sig = cremona_involution()
+        assert np.all(step_potential(sig, sig.indeterminacy_set()) == -math.inf)
 
     def test_decreases_toward_indeterminacy(self):
         h = henon_map()
-        vals = []
-        for k in (2, 4, 6, 8):
-            p = ProjectivePoint.numeric_point(1.0, 10.0**-k, 10.0**-k * 1j)
-            vals.append(gamma_plus(h, p))
-        assert all(b < a for a, b in zip(vals, vals[1:]))
+        vals = step_potential(h, [ProjectivePoint.numeric_point(1.0, 10.0**-k, 10.0**-k * 1j)
+                                  for k in (2, 4, 6, 8)])
+        assert np.all(np.diff(vals) < 0)
         assert vals[-1] < -5
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("name", ["henon", "lsigma", "cremona", "linear"])
+    def test_one_step_sum_matches_scalar_step(self, name, inverse):
+        # random points, exact points on and off I(f), and shells about
+        # each point of I(f) down to chordal radius 1e-7
+        f = load_map(corpus_path(name))
+        g = f.inverse if inverse else f
+        I_pts = g.indeterminacy_set()
+        pts = random_points(200, 59) + list(I_pts) + list(f.indeterminacy_set()) + [
+            P(1, 0, 0), P(0, 1, 0), P(0, 0, 1), P(1, 1, 1), P(2, -1, 3)]
+        for q in I_pts:
+            for r in (1e-3, 1e-5, 1e-7):
+                pts += shell_points(q, r, 64, 61)
+        want = [oracle_gamma_plus(g, p) for p in pts]
+        assert same_bits(step_potential(g, pts), want)
 
 
 class TestPartialSums:
@@ -217,7 +246,7 @@ class TestPartialSums:
     def test_telescoped_path_agrees(self):
         for f in (henon_map(), lsigma_map()):
             pts = random_points(25, 5)
-            logs, _ = potential._point_logs(f, pts, 30, False)
+            logs = potential._point_logs(f, pts, 30)
             tele = potential._telescoped(logs, float(f.degree))
             for p, b in zip(pts, tele.tolist()):
                 a = green_partial(f, p, 30)
@@ -231,7 +260,7 @@ class TestPartialSums:
         # g_{N+1} - g_N = rho^-N gamma(f^N p) <= rho^-N sup gamma
         h = henon_map()
         pts = random_points(20, 7)
-        sup_gamma = max(gamma_plus(h, p) for p in random_points(500, 8))
+        sup_gamma = float(np.max(step_potential(h, random_points(500, 8))))
         for p in pts:
             for N in (5, 10, 20):
                 delta = green_partial(h, p, N + 1) - green_partial(h, p, N)
@@ -273,7 +302,7 @@ class TestSingularityFit:
         I_pts = h.indeterminacy_set()
         for r in self.RADII:
             for p in shell_points(P(1, 0, 0), r, 128, 20260825):
-                g = gamma_plus(h, p)
+                g = oracle_gamma_plus(h, p)
                 d = min(proj_distance(p, t) for t in I_pts)
                 assert A * math.log(d) - B <= g + 1e-9
                 assert g <= A2 * math.log(d) + B2 + 1e-9
@@ -287,9 +316,9 @@ class TestSingularityFit:
 
     def test_step_potential_bounded_above_globally(self):
         h = henon_map()
-        vals = [gamma_plus(h, p) for p in random_points(10_000, 23)]
-        assert max(vals) < 2.0
-        assert math.isfinite(max(vals))
+        vals = step_potential(h, random_points(10_000, 23))
+        assert np.max(vals) < 2.0
+        assert math.isfinite(float(np.max(vals)))
 
     def test_insufficient_shells_rejected(self):
         with pytest.raises(InsufficientSamples):
@@ -327,13 +356,12 @@ class TestLelong:
     def test_green_slope_vanishes_at_generic_point(self):
         h = henon_map()
         p = ProjectivePoint.numeric_point(0.37 + 0.11j, -0.52 + 0.07j, 1.0)
-        assert green_lelong_estimate(h, p, 20, samples_per_shell=128) < 0.01
+        assert green_lelong_estimate(h, p, 20) < 0.01
 
     def test_green_slope_positive_at_indeterminacy(self):
         h = henon_map()
         for N in (15, 25):
-            slope = green_lelong_estimate(h, P(1, 0, 0), N, samples_per_shell=128)
-            assert slope >= 0.1
+            assert green_lelong_estimate(h, P(1, 0, 0), N) >= 0.1
 
     def test_too_few_shells_rejected(self):
         with pytest.raises(InsufficientSamples):
@@ -480,12 +508,12 @@ def test_lanes_are_independent(f, seed):
     starts = np.vstack([rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3)),
                         [[1, 0, 0], [1, 1e-14, 1e-14j]]])
     lifts = starts / potential._norms(starts)[:, None]
-    logs, floor, _ = potential._orbit(f, lifts, 12, False)
+    logs, floor = potential._orbit(f, lifts, 12)
     perm = rng.permutation(len(lifts))
-    plogs, pfloor, _ = potential._orbit(f, lifts[perm], 12, False)
+    plogs, pfloor = potential._orbit(f, lifts[perm], 12)
     assert same_bits(plogs, logs[perm])
     assert np.array_equal(pfloor, floor[perm])
     for m in range(len(lifts)):
-        one, ofloor, _ = potential._orbit(f, lifts[m:m + 1], 12, False)
+        one, ofloor = potential._orbit(f, lifts[m:m + 1], 12)
         assert same_bits(one[0], logs[m])
         assert ofloor[0] == floor[m]

@@ -215,7 +215,8 @@ class TestSummabilityCore:
 
     def test_json_uses_decimal_strings(self):
         rep = report_from_log_distances([0.0, -0.5], 2.0, 2)
-        doc = json.loads(rep.to_json())
+        doc = rep.to_dict()
+        assert json.loads(json.dumps(doc)) == doc
         assert doc["verdict"] in {"Converged", "Diverging", "Inconclusive"}
         assert all(isinstance(s, str) for s in doc["partial_sums"])
         assert float(doc["partial_sums"][1]) == rep.partial_sums[1]
