@@ -4,213 +4,28 @@ Exact map algebra over Q(i), indeterminacy and critical loci, degree
 sequences, cohomological spectral data, orbit-separation and summability
 diagnostics, Green potentials, energy seminorms on grid charts, saddle
 periodic-point sampling of the invariant measure, and Lyapunov exponents.
+
+Each public name is imported from its module, e.g.
+``from biratdyn.maps import compose``; the package root binds only the
+submodules and ``__version__``.
 """
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    ComplexRational,
-    GeometryError,
-    HomogeneousPolynomial,
-    ProjectivePoint,
-    poly_gcd,
-    proj_distance,
+# Loaded eagerly: `import biratdyn` carries the package's whole start-up
+# cost (numpy, scipy.stats, mpmath), which perfbench times as `setup_s`.
+# `biratdyn.cli`, which every command imports, needs these modules anyway,
+# so a lazy root would not save that cost, only move it out of that
+# measurement.  `cli` is the entry point and is not loaded here.
+from . import (
+    geometry,
+    maps,
+    cohomology,
+    stability,
+    potential,
+    energy,
+    lyapunov,
+    measure,
+    standard_maps,
+    mapfile,
 )
-from .maps import (
-    CoefficientOverflow,
-    DegreeSequence,
-    MapError,
-    MapImage,
-    RationalSurfaceMap,
-    compose,
-    degree_sequence,
-    derivative_norm,
-    identity_map,
-    verify_inverse,
-)
-from .cohomology import (
-    CohomologyLattice,
-    SpectralData,
-    SpectralError,
-    check_adjoint,
-    class_decomposition,
-    cone_K_test,
-    lattice_for_plane_map,
-    spectral_data,
-)
-from .stability import (
-    OrbitTable,
-    SeparationVerdict,
-    SummabilityReport,
-    check_orbit_separation,
-    exceptional_orbits,
-    summability,
-)
-from .potential import (
-    PotentialError,
-    SingularityFit,
-    green_functional_check,
-    green_grid,
-    green_lelong_estimate,
-    green_partial,
-    lelong_estimate,
-    singularity_fit,
-)
-from .energy import (
-    ChartFunction,
-    ChartMeetsExceptionalSet,
-    DiscreteForm11,
-    EnergyError,
-    GridChart,
-    Jet,
-    NonPositiveT,
-    PremiseViolated,
-    cauchy_diagnostic,
-    energy_monotonicity_check,
-    pushforward_energy_check,
-    regularize,
-)
-from .lyapunov import (
-    AllOrbitsExcluded,
-    HyperbolicityVerdict,
-    IntegrabilityReport,
-    LyapunovError,
-    LyapunovEstimate,
-    cocycle_exponents,
-    hyperbolicity_verdict,
-    integrability_partial,
-)
-from .measure import (
-    AgreementRow,
-    IndeterminateEncounter,
-    MeasureError,
-    NoSaddlesFound,
-    Observable,
-    WeightedPointCloud,
-    bump_observable,
-    cloud_agreement,
-    coordinate_observables,
-    invariance_residual,
-    measure_average,
-    mixing_correlations,
-    random_observable,
-    saddle_cloud,
-    saddle_periodic_points,
-    tube_observable,
-)
-from .standard_maps import (
-    STANDARD_MAPS,
-    cremona_involution,
-    diagonal_scaling_map,
-    henon_map,
-    linear_map,
-    lsigma_map,
-    rational_rotation_map,
-)
-from .mapfile import (
-    ExperimentConfig,
-    MapFileError,
-    ParseError,
-    corpus_path,
-    load_config,
-    load_map,
-    map_from_payload,
-    map_payload,
-    save_map,
-    write_corpus,
-)
-
-__all__ = [
-    "ComplexRational",
-    "GeometryError",
-    "HomogeneousPolynomial",
-    "ProjectivePoint",
-    "poly_gcd",
-    "proj_distance",
-    "CoefficientOverflow",
-    "DegreeSequence",
-    "MapError",
-    "MapImage",
-    "RationalSurfaceMap",
-    "compose",
-    "degree_sequence",
-    "derivative_norm",
-    "identity_map",
-    "verify_inverse",
-    "CohomologyLattice",
-    "SpectralData",
-    "SpectralError",
-    "check_adjoint",
-    "class_decomposition",
-    "cone_K_test",
-    "lattice_for_plane_map",
-    "spectral_data",
-    "OrbitTable",
-    "SeparationVerdict",
-    "SummabilityReport",
-    "check_orbit_separation",
-    "exceptional_orbits",
-    "summability",
-    "PotentialError",
-    "SingularityFit",
-    "green_functional_check",
-    "green_grid",
-    "green_lelong_estimate",
-    "green_partial",
-    "lelong_estimate",
-    "singularity_fit",
-    "ChartFunction",
-    "ChartMeetsExceptionalSet",
-    "DiscreteForm11",
-    "EnergyError",
-    "GridChart",
-    "Jet",
-    "NonPositiveT",
-    "PremiseViolated",
-    "cauchy_diagnostic",
-    "energy_monotonicity_check",
-    "pushforward_energy_check",
-    "regularize",
-    "AllOrbitsExcluded",
-    "HyperbolicityVerdict",
-    "IntegrabilityReport",
-    "LyapunovError",
-    "LyapunovEstimate",
-    "cocycle_exponents",
-    "hyperbolicity_verdict",
-    "integrability_partial",
-    "AgreementRow",
-    "IndeterminateEncounter",
-    "MeasureError",
-    "NoSaddlesFound",
-    "Observable",
-    "WeightedPointCloud",
-    "bump_observable",
-    "cloud_agreement",
-    "coordinate_observables",
-    "invariance_residual",
-    "measure_average",
-    "mixing_correlations",
-    "random_observable",
-    "saddle_cloud",
-    "saddle_periodic_points",
-    "tube_observable",
-    "STANDARD_MAPS",
-    "cremona_involution",
-    "diagonal_scaling_map",
-    "henon_map",
-    "linear_map",
-    "lsigma_map",
-    "rational_rotation_map",
-    "ExperimentConfig",
-    "MapFileError",
-    "ParseError",
-    "corpus_path",
-    "load_config",
-    "load_map",
-    "map_from_payload",
-    "map_payload",
-    "save_map",
-    "write_corpus",
-    "__version__",
-]

@@ -154,8 +154,10 @@ class GridChart:
             raise EnergyError("chart index must be 0, 1 or 2")
         if not _is_integer(self.resolution) or self.resolution < 8:
             raise EnergyError("grid resolution must be an integer >= 8")
-        if not self.halfwidth > 0:
-            raise EnergyError("grid halfwidth must be positive")
+        w = self.halfwidth
+        if (not isinstance(w, numbers.Real) or isinstance(w, bool)
+                or not math.isfinite(w) or not w > 0):
+            raise EnergyError("grid halfwidth must be a finite real number > 0")
         coords = self.center.coords
         pivot = coords[self.chart]
         if self.center.exact:

@@ -89,9 +89,6 @@ class MapImage:
     curve: Optional[HomogeneousPolynomial] = None
     curve_known: bool = True
 
-    def is_point(self) -> bool:
-        return self.kind == "point"
-
 
 @dataclass(frozen=True)
 class DegreeSequence:
@@ -101,9 +98,6 @@ class DegreeSequence:
     is_multiplicative: bool
     first_drop: Optional[int]
     truncated_at: Optional[int] = None
-
-    def __len__(self):
-        return len(self.degrees)
 
 
 def _det3(m):
@@ -433,17 +427,6 @@ def compose(
     if composed.components[0].max_coeff_bits() > bit_cap:
         raise CoefficientOverflow(composed.components[0].max_coeff_bits(), bit_cap, "after reduction")
     return composed
-
-
-def identity_map() -> RationalSurfaceMap:
-    return RationalSurfaceMap(
-        [
-            HomogeneousPolynomial.monomial(1, 0, 0),
-            HomogeneousPolynomial.monomial(0, 1, 0),
-            HomogeneousPolynomial.monomial(0, 0, 1),
-        ],
-        name="id",
-    )
 
 
 def is_identity(f: RationalSurfaceMap | Sequence[HomogeneousPolynomial]) -> bool:

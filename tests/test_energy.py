@@ -88,9 +88,11 @@ class TestGridChart:
     @pytest.mark.parametrize("field,value", [
         ("resolution", 12.0), ("resolution", True), ("resolution", np.float64(12.0)),
         ("chart", 2.0), ("chart", True), ("chart", np.bool_(True)),
+        ("halfwidth", math.inf), ("halfwidth", math.nan), ("halfwidth", True),
+        ("halfwidth", 0), ("halfwidth", -1),
     ])
     def test_rejects_non_integer_chart_or_resolution(self, field, value):
-        with pytest.raises(EnergyError, match="chart index" if field == "chart" else "resolution"):
+        with pytest.raises(EnergyError, match="chart index" if field == "chart" else field):
             GridChart(center=ORIGIN, **{field: value})
 
     def test_accepts_numpy_integers(self):

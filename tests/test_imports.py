@@ -1,15 +1,19 @@
 """Every module-level import in the package is used, every export list
-names exactly what its module defines in public, every package attribute
-named after a submodule is that submodule, importing the package leaves
-sympy unloaded, and the package's defaulted parameters stay within a fixed
-budget.
+names exactly what its module defines in public, the package root binds
+nothing but its submodules and ``__version__``, importing the package
+loads every submodule but ``cli`` and leaves sympy unloaded, and the
+package's defaulted parameters stay within a fixed budget.
 
 An import that no code reads still costs load time and misleads readers
 about a module's dependencies.  A name counts as used when the module
 reads it anywhere (as a name or as the root of an attribute chain) or
 re-exports it through ``__all__``.  The package ``__init__`` only
-re-exports, so it is exempt; the test modules are held to the same
-rule.  sympy is needed only to factor
+imports its submodules, so it is exempt; the test modules are held to
+the same rule.  Each public name has one import path, its module: a
+name re-exported at the root is a second path that every deletion must
+edit, and one named like a submodule shadows that module.  The root
+still imports its submodules eagerly, so that ``import biratdyn`` is the
+package's whole start-up cost.  sympy is needed only to factor
 (``inspect``'s and ``energy-selftest``'s critical set) and for a gcd that
 the modular coprimality certificate cannot decide, and importing it takes
 about half a second, so it is loaded on first use: ``stability``,
@@ -28,6 +32,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -101,8 +106,12 @@ def test_export_list_matches_public_definitions(path):
     assert export_faults(path.read_text(), vars(module)) == ([], [])
 
 
-def test_package_exports_resolve():
-    assert [name for name in biratdyn.__all__ if not hasattr(biratdyn, name)] == []
+def test_package_root_binds_only_submodules_and_dunders():
+    stray = [name for name, value in vars(biratdyn).items()
+             if not (name.startswith("__") and name.endswith("__"))
+             and not (isinstance(value, types.ModuleType)
+                      and value.__name__ == f"biratdyn.{name}")]
+    assert stray == []
 
 
 def test_guard_flags_stale_and_unlisted_exports():
@@ -112,15 +121,25 @@ def test_guard_flags_stale_and_unlisted_exports():
     assert export_faults(source, namespace) == (["gone"], ["extra"])
 
 
-def test_import_leaves_sympy_unloaded():
-    # a fresh interpreter: this test process may already have imported sympy
+def fresh_python(*argv: str) -> str:
+    """Standard output of ``python *argv`` in a fresh interpreter with this
+    package's sources on its path; this test process may already have
+    imported sympy or ``biratdyn.cli``."""
     src = str(Path(biratdyn.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, biratdyn; print('sympy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    return subprocess.run([sys.executable, *argv],
+                          capture_output=True, text=True, env=env, check=True).stdout
+
+
+def test_import_leaves_sympy_unloaded():
+    assert fresh_python("-c", "import sys, biratdyn; print('sympy' in sys.modules)").strip() == "False"
+
+
+def test_import_loads_every_submodule_but_cli():
+    out = fresh_python("-c", "import json, sys, biratdyn; print(json.dumps(sorted("
+                       "m for m in sys.modules if m.startswith('biratdyn.'))))")
+    assert json.loads(out) == [f"biratdyn.{p.stem}" for p in MODULES if p.stem != "cli"]
 
 
 # the commands that need only the map, its inverse and the exceptional
@@ -146,12 +165,8 @@ print(json.dumps([codes, loaded, "sympy" in sys.modules]))
 
 
 def test_map_only_commands_compute_without_sympy(tmp_path):
-    src = str(Path(biratdyn.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", SYMPY_FREE_RUN, str(tmp_path)],
-                          capture_output=True, text=True, env=env, check=True)
-    codes, loaded, loaded_by_inspect = json.loads(proc.stdout.splitlines()[-1])
+    out = fresh_python("-c", SYMPY_FREE_RUN, str(tmp_path))
+    codes, loaded, loaded_by_inspect = json.loads(out.splitlines()[-1])
     assert codes == [0] * 9
     assert not loaded
     assert loaded_by_inspect

@@ -21,7 +21,7 @@ command-line path takes: `image_point` against the labelled `apply`, and
 `orbit_walk`, the walker of both the degree check and the stability
 diagnostics, stops at exactly the exact hits that `exceptional_orbits`
 records.
-A few fixed generated maps also run every map subcommand end to end.
+Generated maps, drawn and fixed, also run every map subcommand end to end.
 """
 
 from fractions import Fraction
@@ -237,20 +237,43 @@ SMOKE_HENON = [(Fraction(1, 2), Fraction(-1)), (Fraction(-1), Fraction(1, 3)),
                (Fraction(2), Fraction(3, 4))]
 
 
+def check_cli_smoke(f, out, capsys):
+    """`inspect`, `stability --iters 20`, and `green`, `measure` and
+    `lyapunov` at small flags end with a documented exit code on f and
+    print no traceback."""
+    path = save_map(f, out / "f.map")
+    for command in (["inspect"], ["stability", "--iters", "20"], ["green", "--grid", "8"],
+                    ["measure", "--max-period", "1"], ["lyapunov", "--max-period", "1"]):
+        assert main([*command, "--map", str(path), "--out", str(out)]) in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("family,data", [
     *(pytest.param("lsigma", m, id=f"lsigma{k}") for k, m in enumerate(SMOKE_MATRICES)),
     *(pytest.param("henon", cd, id=f"henon{k}") for k, cd in enumerate(SMOKE_HENON)),
 ])
 def test_generated_map_cli_smoke(family, data, tmp_path, capsys):
-    """`inspect`, `stability --iters 20`, and `green`, `measure` and
-    `lyapunov` at small flags end with a documented exit code on generated
-    maps, not only on the corpus."""
-    f = twisted(data)[2] if family == "lsigma" else henon_map(*data)
-    path = save_map(f, tmp_path / "f.map")
-    for command in (["inspect"], ["stability", "--iters", "20"], ["green", "--grid", "8"],
-                    ["measure", "--max-period", "1"], ["lyapunov", "--max-period", "1"]):
-        assert main([*command, "--map", str(path), "--out", str(tmp_path)]) in (0, 2, 3, 4)
-    capsys.readouterr()
+    check_cli_smoke(twisted(data)[2] if family == "lsigma" else henon_map(*data), tmp_path, capsys)
+
+
+# the fixed maps above are this family's pinned examples; the draws share
+# one output directory, which every command overwrites
+DRAWN_SMOKE = settings(SETTINGS, max_examples=20,
+                       suppress_health_check=[HealthCheck.too_slow,
+                                              HealthCheck.function_scoped_fixture])
+
+
+@DRAWN_SMOKE
+@given(matrices)
+def test_drawn_lsigma_cli_smoke(tmp_path, capsys, m):
+    assume(det3(m) != 0)
+    check_cli_smoke(twisted(m)[2], tmp_path, capsys)
+
+
+@DRAWN_SMOKE
+@given(rationals, rationals.filter(bool))
+def test_drawn_henon_cli_smoke(tmp_path, capsys, c, delta):
+    check_cli_smoke(henon_map(c, delta), tmp_path, capsys)
 
 
 @pytest.mark.parametrize("m", SMOKE_MATRICES[-2:], ids=["lsigma7", "lsigma8"])
