@@ -8,11 +8,15 @@ point clouds that stand in for the measure.
 
 The search runs a vectorized complex Newton iteration on the fixed-point
 equations of the ``n``-th chart iterate, started from scrambled Sobol
-points.  Converged isolated solutions are deduplicated, filtered to minimal
-period, classified by the eigenvalue moduli of the orbit derivative,
-certified by a sampled Krawczyk contraction bound, and completed to full
-orbits before they are reported.  Weights are exact rationals,
-uniform across points, and always sum to 1.
+points.  The starts come from a small numpy Sobol generator in four
+dimensions (Joe-Kuo direction numbers, 30 bits, a linear matrix scramble
+plus digital shift drawn from ``numpy.random.default_rng(seed)``) whose
+points are bitwise equal to those of scipy 1.17's scrambled Sobol engine
+for the same seed.  Converged isolated solutions are deduplicated,
+filtered to minimal period, classified by the eigenvalue moduli of the
+orbit derivative, certified by a sampled Krawczyk contraction bound, and
+completed to full orbits before they are reported.  Weights are exact
+rationals, uniform across points, and always sum to 1.
 
 Cloud diagnostics mirror how such a measure is used: averages of bounded
 observables, the invariance residual ``|mu(phi o f) - mu(phi)|``, centered
@@ -29,7 +33,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .geometry import HomogeneousPolynomial, ProjectivePoint, _unit_distances, proj_distance
 from .maps import EPS_EXCEPTIONAL, RationalSurfaceMap, chart_embed, chart_map, image_point
@@ -54,9 +57,10 @@ __all__ = [
 ]
 
 # Search settings.  A round of Sobol starts in the complex box
-# |x|, |y| <= _SEARCH_RADIUS is drawn, Newton-polished, and merged with
-# earlier finds; rounds stop early once three consecutive rounds add
-# nothing new.
+# |x|, |y| <= _SEARCH_RADIUS is drawn by `_sobol` (scrambled Joe-Kuo
+# directions, bitwise equal to scipy 1.17's scrambled Sobol engine),
+# Newton-polished, and merged with earlier finds; rounds stop early once
+# three consecutive rounds add nothing new.
 _ROUND_SIZE = 4096
 _MAX_ROUNDS = 16
 _SEARCH_RADIUS = 2.5
@@ -488,6 +492,55 @@ def _group_orbits(table: np.ndarray, n: int) -> list[tuple[int, list[int]]]:
     return orbits
 
 
+# Sobol directions of dimensions 1-4 at 30 bits, one row per dimension,
+# entry j holding m_j shifted to the top bit j.  Joe-Kuo numbers:
+# dimension 1 has every m_j = 1; dimensions 2-4 have the primitive
+# polynomials 3, 7, 11 (x + 1, x^2 + x + 1, x^3 + x + 1) and the initial
+# values 1 | 1, 3 | 1, 3, 1.
+_SOBOL_BITS = 30
+_SOBOL_TOP = np.int64(1) << np.arange(_SOBOL_BITS - 1, -1, -1)
+
+
+def _sobol_directions() -> np.ndarray:
+    m = np.ones((4, _SOBOL_BITS), dtype=np.int64)
+    for d, (poly, init) in enumerate([(3, [1]), (7, [1, 3]), (11, [1, 3, 1])], start=1):
+        deg = len(init)
+        m[d, :deg] = init
+        for j in range(deg, _SOBOL_BITS):
+            new = m[d, j - deg]
+            for k in range(deg):
+                if (poly >> (deg - 1 - k)) & 1:
+                    new ^= m[d, j - k - 1] << (k + 1)
+            m[d, j] = new
+    return m * _SOBOL_TOP
+
+
+_SOBOL_V = _sobol_directions()
+
+
+def _sobol(seed: int, n: int) -> np.ndarray:
+    """The first ``n`` points of the scrambled 4-d Sobol sequence for ``seed``.
+
+    The scramble is drawn from ``numpy.random.default_rng(seed)``: first a
+    digital shift (its bits weighted from the bottom), then one lower
+    triangular bit matrix per dimension with a unit diagonal (its rows
+    weighted from the top) that maps each direction to the parities of
+    its rows against it.  Points follow in Gray-code order with the shift
+    as point 0, so the result equals, bit for bit, the first ``n`` points
+    that scipy 1.17's scrambled 4-d Sobol engine draws for ``seed``.
+    """
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(4, _SOBOL_BITS), dtype=np.uint32) @ _SOBOL_TOP[::-1]
+    lower = np.tril(rng.integers(2, size=(4, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32), -1)
+    rows = (lower | np.eye(_SOBOL_BITS, dtype=np.uint32)) @ _SOBOL_TOP
+    parity = np.bitwise_count(rows[:, :, None] & _SOBOL_V[:, None, :]) & 1
+    directions = (parity * _SOBOL_TOP[:, None]).sum(axis=1)
+    # step k flips the direction of k's lowest zero bit
+    k = np.arange(n - 1)
+    steps = directions.T[np.bitwise_count(k ^ (k + 1)) - 1]
+    return np.bitwise_xor.accumulate(np.vstack([shift, steps]), axis=0) * 2.0 ** -_SOBOL_BITS
+
+
 def saddle_periodic_points(
     f: RationalSurfaceMap,
     period: int,
@@ -518,8 +571,7 @@ def saddle_periodic_points(
     found: list[np.ndarray] = []
     quiet = 0
     for rnd in range(_MAX_ROUNDS):
-        engine = qmc.Sobol(d=4, scramble=True, seed=seed + 1000 * period + rnd)
-        u = engine.random(_ROUND_SIZE)
+        u = _sobol(seed + 1000 * period + rnd, _ROUND_SIZE)
         r = _SEARCH_RADIUS
         x = (2 * u[:, 0] - 1) * r + 1j * (2 * u[:, 1] - 1) * r
         y = (2 * u[:, 2] - 1) * r + 1j * (2 * u[:, 3] - 1) * r

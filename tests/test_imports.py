@@ -1,15 +1,17 @@
 """Every module-level import in the package is used, every export list
 names exactly what its module defines in public, the package root binds
 nothing but its submodules and ``__version__``, importing the package
-loads every submodule but ``cli`` and leaves sympy unloaded, and the
-package's defaulted parameters stay within a fixed budget.
+loads every submodule but ``cli`` and leaves sympy and every scipy
+subpackage unloaded, and the package's defaulted parameters stay within
+a fixed budget.
 
 An import that no code reads still costs load time and misleads readers
 about a module's dependencies.  A name counts as used when the module
 reads it anywhere (as a name or as the root of an attribute chain) or
 re-exports it through ``__all__``.  The package ``__init__`` only
-imports its submodules, so it is exempt; the test modules are held to
-the same rule.  Each public name has one import path, its module: a
+imports its submodules (and loads the bare scipy package for the
+benchmark's version probe), so it is exempt; the test modules are held
+to the same rule.  Each public name has one import path, its module: a
 name re-exported at the root is a second path that every deletion must
 edit, and one named like a submodule shadows that module.  The root
 still imports its submodules eagerly, so that ``import biratdyn`` is the
@@ -18,6 +20,10 @@ package's whole start-up cost.  sympy is needed only to factor
 the modular coprimality certificate cannot decide, and importing it takes
 about half a second, so it is loaded on first use: ``stability``,
 ``green``, ``measure`` and ``lyapunov`` compute without it on the corpus.
+No module computes with scipy (the saddle search draws its Sobol starts
+with numpy), and ``scipy.stats`` alone took most of a second to import,
+so neither the package nor ``biratdyn.cli`` loads more of scipy than a
+bare ``import scipy`` does, and no command loads ``scipy.stats``.
 Each defaulted parameter is an option that callers may set or
 forget; the budget makes every new one a reviewed, one-line change.  An
 export list that names a deleted function, or omits a new one, misstates
@@ -136,6 +142,17 @@ def test_import_leaves_sympy_unloaded():
     assert fresh_python("-c", "import sys, biratdyn; print('sympy' in sys.modules)").strip() == "False"
 
 
+SCIPY_MODULES = "import json, sys; print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))"
+
+
+@pytest.mark.parametrize("package", ["biratdyn", "biratdyn.cli"])
+def test_import_loads_no_scipy_subpackage(package):
+    bare = set(json.loads(fresh_python("-c", f"import scipy; {SCIPY_MODULES}")))
+    loaded = set(json.loads(fresh_python("-c", f"import {package}; {SCIPY_MODULES}")))
+    assert loaded <= bare
+    assert not loaded & {"scipy.stats", "scipy.special", "scipy.spatial"}
+
+
 def test_import_loads_every_submodule_but_cli():
     out = fresh_python("-c", "import json, sys, biratdyn; print(json.dumps(sorted("
                        "m for m in sys.modules if m.startswith('biratdyn.'))))")
@@ -147,6 +164,8 @@ def test_import_loads_every_submodule_but_cli():
 # prime and I(f) comes from resultants.  The CLI itself loads sympy after
 # `load_map` for perfbench's version probe, so that one load is switched
 # off here; `inspect` is the control, whose critical set sympy factors.
+# No run loads scipy.stats: `measure` and `lyapunov` draw their Sobol
+# starts with numpy.
 SYMPY_FREE_RUN = """
 import json, sys
 from biratdyn import cli
@@ -159,17 +178,19 @@ for name in ("henon", "lsigma"):
                     ["measure", "--max-period", "1"], ["lyapunov", "--max-period", "1"]):
         codes.append(cli.main([*command, "--map", str(corpus_path(name)), "--out", out]))
 loaded = "sympy" in sys.modules
+stats = "scipy.stats" in sys.modules
 codes.append(cli.main(["inspect", "--map", str(corpus_path("henon")), "--out", out]))
-print(json.dumps([codes, loaded, "sympy" in sys.modules]))
+print(json.dumps([codes, loaded, "sympy" in sys.modules, stats]))
 """
 
 
 def test_map_only_commands_compute_without_sympy(tmp_path):
     out = fresh_python("-c", SYMPY_FREE_RUN, str(tmp_path))
-    codes, loaded, loaded_by_inspect = json.loads(out.splitlines()[-1])
+    codes, loaded, loaded_by_inspect, stats = json.loads(out.splitlines()[-1])
     assert codes == [0] * 9
     assert not loaded
     assert loaded_by_inspect
+    assert not stats
 
 
 # defaulted parameters of every function and method in the package; raise
