@@ -45,7 +45,7 @@ import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -449,11 +449,49 @@ def cmd_energy_selftest(cfg: ExperimentConfig, out: Path, instances: int) -> int
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-#: which config field --iters overrides, per subcommand
-_ITERS_FIELD = {
-    "stability": "n_orbit",
-    "green": "n_series",
-    "lyapunov": "n_cocycle",
+class _Count(NamedTuple):
+    """A loop count that ``--iters`` passes to the handler itself, since
+    no config field holds it."""
+
+    default: int
+    least: int
+
+
+class _Command(NamedTuple):
+    """A subcommand and the flags it reads besides ``--config``, ``--seed``,
+    ``--out`` and ``--tolerance-indeterminacy``, which every command reads
+    (the seed and the tolerance are in every report header).  A command
+    accepts no flag that cannot change its artifacts."""
+
+    help: str
+    handler: Callable[..., int]
+    reads_map: bool
+    #: help text of --iters; None where the command has no loop count
+    iters_help: Optional[str]
+    #: what --iters sets: a config field, or a count passed to the handler
+    iters: str | _Count | None
+    #: the config fields among grid and max_period that the command reads,
+    #: each set by its flag (--grid, --max-period)
+    flags: tuple[str, ...]
+
+
+_COMMANDS = {
+    "inspect": _Command("exact structure of a map", cmd_inspect, True, None, None, ()),
+    "stability": _Command("orbit separation and summability", cmd_stability, True,
+                          "exceptional-orbit length (config n_orbit)", "n_orbit", ()),
+    "green": _Command("truncated invariant potential on a grid", cmd_green, True,
+                      "partial-sum depth (config n_series)", "n_series", ("grid",)),
+    "measure": _Command("saddle-orbit cloud and observable averages", cmd_measure, True,
+                        "mixing-correlation lags (default 10)", _Count(10, 0), ("max_period",)),
+    "lyapunov": _Command("cocycle exponents and hyperbolicity verdict", cmd_lyapunov, True,
+                         "cocycle steps (config n_cocycle)", "n_cocycle", ("max_period",)),
+    "energy-selftest": _Command("energy kernel validation suite", cmd_energy_selftest, False,
+                                "monotonicity instances (default 8)", _Count(8, 1), ()),
+}
+
+_FLAG_HELP = {
+    "grid": "grid resolution (config grid)",
+    "max_period": "largest saddle period in the cloud (config max_period)",
 }
 
 
@@ -462,27 +500,17 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="biratdyn",
         description="experiment runner for plane birational dynamics")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = [
-        ("inspect", "exact structure of a map", True),
-        ("stability", "orbit separation and summability", True),
-        ("green", "truncated invariant potential on a grid", True),
-        ("measure", "saddle-orbit cloud and observable averages", True),
-        ("lyapunov", "cocycle exponents and hyperbolicity verdict", True),
-        ("energy-selftest", "energy kernel validation suite", False),
-    ]
-    for name, help_text, needs_map in specs:
-        p = sub.add_parser(name, help=help_text)
-        if needs_map:
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.reads_map:
             p.add_argument("--map", required=True, help="map file (JSON)")
         p.add_argument("--config", help="experiment configuration (JSON)")
         p.add_argument("--seed", type=int, help="random seed (0 <= seed < 2^64)")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--iters", type=int,
-                       help="primary loop count (orbit length / series depth / "
-                            "cocycle steps / mixing lags / selftest instances)")
-        p.add_argument("--grid", type=int, help="grid resolution")
-        p.add_argument("--max-period", type=int,
-                       help="largest saddle period to include")
+        if command.iters_help is not None:
+            p.add_argument("--iters", type=int, help=command.iters_help)
+        for field in command.flags:
+            p.add_argument("--" + field.replace("_", "-"), type=int, help=_FLAG_HELP[field])
         p.add_argument("--tolerance-indeterminacy", type=float,
                        help="chordal distance that counts as close to I(f) or "
                             "I(f^-1): measure's cloud clearance, stability's "
@@ -491,43 +519,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+def _resolve_config(args: argparse.Namespace, command: _Command) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    field = _ITERS_FIELD.get(args.command)
-    return cfg.with_overrides(
-        seed=args.seed, out_dir=args.out, grid=args.grid, max_period=args.max_period,
-        tolerance_indeterminacy=args.tolerance_indeterminacy,
-        **({field: args.iters} if field is not None else {}))
+    overrides = {field: getattr(args, field) for field in command.flags}
+    if isinstance(command.iters, str):
+        overrides[command.iters] = args.iters
+    return cfg.with_overrides(seed=args.seed, out_dir=args.out,
+                              tolerance_indeterminacy=args.tolerance_indeterminacy,
+                              **overrides)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    command = _COMMANDS[args.command]
+    cfg = _resolve_config(args, command)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if args.command == "energy-selftest":
-        instances = args.iters if args.iters is not None else 8
-        if instances < 1:
-            raise ValueError("selftest needs at least one instance")
-        return cmd_energy_selftest(cfg, out, instances)
+    count = ()
+    if isinstance(command.iters, _Count):
+        n = command.iters.default if args.iters is None else args.iters
+        if n < command.iters.least:
+            raise ValueError(f"{args.command} needs --iters >= {command.iters.least}")
+        count = (n,)
+    if not command.reads_map:
+        return command.handler(cfg, out, *count)
     f = load_map(args.map)
     # perfbench's worker reads sympy's version from sys.modules after every
     # command, so each map command loads sympy here, where loading the map
     # used to, although only inspect computes with it (ROADMAP item 1)
     _sympy()
-    if args.command == "inspect":
-        return cmd_inspect(f, cfg, out)
-    if args.command == "stability":
-        return cmd_stability(f, cfg, out)
-    if args.command == "green":
-        return cmd_green(f, cfg, out)
-    if args.command == "measure":
-        lags = args.iters if args.iters is not None else 10
-        if lags < 0:
-            raise ValueError("mixing lag count must be nonnegative")
-        return cmd_measure(f, cfg, out, lags)
-    if args.command == "lyapunov":
-        return cmd_lyapunov(f, cfg, out)
-    raise ValueError(f"unknown command {args.command!r}")
+    return command.handler(f, cfg, out, *count)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -564,7 +564,7 @@ def saddle_periodic_points(
     before it is classified, since the cloud must stay clear of both sets.
     Raises :class:`NoSaddlesFound` when nothing survives.
     """
-    if not isinstance(period, int) or period < 1:
+    if isinstance(period, bool) or not isinstance(period, int) or period < 1:
         raise MeasureError("period must be a positive integer")
     dyn = _AffineDynamics(f, chart)
 
@@ -651,7 +651,7 @@ def saddle_cloud(
     that period is a sink) are skipped silently; the error surfaces only if
     every period up to the cutoff is empty.
     """
-    if not isinstance(max_period, int) or max_period < 1:
+    if isinstance(max_period, bool) or not isinstance(max_period, int) or max_period < 1:
         raise MeasureError("max_period must be a positive integer")
     points: list[ProjectivePoint] = []
     periods: list[int] = []

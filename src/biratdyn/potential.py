@@ -1,4 +1,4 @@
-"""Green potentials of a plane map: step potential, partial sums, fits.
+"""Green potentials of a plane map: step potential, partial sums, Lelong slopes.
 
 The step potential of a degree-``d`` map with homogeneous lift ``F`` is
 ``gamma(p) = d**-1 * log norm(F(z))`` on the unit-norm representative
@@ -19,7 +19,7 @@ potential.
 
 Normalization note: potentials built from homogeneous lifts differ from
 chart-level conventions by an additive constant.  All functional
-identities, singularity fits, and convergence diagnostics used here are
+identities, Lelong slopes, and convergence diagnostics used here are
 insensitive to that constant, so the lift normalization is adopted
 throughout and the constant is absorbed.
 """
@@ -27,22 +27,19 @@ throughout and the constant is absorbed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, ProjectivePoint, _term_sum, proj_distance
+from .geometry import GeometryError, ProjectivePoint, _term_sum
 from .maps import RationalSurfaceMap, chart_embed
 
 __all__ = [
     "PotentialError",
     "OrbitHitIndeterminacy",
     "InsufficientSamples",
-    "SingularityFit",
     "green_partial",
     "green_functional_check",
     "green_at_inverse_indeterminacy",
-    "singularity_fit",
     "shell_points",
     "shell_means",
     "lelong_estimate",
@@ -261,7 +258,7 @@ def green_at_inverse_indeterminacy(f: RationalSurfaceMap, N: int):
 
 
 # ---------------------------------------------------------------------------
-# Shell sampling, singularity fits, Lelong slopes
+# Shell sampling and Lelong slopes
 # ---------------------------------------------------------------------------
 
 
@@ -291,68 +288,7 @@ def shell_points(center: ProjectivePoint, radius: float, count: int, seed: int):
     return pts
 
 
-@dataclass(frozen=True)
-class SingularityFit:
-    """Two-sided logarithmic envelope of the step potential near an
-    indeterminacy point: ``A log d - B <= gamma <= A' log d + B'`` on the
-    sampled shells, with the fitted slope and the residual spread."""
-
-    point: ProjectivePoint
-    lower: tuple  # (A, B)
-    upper: tuple  # (A_prime, B_prime)
-    radii: tuple
-    slope: float
-    residual_spread: tuple  # (min residual, max residual) about the LS fit
-    samples: int
-
-
-def singularity_fit(
-    f: RationalSurfaceMap,
-    q: ProjectivePoint,
-    radii,
-    *,
-    samples_per_shell: int = 128,
-) -> SingularityFit:
-    """Least-squares log-singularity envelope of the step potential at an
-    indeterminacy point, from spherical-shell samples."""
-    radii = tuple(float(r) for r in radii)
-    if len(radii) < 2 or samples_per_shell < 4:
-        raise InsufficientSamples("need at least 2 shells and 4 samples each")
-    if any(r <= 1e-7 for r in radii):
-        raise ValueError("shell radii must exceed 1e-7")
-    I_pts = f.indeterminacy_set()
-    logs_d = []
-    vals = []
-    for r in radii:
-        pts = shell_points(q, r, samples_per_shell, _SHELL_SEED)
-        for p, g in zip(pts, _partial_sums(f, pts, 1).tolist()):
-            if not math.isfinite(g):
-                continue
-            d = min(proj_distance(p, t) for t in I_pts)
-            if d <= 0:
-                continue
-            logs_d.append(math.log(d))
-            vals.append(g)
-    if len(vals) < 8:
-        raise InsufficientSamples("too few finite potential samples on the shells")
-    X = np.vstack([np.ones(len(vals)), np.array(logs_d)]).T
-    (intercept, slope), *_ = np.linalg.lstsq(X, np.array(vals), rcond=None)
-    resid = np.array(vals) - (intercept + slope * np.array(logs_d))
-    A = max(float(slope), 1e-6)
-    B = float(np.max(A * np.array(logs_d) - np.array(vals)))
-    B_prime = float(np.max(np.array(vals) - A * np.array(logs_d)))
-    return SingularityFit(
-        point=q,
-        lower=(A, B),
-        upper=(A, B_prime),
-        radii=radii,
-        slope=float(slope),
-        residual_spread=(float(resid.min()), float(resid.max())),
-        samples=len(vals),
-    )
-
-
-def shell_means(fn, center: ProjectivePoint, radii, *, samples_per_shell: int = 256, seed: int = _SHELL_SEED):
+def shell_means(fn, center: ProjectivePoint, radii, *, samples_per_shell: int, seed: int = _SHELL_SEED):
     """Mean of a function over chordal spheres around a center; ``fn``
     takes the sample points of one shell and returns their values."""
     means = []

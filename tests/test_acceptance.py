@@ -12,8 +12,9 @@ line per claim:
    expanded class lies in the effective cone;
 3. stability conditions — separation verdicts, forward/backward
    summability equivalence, and the finite-potential bridge;
-4. potentials — telescoping identity, functional equation, two-sided
-   log envelope, Monte-Carlo truncation gap, volume-decay exponent;
+4. potentials — telescoping identity, functional equation, log-pole
+   slope 1/d of the step potential, Monte-Carlo truncation gap,
+   volume-decay exponent;
 5. energy kernel — monotonicity residuals, Cauchy decay with negative
    control, pushforward identity on refined grids;
 6. invariant measure — period-5/6 cloud agreement, exact unit mass,
@@ -56,7 +57,7 @@ from biratdyn.energy import (
     random_trig,
     smoothed_log_form,
 )
-from biratdyn.geometry import ProjectivePoint, proj_distance
+from biratdyn.geometry import ProjectivePoint
 from biratdyn.lyapunov import cocycle_exponents, hyperbolicity_verdict
 from biratdyn.mapfile import corpus_path, load_map
 from biratdyn.maps import apply, compose, degree_sequence
@@ -82,8 +83,6 @@ from biratdyn.potential import (
     green_lelong_estimate,
     lelong_estimate,
     shell_means,
-    shell_points,
-    singularity_fit,
 )
 from biratdyn.stability import check_orbit_separation, exceptional_orbits, summability
 from biratdyn.standard_maps import Y, linear_map
@@ -212,8 +211,8 @@ def test_3_separation_summability_equivalence_and_bridge(maps):
 def test_4_potential_identities_envelope_and_decay(maps):
     """Telescoped and direct partial sums agree to 1e-9 relative at
     1000 random points; the functional-equation residual at depth 25
-    stays below the 1e-7 tail bound; a two-sided log envelope contains
-    all shell samples at the indeterminacy point; the Monte-Carlo L1
+    stays below the 1e-7 tail bound; the step potential's Lelong slope
+    at the indeterminacy point is 1/d = 0.5 +- 0.05; the Monte-Carlo L1
     gap between depths 25 and 50 is < 1e-4; the volume-decay fit
     exponent stays below the expansion rate."""
     h, ls = maps["henon"], maps["lsigma"]
@@ -227,19 +226,8 @@ def test_4_potential_identities_envelope_and_decay(maps):
     for p in random_points(50, 13):
         assert green_functional_check(h, p, 25) < 1e-7
 
-    radii = tuple(np.geomspace(1e-4, 1e-2, 8))
-    fit = singularity_fit(h, P(1, 0, 0), radii, samples_per_shell=128)
-    assert fit.samples >= 1000
-    A, B = fit.lower
-    A2, B2 = fit.upper
-    assert A > 0 and A2 > 0
-    I_pts = h.indeterminacy_set()
-    for r in radii:
-        shell = shell_points(P(1, 0, 0), r, 128, 20260825)
-        for p, g in zip(shell, _partial_sums(h, shell, 1).tolist()):
-            d = min(proj_distance(p, q) for q in I_pts)
-            assert A * math.log(d) - B <= g + 1e-9
-            assert g <= A2 * math.log(d) + B2 + 1e-9
+    # the step potential's log pole at I(f) has Lelong slope 1/d
+    assert green_lelong_estimate(h, P(1, 0, 0), 1) == pytest.approx(0.5, abs=0.05)
 
     for f in (h, ls):
         pts = random_points(200, 11)

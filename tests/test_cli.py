@@ -619,7 +619,22 @@ MATRIX_PRECONDITION = {
     ("stability", "linear"), ("green", "linear"), ("measure", "linear"),
     ("lyapunov", "linear"), ("measure", "cremona"), ("lyapunov", "cremona"),
 }
-SMALL_BUDGET = ("--iters", "5", "--grid", "8", "--max-period", "1", "--seed", "7")
+#: small values of the flags each command reads; a flag it does not read
+#: exits 2
+SMALL_BUDGET = {
+    "inspect": ("--seed", "7"),
+    "stability": ("--iters", "5", "--seed", "7"),
+    "green": ("--iters", "5", "--grid", "8", "--seed", "7"),
+    "measure": ("--iters", "5", "--max-period", "1", "--seed", "7"),
+    "lyapunov": ("--iters", "5", "--max-period", "1", "--seed", "7"),
+}
+#: the flags that cannot change a command's artifacts, which it refuses
+UNREAD_FLAGS = [
+    ("inspect", "--iters"), ("inspect", "--grid"), ("inspect", "--max-period"),
+    ("stability", "--grid"), ("stability", "--max-period"),
+    ("green", "--max-period"), ("measure", "--grid"), ("lyapunov", "--grid"),
+    ("energy-selftest", "--grid"), ("energy-selftest", "--max-period"),
+]
 
 
 class TestCommandMatrix:
@@ -650,7 +665,7 @@ class TestCommandMatrix:
         monkeypatch.setattr(cli, "load_map", loading)
         monkeypatch.setattr(maps, "compose", composing)
         code = run_cli(command, "--map", str(corpus_path(name)),
-                       "--out", str(tmp_path), *SMALL_BUDGET)
+                       "--out", str(tmp_path), *SMALL_BUDGET[command])
         capsys.readouterr()
         assert code == (3 if (command, name) in MATRIX_PRECONDITION else 0)
         # only inspect reports the critical set, so only inspect factors it
@@ -664,3 +679,17 @@ class TestCommandMatrix:
 
     def test_energy_selftest_exit_code(self, tmp_path):
         assert run_cli("energy-selftest", "--out", str(tmp_path), "--iters", "1") == 0
+
+    @pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+    def test_unread_flag_exits_2(self, command, flag, tmp_path, capsys):
+        map_args = () if command == "energy-selftest" else ("--map", str(corpus_path("henon")))
+        assert run_cli(command, *map_args, "--out", str(tmp_path), flag, "16") == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,count", [("measure", "-1"), ("energy-selftest", "0")])
+    def test_count_below_least_exits_2(self, command, count, tmp_path, capsys):
+        # --iters here is a count passed to the command, not a config field
+        map_args = () if command == "energy-selftest" else ("--map", str(corpus_path("henon")))
+        assert run_cli(command, *map_args, "--out", str(tmp_path), "--iters", count) == 2
+        assert "needs --iters" in capsys.readouterr().err

@@ -276,6 +276,23 @@ def test_drawn_henon_cli_smoke(tmp_path, capsys, c, delta):
     check_cli_smoke(henon_map(c, delta), tmp_path, capsys)
 
 
+# one draw a run: on g = f o f the commands take about 6 s when f's degrees
+# are multiplicative, and about 60 s when they drop (two in five draws),
+# since inspect, stability, green and lyapunov each compose g's degree
+# sequence up to degree 55
+@settings(DRAWN_SMOKE, max_examples=1)
+@given(matrices)
+def test_drawn_square_cli_smoke(tmp_path, capsys, m):
+    """g = f o f for a drawn f = L o sigma, saved with f^-1 o f^-1 as its
+    inverse, drawn as `test_degree_four_square_loci_equal_oracle` draws
+    its maps."""
+    assume(det3(m) != 0)
+    f = twisted(m)[2]
+    g = compose(f, f, name="g")
+    g.inverse = compose(f.inverse, f.inverse, name="g-inverse")
+    check_cli_smoke(g, tmp_path, capsys)
+
+
 @pytest.mark.parametrize("m", SMOKE_MATRICES[-2:], ids=["lsigma7", "lsigma8"])
 def test_measure_skips_periodic_point_on_inverse_indeterminacy(m, tmp_path, capsys):
     """f fixes a point of I(f^-1), [1 : 0 : -1] = L e1 and [1 : -2 : 1] =

@@ -285,6 +285,15 @@ class TestSaddleSearch:
         with pytest.raises(MeasureError):
             saddle_periodic_points(henon, 0)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_period_rejected(self, henon, flag):
+        # a bool is an int to isinstance: True once ran as period 1 and
+        # reported the provenance SaddleOrbits(True)
+        with pytest.raises(MeasureError, match="positive integer"):
+            saddle_periodic_points(henon, flag)
+        with pytest.raises(MeasureError, match="positive integer"):
+            saddle_cloud(henon, flag)
+
     def test_no_single_point_advance(self, henon4_search):
         # after the Newton rounds every stage steps all candidates at once;
         # inside newton a batch shrinks to the starts still moving

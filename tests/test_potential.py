@@ -1,8 +1,8 @@
-"""Green potential layer: step potential, partial sums, fits, Lelong slopes.
+"""Green potential layer: step potential, partial sums, Lelong slopes.
 
 Frozen expectations: the Henon-family step potential vanishes at the fixed
-point at infinity, is minus infinity exactly at [1:0:0], and near that
-point fits a logarithmic envelope with slope about one half (as does the
+point at infinity, is minus infinity exactly at [1:0:0], and has a
+logarithmic pole there of Lelong slope about one half (as does the
 quadratic involution's, weighted by its degree two).
 """
 
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from test_map_properties import det3, matrices, rationals, twisted
 
 from biratdyn import geometry, potential
-from biratdyn.geometry import ProjectivePoint, proj_distance
+from biratdyn.geometry import ProjectivePoint
 from biratdyn.mapfile import ExperimentConfig, corpus_path, load_map
 from biratdyn.maps import chart_embed
 from biratdyn.potential import (
@@ -31,7 +31,6 @@ from biratdyn.potential import (
     lelong_estimate,
     shell_means,
     shell_points,
-    singularity_fit,
 )
 from biratdyn.standard_maps import (
     cremona_involution,
@@ -289,40 +288,19 @@ class TestFunctionalIdentity:
 
 
 class TestSingularityFit:
-    RADII = tuple(np.geomspace(1e-4, 1e-2, 8))
-
-    def test_henon_envelope_contains_all_samples(self):
-        h = henon_map()
-        fit = singularity_fit(h, P(1, 0, 0), self.RADII, samples_per_shell=128)
-        assert fit.samples >= 1000
-        assert fit.lower[0] > 0 and fit.upper[0] > 0
-        # resample with the same seed: all points must respect the envelope
-        A, B = fit.lower
-        A2, B2 = fit.upper
-        I_pts = h.indeterminacy_set()
-        for r in self.RADII:
-            for p in shell_points(P(1, 0, 0), r, 128, 20260825):
-                g = oracle_gamma_plus(h, p)
-                d = min(proj_distance(p, t) for t in I_pts)
-                assert A * math.log(d) - B <= g + 1e-9
-                assert g <= A2 * math.log(d) + B2 + 1e-9
+    """The step potential's logarithmic singularity at [1:0:0]."""
 
     def test_sigma_with_weight_override(self):
-        fit = singularity_fit(
-            cremona_involution(), P(1, 0, 0), self.RADII, samples_per_shell=64
-        )
-        assert fit.lower[0] > 0 and fit.upper[0] > 0
-        assert fit.slope == pytest.approx(0.5, abs=0.05)
+        # the quadratic involution, weighted by its degree two, has the
+        # step potential's log pole of slope 1/d at [1:0:0]
+        assert green_lelong_estimate(cremona_involution(), P(1, 0, 0), 1) == pytest.approx(
+            0.5, abs=0.05)
 
     def test_step_potential_bounded_above_globally(self):
         h = henon_map()
         vals = step_potential(h, random_points(10_000, 23))
         assert np.max(vals) < 2.0
         assert math.isfinite(float(np.max(vals)))
-
-    def test_insufficient_shells_rejected(self):
-        with pytest.raises(InsufficientSamples):
-            singularity_fit(henon_map(), P(1, 0, 0), [1e-3], samples_per_shell=64)
 
 
 class TestLelong:
