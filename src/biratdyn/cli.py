@@ -545,7 +545,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     f = load_map(args.map)
     # perfbench's worker reads sympy's version from sys.modules after every
     # command, so each map command loads sympy here, where loading the map
-    # used to, although only inspect computes with it (ROADMAP item 1)
+    # used to, although on the corpus only inspect computes with it: the
+    # rate certificate reads degree drops off the exceptional orbits
+    # (ROADMAP item 1)
     _sympy()
     return command.handler(f, cfg, out, *count)
 

@@ -8,9 +8,9 @@ positivity cone cut out by the contracted-curve classes, and the spectral
 splitting of an arbitrary class into its expanding component and remainder.
 
 The lattice data is user-supplied.  For the projective plane itself the
-lattice has rank one and is generated automatically from the algebraic
-degree, provided the degree sequence is multiplicative (so that degree and
-spectral radius coincide).
+lattice has rank one, both actions are multiplication by the algebraic
+degree, and `plane_expansion_rate` certifies that rate without building
+it: the degrees must multiply, which the exceptional orbits decide.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import DEGREE_CHECK_ITERATES, RationalSurfaceMap, degree_sequence
+from .maps import DEGREE_CHECK_ITERATES, RationalSurfaceMap, _degree_drop
 
 __all__ = [
     "CohomologyLattice",
@@ -32,7 +32,6 @@ __all__ = [
     "cone_K_test",
     "class_decomposition",
     "remainder_growth_constant",
-    "lattice_for_plane_map",
     "plane_expansion_rate",
 ]
 
@@ -265,57 +264,26 @@ def remainder_growth_constant(L: CohomologyLattice, vec, t: float, n_max: int = 
     return float(best)
 
 
-def _require_multiplicative_degrees(f: RationalSurfaceMap) -> None:
-    """Raise :class:`SpectralError` unless f has an inverse and its degrees
-    are multiplicative through ``DEGREE_CHECK_ITERATES`` iterates, the
-    condition under which the algebraic degree is the spectral radius."""
-    if f.inverse is None:
-        raise SpectralError("plane lattice generation needs the inverse map")
-    seq = degree_sequence(f, DEGREE_CHECK_ITERATES)
-    if not seq.is_multiplicative:
-        raise SpectralError(
-            f"degree sequence {seq.degrees} drops at iterate {seq.first_drop}; "
-            "the algebraic degree does not represent the spectral radius"
-        )
-
-
 def plane_expansion_rate(f: RationalSurfaceMap) -> float:
     """Spectral radius of the plane map's action on the hyperplane class.
 
-    The same certificate as ``spectral_data(lattice_for_plane_map(f)).rho``
-    without building the lattice: the degrees must be multiplicative, and
-    then the rate is the algebraic degree.  Raises :class:`NoExpansion` for
-    degree one and :class:`SpectralError` when the rate is uncertifiable.
+    That action is multiplication by the algebraic degree, which is the
+    spectral radius when f has an inverse and its degrees multiply through
+    ``DEGREE_CHECK_ITERATES`` iterates (`maps._degree_drop`, which composes
+    only when the exceptional orbits cannot decide).  Raises
+    :class:`NoExpansion` for degree one and :class:`SpectralError` when the
+    rate is uncertifiable.
     """
-    _require_multiplicative_degrees(f)
+    if f.inverse is None:
+        raise SpectralError("the rate certificate needs the inverse map")
+    first_drop, composed = _degree_drop(f, DEGREE_CHECK_ITERATES)
+    if first_drop is not None:
+        raise SpectralError(f"the degrees drop at iterate {first_drop}; "
+                            "the algebraic degree does not represent the spectral radius")
+    if composed is not None and composed.truncated_at is not None:
+        raise SpectralError(f"degree sequence {composed.degrees} stopped at iterate "
+                            f"{composed.truncated_at} before any drop; the rate is uncertified")
     rho = float(f.degree)
     if rho <= 1:
         raise NoExpansion(f"spectral radius {rho!r} is not above 1")
     return rho
-
-
-def lattice_for_plane_map(f: RationalSurfaceMap) -> CohomologyLattice:
-    """Rank-one lattice of the projective plane for a degree-stable map.
-
-    The hyperplane class generates, the form is ``(1)``, and both actions
-    are multiplication by the algebraic degree.  This identification is
-    only valid when degrees are multiplicative, so the degree sequence is
-    checked through ``DEGREE_CHECK_ITERATES`` iterates first; a dropping
-    sequence raises :class:`SpectralError`.  The contracted-curve classes
-    are the degrees of the critical factors of the inverse.  For a
-    multiplicative sequence the degree-growth estimate of the spectral
-    radius, ``d_n^(1/n)``, equals the algebraic degree exactly, so the
-    cross-check between the two is exact by construction.
-    """
-    _require_multiplicative_degrees(f)
-    d = f.degree
-    curves = tuple((factor.degree,) for factor, _ in f.inverse.critical_set())
-    return CohomologyLattice(
-        rank=1,
-        Q=[[1]],
-        Mf=[[d]],
-        Mfinv=[[d]],
-        curve_classes=curves,
-        beta_class=[1],
-    )
-

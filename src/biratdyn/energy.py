@@ -358,12 +358,6 @@ class ChartFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "ChartFunction":
-        return self * (-1.0)
-
-    def __sub__(self, other: "ChartFunction") -> "ChartFunction":
-        return self + (other * (-1.0))
-
 
 _ZERO = np.complex128(0.0)
 _FLAT = (_ZERO, _ZERO, _ZERO)

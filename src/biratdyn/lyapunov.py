@@ -230,7 +230,7 @@ def cocycle_exponents(
     weights are renormalized.  Raises :class:`AllOrbitsExcluded` when
     nothing survives.
     """
-    if n < 1:
+    if isinstance(n, bool) or n < 1:
         raise LyapunovError("need at least one cocycle step")
     ind_points = [q.numeric().unit_vector() for q in f.indeterminacy_set()]
 

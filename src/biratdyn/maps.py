@@ -43,7 +43,7 @@ EPS_EXCEPTIONAL = 1e-6
 # tolerance for numeric indeterminacy detection at unit representatives
 EPS_INDETERMINACY = 1e-9
 # iterates f^1..f^N checked for multiplicative degrees (by exceptional orbits,
-# composing only when an orbit meets the indeterminacy set)
+# composing only where their walk cannot decide)
 DEGREE_CHECK_ITERATES = 5
 # largest iterate degree composed exactly: the next, 81 for a cubic, takes
 # tens of seconds to substitute
@@ -458,31 +458,41 @@ def degree_sequence(f: RationalSurfaceMap, length: int) -> DegreeSequence:
 
     The sequence is multiplicative (d_n = d_1^n) exactly when no iterate
     picks up a common factor; first_drop records the first n where
-    multiplicativity fails.
-
-    For a birational f the exceptional orbits decide this without
-    composing: d_n = d_1^n for every n <= length exactly when no point p of
-    I(f^-1) has f^k(p) in I(f) for some k <= length - 2, and the first drop
-    is at n = k + 2 (Fornaess-Sibony 1995; Diller-Favre 2001, Thm 1.14).
-    When the attached inverse (certified by `load_map`) has only exact
-    indeterminacy points and `orbit_walk`, the walker the stability
-    diagnostics also use, takes each of them length - 1 steps without
-    meeting I(f), the multiplicative sequence is returned at once.
-    Otherwise -- an orbit hits I(f), a point is numeric, there is no
-    inverse, or an orbit coordinate exceeds DEFAULT_COEFF_BIT_CAP bits --
-    the iterates are composed, so a dropping sequence reports its actual
-    degrees.  If composed coefficients exceed the bit cap, or the next
-    iterate's degree would exceed 64, the sequence is truncated and
-    marked."""
-    if length < 1:
+    multiplicativity fails.  `_degree_drop` decides this; a dropping
+    sequence is composed to report its degrees, and is truncated and marked
+    if composed coefficients exceed DEFAULT_COEFF_BIT_CAP bits or the next
+    iterate's degree would exceed 64."""
+    if isinstance(length, bool) or length < 1:
         raise MapError("need length >= 1")
+    first_drop, composed = _degree_drop(f, length)
+    if first_drop is None and composed is None:
+        return DegreeSequence([f.degree**n for n in range(1, length + 1)], True, None)
+    return composed or _composed_degree_sequence(f, length)
+
+
+def _degree_drop(
+    f: RationalSurfaceMap, length: int
+) -> tuple[Optional[int], Optional[DegreeSequence]]:
+    """(first_drop, composed) for f, ..., f^length: the least n with
+    d_n < d_1^n, or None, and the composed sequence if one was needed.
+
+    The exceptional orbits decide without composing: d_n = d_1^n for every
+    n <= length exactly when no p in I(f^-1) has f^k(p) in I(f) for some
+    k <= length - 2, and the first drop is at n = k + 2 for the least such k
+    (Fornaess-Sibony 1995; Diller-Favre 2001, Thm 1.14).  `orbit_walk`, the
+    stability diagnostics' walker, steps each point of I(f^-1).  The iterates
+    are composed only when it cannot decide: no inverse, a numeric point, or
+    an orbit past DEFAULT_COEFF_BIT_CAP bits.  first_drop is then the
+    composed one, None also when composition stopped first (truncated_at)."""
     if f.inverse is not None:
         sources = f.inverse.indeterminacy_set()
-        if all(p.exact for p in sources) and all(
-            orbit_walk(f, p, length - 1, DEFAULT_COEFF_BIT_CAP)[1] == "horizon" for p in sources
-        ):
-            return DegreeSequence([f.degree**n for n in range(1, length + 1)], True, None)
-    return _composed_degree_sequence(f, length)
+        if all(p.exact for p in sources):
+            walks = [orbit_walk(f, p, length - 1, DEFAULT_COEFF_BIT_CAP) for p in sources]
+            if all(end != "cap" for _, end in walks):
+                hits = [len(points) + 1 for points, end in walks if end == "indeterminate"]
+                return min(hits, default=None), None
+    composed = _composed_degree_sequence(f, length)
+    return composed.first_drop, composed
 
 
 def orbit_walk(

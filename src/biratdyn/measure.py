@@ -735,7 +735,7 @@ def mixing_correlations(
     periods; the decay toward 0 is a proxy statement about the underlying
     measure, not the atoms.
     """
-    if lags < 0:
+    if isinstance(lags, bool) or lags < 0:
         raise MeasureError("lags must be nonnegative")
     weights = [float(w) for w in cloud.weights]
     phis = [float(phi(p)) for p in cloud.points]

@@ -298,7 +298,7 @@ def exceptional_orbits(
     ``bit_cap`` bits the orbit switches to a 113-bit shadow with error
     balls and the switchover step is recorded.
     """
-    if N < 1:
+    if isinstance(N, bool) or N < 1:
         raise ValueError("orbit horizon must be at least 1")
     if f.inverse is None:
         raise StabilityError("exceptional orbits need the inverse map")

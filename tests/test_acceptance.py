@@ -40,10 +40,11 @@ import pytest
 
 from biratdyn.cli import main as cli_main
 from biratdyn.cohomology import (
+    CohomologyLattice,
     NoExpansion,
     SpectralError,
     cone_K_test,
-    lattice_for_plane_map,
+    plane_expansion_rate,
     spectral_data,
 )
 from biratdyn.energy import (
@@ -148,19 +149,28 @@ def test_1_exact_algebra_composition_degrees_and_loci(maps):
     assert same_point_sets(h.inverse.indeterminacy_set(), [P(0, 1, 0)])
 
 
+def plane_lattice(f):
+    """The plane's rank-one lattice for f: form (1), both actions
+    multiplication by the degree, and the degrees of the inverse's critical
+    factors as the contracted-curve classes."""
+    curves = [(factor.degree,) for factor, _ in f.inverse.critical_set()]
+    return CohomologyLattice(1, [[1]], [[f.degree]], [[f.degree]], curves, [1])
+
+
 def test_2_spectral_rates_normalization_and_cone(maps):
-    """For degree-stable maps the growth rate equals the degree and
-    matches the inverse's rate to 1e-10; the class normalization
-    residuals are < 1e-10; the expanded class lies in the effective
-    cone.  Degree-1 maps certify no-expansion; degree-dropping maps
-    are rejected by the lattice construction."""
+    """For degree-stable maps the certified rate equals the degree and the
+    lattice's spectral radius, and matches the inverse's rate to 1e-10; the
+    class normalization residuals are < 1e-10; the expanded class lies in
+    the effective cone.  Degree-1 maps certify no-expansion; degree-dropping
+    maps are rejected by the rate certificate."""
     for name in ("henon", "lsigma"):
         f = maps[name]
-        L = lattice_for_plane_map(f)
+        L = plane_lattice(f)
         sd = spectral_data(L)
-        assert sd.rho == float(f.degree)
+        assert plane_expansion_rate(f) == sd.rho == float(f.degree)
 
-        rho_inv = spectral_data(lattice_for_plane_map(f.inverse)).rho
+        rho_inv = plane_expansion_rate(f.inverse)
+        assert rho_inv == spectral_data(plane_lattice(f.inverse)).rho
         assert abs(sd.rho - rho_inv) <= 1e-10
 
         Mf = np.asarray(L.Mf, dtype=float)
@@ -175,9 +185,11 @@ def test_2_spectral_rates_normalization_and_cone(maps):
         assert cone_K_test(L, sd.theta_plus)
 
     with pytest.raises(NoExpansion):
-        spectral_data(lattice_for_plane_map(maps["linear"]))
+        plane_expansion_rate(maps["linear"])
+    with pytest.raises(NoExpansion):
+        spectral_data(plane_lattice(maps["linear"]))
     with pytest.raises(SpectralError):
-        lattice_for_plane_map(maps["cremona"])
+        plane_expansion_rate(maps["cremona"])
 
 
 def test_3_separation_summability_equivalence_and_bridge(maps):

@@ -671,11 +671,11 @@ class TestCommandMatrix:
         # only inspect reports the critical set, so only inspect factors it
         assert bool(factored) == (command == "inspect")
         # loading certifies the inverse without composing; degrees are
-        # decided by exceptional orbits after the load, and only cremona's
-        # orbits meet its indeterminacy set, so only its degree checks
-        # compose (measure makes none)
+        # decided by exceptional orbits after the load, and a drop found
+        # there needs no composing, so only inspect, which reports cremona's
+        # dropping degrees, composes
         assert loaded and all(composed)
-        assert bool(composed) == (name == "cremona" and command != "measure")
+        assert bool(composed) == (name == "cremona" and command == "inspect")
 
     def test_energy_selftest_exit_code(self, tmp_path):
         assert run_cli("energy-selftest", "--out", str(tmp_path), "--iters", "1") == 0

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from biratdyn import maps
 from biratdyn.cohomology import (
     CohomologyLattice,
     DegenerateNormalization,
@@ -18,7 +19,7 @@ from biratdyn.cohomology import (
     check_adjoint,
     class_decomposition,
     cone_K_test,
-    lattice_for_plane_map,
+    plane_expansion_rate,
     remainder_growth_constant,
     spectral_data,
 )
@@ -34,6 +35,13 @@ GOLDEN_SQ = (3 + math.sqrt(5)) / 2
 
 def plane_lattice(d, curves=((1,),)):
     return CohomologyLattice(1, [[1]], [[d]], [[d]], curves, [1])
+
+
+def map_lattice(f):
+    """The plane's rank-one lattice for f: both actions are multiplication
+    by the degree, and the curve classes are the degrees of the critical
+    factors of the inverse."""
+    return plane_lattice(f.degree, [(factor.degree,) for factor, _ in f.inverse.critical_set()])
 
 
 def rank3_lattice():
@@ -143,7 +151,7 @@ class TestCone:
 
     def test_expanding_class_in_cone_for_bundled_maps(self):
         for f in (henon_map(), lsigma_map()):
-            L = lattice_for_plane_map(f)
+            L = map_lattice(f)
             sd = spectral_data(L)
             assert cone_K_test(L, sd.theta_plus)
         L3 = rank3_lattice()
@@ -186,17 +194,32 @@ class TestDecomposition:
 
 class TestPlaneLattice:
     def test_henon_lattice(self):
-        L = lattice_for_plane_map(henon_map())
+        f = henon_map()
+        L = map_lattice(f)
         assert L.rank == 1
-        assert spectral_data(L).rho == 2.0
+        assert plane_expansion_rate(f) == spectral_data(L).rho == 2.0
         # contracted line at infinity contributes the single curve class
         assert [tuple(c) for c in L.curve_classes] == [(1,)]
 
     def test_unstable_map_rejected(self):
-        with pytest.raises(SpectralError, match="drops"):
-            lattice_for_plane_map(cremona_involution())
+        with pytest.raises(SpectralError, match="drop at iterate 2"):
+            plane_expansion_rate(cremona_involution())
+
+    def test_truncated_sequence_names_where_composition_stopped(self, monkeypatch):
+        """With a bit cap of 0 no exceptional orbit decides, so the degrees
+        are composed, and above degree 8 composition stops at iterate 4
+        before any drop: the rate is uncertified, and the message says where
+        composition stopped rather than that the degrees drop."""
+        monkeypatch.setattr(maps, "_MAX_COMPOSED_DEGREE", 8)
+        monkeypatch.setattr(maps, "DEFAULT_COEFF_BIT_CAP", 0)
+        with pytest.raises(SpectralError) as err:
+            plane_expansion_rate(henon_map())
+        assert "[2, 4, 8] stopped at iterate 4" in str(err.value)
+        assert "None" not in str(err.value)
 
     def test_degree_one_lattice_has_no_expansion(self):
-        L = lattice_for_plane_map(diagonal_scaling_map())
+        f = diagonal_scaling_map()
         with pytest.raises(NoExpansion):
-            spectral_data(L)
+            spectral_data(map_lattice(f))
+        with pytest.raises(NoExpansion):
+            plane_expansion_rate(f)

@@ -42,6 +42,7 @@ import types
 from pathlib import Path
 
 import pytest
+from test_cli import MATRIX_PRECONDITION
 
 import biratdyn
 
@@ -160,34 +161,39 @@ def test_import_loads_every_submodule_but_cli():
 
 
 # the commands that need only the map, its inverse and the exceptional
-# sets compute without sympy: the constructor's gcd is certified modulo a
-# prime and I(f) comes from resultants.  The CLI itself loads sympy after
-# `load_map` for perfbench's version probe, so that one load is switched
-# off here; `inspect` is the control, whose critical set sympy factors.
-# No run loads scipy.stats: `measure` and `lyapunov` draw their Sobol
-# starts with numpy.
+# sets compute without sympy on every corpus map: the constructor's gcd is
+# certified modulo a prime, I(f) comes from resultants, and the rate
+# certificate reads a degree drop off the exceptional orbits without
+# composing.  The CLI itself loads sympy after `load_map` for perfbench's
+# version probe, so that one load is switched off here; `inspect` is the
+# control, whose critical set sympy factors.  No run loads scipy.stats:
+# `measure` and `lyapunov` draw their Sobol starts with numpy.
 SYMPY_FREE_RUN = """
 import json, sys
 from biratdyn import cli
 from biratdyn.mapfile import corpus_path
 cli._sympy = lambda: None
 out = sys.argv[1]
-codes = []
-for name in ("henon", "lsigma"):
+runs = []
+for name in ("cremona", "henon", "linear", "lsigma"):
     for command in (["stability"], ["green", "--grid", "8"],
                     ["measure", "--max-period", "1"], ["lyapunov", "--max-period", "1"]):
-        codes.append(cli.main([*command, "--map", str(corpus_path(name)), "--out", out]))
+        code = cli.main([*command, "--map", str(corpus_path(name)), "--out", out])
+        runs.append([command[0], name, code])
 loaded = "sympy" in sys.modules
 stats = "scipy.stats" in sys.modules
-codes.append(cli.main(["inspect", "--map", str(corpus_path("henon")), "--out", out]))
-print(json.dumps([codes, loaded, "sympy" in sys.modules, stats]))
+inspect = cli.main(["inspect", "--map", str(corpus_path("henon")), "--out", out])
+print(json.dumps([runs, inspect, loaded, "sympy" in sys.modules, stats]))
 """
 
 
 def test_map_only_commands_compute_without_sympy(tmp_path):
     out = fresh_python("-c", SYMPY_FREE_RUN, str(tmp_path))
-    codes, loaded, loaded_by_inspect, stats = json.loads(out.splitlines()[-1])
-    assert codes == [0] * 9
+    runs, inspect, loaded, loaded_by_inspect, stats = json.loads(out.splitlines()[-1])
+    assert len(runs) == 16
+    for command, name, code in runs:
+        assert code == (3 if (command, name) in MATRIX_PRECONDITION else 0), (command, name)
+    assert inspect == 0
     assert not loaded
     assert loaded_by_inspect
     assert not stats

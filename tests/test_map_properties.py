@@ -17,7 +17,7 @@ alongside.
 
 The same maps, and the bundled corpus, check the two shortcuts the
 command-line path takes: `image_point` against the labelled `apply`, and
-`plane_expansion_rate` against the spectral radius of the rank-one lattice.
+`plane_expansion_rate` against the composed degree sequence.
 `orbit_walk`, the walker of both the degree check and the stability
 diagnostics, stops at exactly the exact hits that `exceptional_orbits`
 records.
@@ -30,18 +30,14 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from biratdyn import maps, stability
+from biratdyn import cli, maps, stability
 from biratdyn.cli import main
-from biratdyn.cohomology import (
-    SpectralError,
-    lattice_for_plane_map,
-    plane_expansion_rate,
-    spectral_data,
-)
+from biratdyn.cohomology import NoExpansion, SpectralError, plane_expansion_rate
 from biratdyn.geometry import ProjectivePoint
 from biratdyn.mapfile import corpus_path, load_map, save_map
 from biratdyn.maps import (
     DEFAULT_COEFF_BIT_CAP,
+    DEGREE_CHECK_ITERATES,
     RationalSurfaceMap,
     _composed_degree_sequence,
     apply,
@@ -149,6 +145,7 @@ def test_generated_henon_degree_sequence(c, delta):
     seq, composed = counted_degree_sequence(f, 4)
     assert seq == _composed_degree_sequence(f, 4)
     assert seq.is_multiplicative and composed == 0
+    check_expansion_rate(f)
 
 
 @SETTINGS
@@ -184,16 +181,23 @@ def check_image_point(f, triple):
 
 
 def check_expansion_rate(f):
-    """`plane_expansion_rate` returns the lattice route's rho or raises its
-    exception, class and message alike."""
-    try:
-        want = spectral_data(lattice_for_plane_map(f)).rho
-    except SpectralError as err:
-        with pytest.raises(SpectralError) as got:
+    """`plane_expansion_rate` returns the degree exactly when the composed
+    degree sequence, which walks no orbit, is multiplicative; otherwise it
+    raises `SpectralError` naming the oracle's first drop, or where the
+    oracle's composition stopped, and never `None`."""
+    oracle = _composed_degree_sequence(f, DEGREE_CHECK_ITERATES)
+    if oracle.is_multiplicative and f.degree == 1:
+        with pytest.raises(NoExpansion):
             plane_expansion_rate(f)
-        assert type(got.value) is type(err) and str(got.value) == str(err)
+    elif oracle.is_multiplicative:
+        assert plane_expansion_rate(f) == f.degree
     else:
-        assert plane_expansion_rate(f) == want
+        with pytest.raises(SpectralError) as err:
+            plane_expansion_rate(f)
+        assert type(err.value) is SpectralError and "None" not in str(err.value)
+        where = (f"drop at iterate {oracle.first_drop}" if oracle.first_drop
+                 else f"stopped at iterate {oracle.truncated_at}")
+        assert where in str(err.value)
 
 
 @SETTINGS
@@ -203,7 +207,7 @@ def test_generated_map_image_point(m, triple):
     check_image_point(twisted(m)[2], triple)
 
 
-# a dropping example composes f four times on each route, so fewer of them
+# the oracle composes f four times, so fewer examples
 @settings(SETTINGS, max_examples=6)
 @given(matrices)
 def test_generated_map_expansion_rate(m):
@@ -277,9 +281,9 @@ def test_drawn_henon_cli_smoke(tmp_path, capsys, c, delta):
 
 
 # one draw a run: on g = f o f the commands take about 6 s when f's degrees
-# are multiplicative, and about 60 s when they drop (two in five draws),
-# since inspect, stability, green and lyapunov each compose g's degree
-# sequence up to degree 55
+# are multiplicative, and about 20 s when they drop (two in five draws),
+# most of it inspect composing g's degree sequence up to degree 55 to report
+# it; the other commands read the drop off g's exceptional orbits
 @settings(DRAWN_SMOKE, max_examples=1)
 @given(matrices)
 def test_drawn_square_cli_smoke(tmp_path, capsys, m):
@@ -351,3 +355,36 @@ def test_degree_four_square_exits_0(command, tmp_path, capsys):
     path = save_map(g, tmp_path / "g.map")
     assert main([*command, "--map", str(path), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,code", [(["stability"], 0), (["green", "--grid", "8"], 0),
+                                          (["lyapunov", "--max-period", "1"], 3)],
+                         ids=["stability", "green", "lyapunov"])
+def test_dropping_square_rate_composes_nothing(command, code, tmp_path, capsys, monkeypatch):
+    """g = f o f for f = L o sigma, saved with f^-1 o f^-1 as its inverse.
+    An exceptional orbit of g meets I(g) at once, so its degrees drop at
+    iterate 2 (they read 3, 8, 21, 55).  The rate certificate takes that
+    drop from the orbit walk: no command but `inspect` composes g after
+    loading it, where each once composed up to degree 55 for about 18 s.
+    `stability` and `green` fall back to the degree; `lyapunov` needs the
+    certified rate and exits 3."""
+    _, _, f = twisted([[-1, -1, -1], [1, 0, 1], [1, 0, -1]])
+    g = compose(f, f, name="g")
+    g.inverse = compose(f.inverse, f.inverse, name="g-inverse")
+    path = save_map(g, tmp_path / "g.map")
+    loaded, composed = [], []
+    load_map_, compose_ = cli.load_map, maps.compose
+
+    def loading(p):
+        loaded.append(load_map_(p))
+        return loaded[-1]
+
+    def composing(*args, **kwargs):
+        composed.append(bool(loaded))
+        return compose_(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_map", loading)
+    monkeypatch.setattr(maps, "compose", composing)
+    assert main([*command, "--map", str(path), "--out", str(tmp_path)]) == code
+    assert loaded and not any(composed)
+    assert ("drop at iterate 2" in capsys.readouterr().err) == (code == 3)

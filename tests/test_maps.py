@@ -18,6 +18,7 @@ from biratdyn.geometry import (
     ProjectivePoint,
     proj_distance,
 )
+from biratdyn.lyapunov import LyapunovError, cocycle_exponents
 from biratdyn.mapfile import corpus_path, load_map
 from biratdyn.maps import (
     DEFAULT_COEFF_BIT_CAP,
@@ -35,6 +36,8 @@ from biratdyn.maps import (
     is_identity,
     verify_inverse,
 )
+from biratdyn.measure import MeasureError, WeightedPointCloud, mixing_correlations
+from biratdyn.stability import exceptional_orbits
 from biratdyn.standard_maps import (
     cremona_involution,
     diagonal_scaling_map,
@@ -495,3 +498,24 @@ class TestDerivatives:
         rng = np.random.default_rng(7)
         p = ProjectivePoint.numeric_point(*(rng.normal(size=3) + 1j * rng.normal(size=3)))
         assert second_derivative_norm(RationalSurfaceMap([X, Y, T]), p) == 0.0
+
+
+def one_point_cloud():
+    return WeightedPointCloud((P(1, 2, 3),), (Fraction(1),), "Manual")
+
+
+def unit_observable(p):
+    return 1.0
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda f: degree_sequence(f, True), MapError),
+    (lambda f: exceptional_orbits(f, True), ValueError),
+    (lambda f: mixing_correlations(f, one_point_cloud(), unit_observable, unit_observable, True), MeasureError),
+    (lambda f: cocycle_exponents(f, one_point_cloud(), True), LyapunovError),
+], ids=["degree_sequence", "exceptional_orbits", "mixing_correlations", "cocycle_exponents"])
+def test_boolean_count_rejected(call, error):
+    """A count of `True` is not the count 1: each public count rejects a
+    bool with the error it raises for a count below its minimum."""
+    with pytest.raises(error):
+        call(henon_map())
