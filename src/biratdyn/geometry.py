@@ -5,24 +5,30 @@ Q(i) with exact arithmetic, projective points in exact or floating form,
 sparse homogeneous polynomials in three variables, the Fubini-Study
 chordal metric, and gcd of polynomial families.
 
-Exact objects use `fractions.Fraction` components, so coefficient growth
-is limited only by memory; floating objects use complex128 throughout.
-Chordal distances and proportionality between exact points are decided in
-Gaussian-integer arithmetic on denominator-free coordinates (Python ints),
-and a distance strictly between 0 and 1 is rounded to a float only once.
+Exact scalars (`ComplexRational`) show their real and imaginary parts as
+`fractions.Fraction`s, but exact computation runs on Python ints, so
+coefficient growth is limited only by memory; floating objects use
+complex128 throughout.  A polynomial caches its coefficients as
+Gaussian-integer rows over one positive common denominator, and an exact
+point its coordinates as a Gaussian-integer triple, so values, images and
+substitutions are sums of products in Z[i] with one division at the end.
+Chordal distances and proportionality between exact points are decided on
+the same integer triples, and a distance strictly between 0 and 1 is
+rounded to a float only once.
 
-`_term_sum` is the package's one term loop: exact values, floating values
-on three scalars or three broadcast-compatible arrays, 113-bit shadow
-balls, line restrictions and compositions all sum their terms through it,
-and only the coefficient rows and coordinate types differ.  Partial
-derivatives are memoized on the immutable polynomial.
+`_term_sum` is the package's one term loop: exact values over Z[i],
+floating values on three scalars, three broadcast-compatible arrays or
+their power tables, 113-bit shadow balls, line restrictions and
+compositions all sum their terms through it, and only the coefficient rows
+and coordinate types differ.  Partial derivatives are memoized on the
+immutable polynomial.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -36,16 +42,17 @@ class GeometryError(ValueError):
 
 
 def _power(base, n: int, one):
-    """base**n for an integer n >= 0 by repeated squaring; n = 0 gives one."""
+    """base**n for an integer n >= 0 by repeated squaring; n = 0 gives one,
+    and no other power multiplies by it."""
     if n < 0:
         raise GeometryError("negative power")
-    result = one
+    result = None
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         base = base * base if n > 1 else base
         n >>= 1
-    return result
+    return one if result is None else result
 
 
 def _as_fraction(value) -> Fraction:
@@ -181,6 +188,54 @@ def _coerce(value) -> ComplexRational:
 CR_ZERO = ComplexRational(0)
 
 
+class _GaussianInteger:
+    """Element of Z[i] as two Python ints: the coefficient and coordinate
+    type of the exact term loop.  No gcd runs on its arithmetic."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        return _GaussianInteger(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return _GaussianInteger(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return _GaussianInteger(-self.re, -self.im)
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _GaussianInteger(a * c - b * d, a * d + b * c)
+
+    def __pow__(self, n: int):
+        return _power(self, n, _GaussianInteger(1, 0))
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+    def exact_quotient(self, other: "_GaussianInteger") -> "_GaussianInteger":
+        """self / other where other divides self in Z[i]."""
+        a, b, c, d = self.re, self.im, other.re, other.im
+        n = c * c + d * d
+        return _GaussianInteger((a * c + b * d) // n, (b * c - a * d) // n)
+
+    def over(self, den: int) -> ComplexRational:
+        """The Gaussian rational self / den for a positive int den."""
+        return ComplexRational(Fraction(self.re, den), Fraction(self.im, den))
+
+
+def _common_denominator(values: Sequence[ComplexRational]) -> tuple[list[_GaussianInteger], int]:
+    """Gaussian rationals as Gaussian integers over their least common
+    denominator, which is positive: the integers and the denominator."""
+    den = math.lcm(*(d for c in values for d in (c.re_den, c.im_den)))
+    return [_GaussianInteger(c.re_num * (den // c.re_den), c.im_num * (den // c.im_den))
+            for c in values], den
+
+
 class ProjectivePoint:
     """Point of P^2, stored as a homogeneous coordinate triple.
 
@@ -265,28 +320,37 @@ class ProjectivePoint:
         its squared Euclidean norm.  Computed once per exact point."""
         form = self._integer_cache
         if form is None:
-            parts = [part for c in self.coords for part in (c.re, c.im)]
-            den = math.lcm(*(part.denominator for part in parts))
-            ints = tuple(part.numerator * (den // part.denominator) for part in parts)
+            ints = tuple(part for c in _common_denominator(self.coords)[0]
+                         for part in (c.re, c.im))
             form = (ints, sum(v * v for v in ints))
             object.__setattr__(self, "_integer_cache", form)
         return form
 
-    def scaled_integer_coords(self) -> tuple[ComplexRational, ComplexRational, ComplexRational]:
-        """Rescale an exact point so all components are Gaussian integers
-        with no common integer factor.  Keeps orbit coordinates small."""
-        if not self.exact:
-            raise GeometryError("scaled_integer_coords needs an exact point")
-        ints, _ = self._integer_form()
-        g = math.gcd(*ints) or 1
-        return tuple(
-            ComplexRational(Fraction(ints[k] // g), Fraction(ints[k + 1] // g))
-            for k in (0, 2, 4)
-        )
+    def _gaussian_integers(self) -> tuple[_GaussianInteger, ...]:
+        """`_integer_form`'s coordinates as a `_GaussianInteger` triple."""
+        ints = self._integer_form()[0]
+        return tuple(_GaussianInteger(ints[k], ints[k + 1]) for k in (0, 2, 4))
+
+    @classmethod
+    def _primitive(cls, values: Sequence[Optional[_GaussianInteger]]) -> "ProjectivePoint":
+        """The exact point with Gaussian-integer coordinates ``values`` (None
+        reads as 0, not all zero), divided by the positive gcd of their
+        parts: the one representative without a common integer factor that
+        is a positive multiple of ``values``."""
+        parts = [part for v in values for part in ((v.re, v.im) if v is not None else (0, 0))]
+        g = math.gcd(*parts)
+        if not g:
+            raise GeometryError("zero vector does not define a projective point")
+        ints = tuple(part // g for part in parts)
+        point = cls([ComplexRational(ints[k], ints[k + 1]) for k in (0, 2, 4)], exact=True)
+        object.__setattr__(point, "_integer_cache", (ints, sum(v * v for v in ints)))
+        return point
 
     def reduced(self) -> "ProjectivePoint":
         """Content-free Gaussian-integer representative of an exact point."""
-        return ProjectivePoint(self.scaled_integer_coords(), exact=True)
+        if not self.exact:
+            raise GeometryError("reduced needs an exact point")
+        return ProjectivePoint._primitive(self._gaussian_integers())
 
     def bit_size(self) -> int:
         if not self.exact:
@@ -366,7 +430,7 @@ class HomogeneousPolynomial:
     term dict.
     """
 
-    __slots__ = ("degree", "terms", "_numeric_cache", "_derivatives")
+    __slots__ = ("degree", "terms", "_numeric_cache", "_integer_cache", "_derivatives")
 
     def __init__(self, degree: int, terms: Mapping[tuple[int, int, int], ComplexRational]):
         if degree < 0:
@@ -384,6 +448,7 @@ class HomogeneousPolynomial:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_numeric_cache", None)
+        object.__setattr__(self, "_integer_cache", None)
         object.__setattr__(self, "_derivatives", [None, None, None])
 
     def __setattr__(self, name, value):
@@ -471,9 +536,25 @@ class HomogeneousPolynomial:
         return cached
 
     def evaluate_exact(self, coords: Sequence[ComplexRational]) -> ComplexRational:
-        x, y, t = (_coerce(v) for v in coords)
-        acc = _term_sum(((*key, c) for key, c in self.terms.items()), x, y, t)
-        return CR_ZERO if acc is None else acc
+        """Exact value at Gaussian-rational coordinates.  With the
+        coordinates scaled to Gaussian integers over their common
+        denominator e, it is `_term_sum` of the integer rows over Z[i],
+        divided once by the rows' denominator times e**degree."""
+        xs, e = _common_denominator([_coerce(v) for v in coords])
+        rows, den = self._integer_terms()
+        acc = _term_sum(rows, *xs)
+        return CR_ZERO if acc is None else acc.over(den * e**self.degree)
+
+    def _integer_terms(self) -> tuple[tuple, int]:
+        """Cached (i, j, k, `_GaussianInteger` coefficient) rows and their
+        positive common denominator: the polynomial is the rows over it."""
+        cached = self._integer_cache
+        if cached is None:
+            keys = list(self.terms)
+            coeffs, den = _common_denominator([self.terms[key] for key in keys])
+            cached = (tuple((*key, c) for key, c in zip(keys, coeffs)), den)
+            object.__setattr__(self, "_integer_cache", cached)
+        return cached
 
     def _numeric_terms(self) -> tuple:
         """Cached (i, j, k, complex coefficient) rows in sorted key order."""
@@ -486,10 +567,10 @@ class HomogeneousPolynomial:
     def evaluate_numeric(self, v):
         """Floating-point value at homogeneous coordinates v = (x, y, t).
 
-        v holds three scalars or three broadcast-compatible arrays; a 1-D
-        array is read as three scalars.  The value is `_term_sum` over the
-        cached complex rows, so scalars stay Python complex and arrays keep
-        node-sized intermediates.  A term involving only scalar coordinates
+        v holds three scalars, three broadcast-compatible arrays or their
+        `_PowerTable`s; a 1-D array is read as three scalars.  The value is
+        `_term_sum` over the cached complex rows, so scalars stay Python
+        complex and arrays keep node-sized intermediates.  A term involving only scalar coordinates
         stays scalar: batched callers broadcast the result.
         """
         if isinstance(v, np.ndarray) and v.ndim == 1:
@@ -547,9 +628,9 @@ def _term_sum(rows, x, y, t):
     Zero exponents are skipped and the sum starts from the first term, so
     no multiplication by one or addition to zero enters the result; None
     when there are no rows.  The arithmetic is whatever the coefficients
-    and coordinates carry: Gaussian rationals, complex scalars or arrays,
-    mpmath numbers, numpy polynomials in a line parameter, or homogeneous
-    polynomials.
+    and coordinates carry: Gaussian integers, polynomials over Z[i],
+    complex scalars or arrays or their power tables, mpmath numbers, or
+    numpy polynomials in a line parameter.
     """
     acc = None
     for i, j, k, cf in rows:
@@ -562,6 +643,60 @@ def _term_sum(rows, x, y, t):
             term = term * t**k
         acc = term if acc is None else acc + term
     return acc
+
+
+class _IntegerPolynomial:
+    """Polynomial over Z[i]: a dict from exponent triples to nonzero
+    `_GaussianInteger` coefficients.  The coordinate type of the term loop
+    when it substitutes polynomials into polynomials (`maps._substitute`)."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            s = out.get(key)
+            out[key] = c if s is None else s + c
+        return _IntegerPolynomial({key: c for key, c in out.items() if c})
+
+    def __mul__(self, other):
+        out: dict = {}
+        for (i1, j1, k1), c1 in self.terms.items():
+            for (i2, j2, k2), c2 in other.terms.items():
+                key = (i1 + i2, j1 + j2, k1 + k2)
+                s = out.get(key)
+                out[key] = c1 * c2 if s is None else s + c1 * c2
+        return _IntegerPolynomial({key: c for key, c in out.items() if c})
+
+    def __pow__(self, n: int):
+        return _power(self, n, _IntegerPolynomial({(0, 0, 0): _GaussianInteger(1, 0)}))
+
+    def over(self, degree: int, den: int) -> HomogeneousPolynomial:
+        """The homogeneous polynomial self / den of the given degree, for a
+        positive int den."""
+        return HomogeneousPolynomial(degree, {key: c.over(den) for key, c in self.terms.items()})
+
+
+class _PowerTable:
+    """Coordinate of the term loop that computes each power value**e once
+    and hands the same object to every term that needs it, so a batch of
+    polynomials on one point shares its powers and every value stays the
+    one ``value**e`` gives."""
+
+    __slots__ = ("value", "powers")
+
+    def __init__(self, value):
+        self.value = value
+        self.powers = {}
+
+    def __pow__(self, e: int):
+        power = self.powers.get(e)
+        if power is None:
+            power = self.powers[e] = self.value**e
+        return power
 
 
 # ---------------------------------------------------------------------------
@@ -650,17 +785,18 @@ def _mod_gcd(f: list[int], g: list[int]) -> list[int]:
 
 
 def _mod_restriction(poly: HomogeneousPolynomial) -> list[int] | None:
-    """Coefficients mod p of s -> poly(s a + b) on the certificate's line,
+    """Coefficients mod p of s -> den * poly(s a + b) on the certificate's
+    line, with den the denominator of poly's integer rows (a unit mod p),
     constant term first and padded to poly.degree + 1 entries, with i read
-    as a square root of -1 mod p; None when a denominator is divisible by p."""
+    as a square root of -1 mod p; None when den is divisible by p."""
     a, b = _CERT_LINE
     powers = [[[1]] for _ in range(3)]
     acc = [0] * (poly.degree + 1)
-    for key, c in poly.terms.items():
-        if c.re_den % _CERT_PRIME == 0 or c.im_den % _CERT_PRIME == 0:
-            return None
-        term = [(c.re_num * pow(c.re_den, -1, _CERT_PRIME)
-                 + _CERT_I * c.im_num * pow(c.im_den, -1, _CERT_PRIME)) % _CERT_PRIME]
+    rows, den = poly._integer_terms()
+    if den % _CERT_PRIME == 0:
+        return None
+    for *key, c in rows:
+        term = [(c.re + _CERT_I * c.im) % _CERT_PRIME]
         for v, e in enumerate(key):
             while len(powers[v]) <= e:
                 powers[v].append(_mod_mul(powers[v][-1], [b[v], a[v]]))

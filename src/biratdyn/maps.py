@@ -33,6 +33,10 @@ from .geometry import (
     poly_factor,
     poly_gcd,
     proj_distance,
+    _GaussianInteger,
+    _IntegerPolynomial,
+    _PowerTable,
+    _common_denominator,
     _term_sum,
 )
 
@@ -157,6 +161,8 @@ class RationalSurfaceMap:
         self._critical: Optional[list[tuple[HomogeneousPolynomial, int]]] = None
         self._indeterminacy: Optional[list[ProjectivePoint]] = None
         self._contractions: Optional[list[tuple[HomogeneousPolynomial, Optional[ProjectivePoint]]]] = None
+        self._coeff_scale: Optional[float] = None
+        self._integer_rows: Optional[tuple[tuple, int]] = None
         if not self._dominant():
             raise MapError("Jacobian determinant vanishes identically: map is not dominant")
         if inverse is not None and inverse.inverse is None:
@@ -206,12 +212,28 @@ class RationalSurfaceMap:
         return np.array([c.evaluate_numeric(vec3) for c in self.components], dtype=np.complex128)
 
     def coeff_scale(self) -> float:
-        """Euclidean norm of all coefficients; used to normalize residuals."""
-        total = 0.0
-        for c in self.components:
-            for v in c.terms.values():
-                total += abs(complex(v)) ** 2
-        return math.sqrt(total) if total > 0 else 1.0
+        """Euclidean norm of all coefficients; used to normalize residuals.
+        Computed once per map."""
+        if self._coeff_scale is None:
+            total = 0.0
+            for c in self.components:
+                for v in c.terms.values():
+                    total += abs(complex(v)) ** 2
+            self._coeff_scale = math.sqrt(total) if total > 0 else 1.0
+        return self._coeff_scale
+
+    def _integer_components(self) -> tuple[tuple, int]:
+        """The components' integer rows (`_integer_terms`) rescaled to one
+        positive common denominator, so the three scale alike: the triple
+        of row tuples and that denominator.  Computed once per map."""
+        if self._integer_rows is None:
+            terms = [c._integer_terms() for c in self.components]
+            den = math.lcm(*(d for _, d in terms))
+            self._integer_rows = (
+                tuple(tuple((i, j, k, c * _GaussianInteger(den // d, 0)) for i, j, k, c in rows)
+                      for rows, d in terms),
+                den)
+        return self._integer_rows
 
     def __repr__(self):
         label = self.name or "map"
@@ -267,15 +289,18 @@ def image_point(f: RationalSurfaceMap, p: ProjectivePoint) -> Optional[Projectiv
     """Image of p under f, or None at an indeterminacy point.
 
     An exact p is indeterminate exactly when all components vanish there,
-    and otherwise maps to the reduced exact image.  A numeric p is taken as
-    indeterminate when the image of its unit representative has norm below
-    ``EPS_INDETERMINACY`` times the coefficient scale.
+    and otherwise maps to the reduced exact image: the components' integer
+    rows, over one denominator, are summed over Z[i] at p's Gaussian-integer
+    coordinates, whose powers the three components share.  A numeric p is
+    taken as indeterminate when the image of its unit representative has
+    norm below ``EPS_INDETERMINACY`` times the coefficient scale.
     """
     if p.exact:
-        vals = f.evaluate_exact(p.coords)
-        if all(v.is_zero() for v in vals):
+        x, y, t = (_PowerTable(v) for v in p._gaussian_integers())
+        vals = [_term_sum(rows, x, y, t) for rows in f._integer_components()[0]]
+        if not any(vals):
             return None
-        return ProjectivePoint(vals, exact=True).reduced()
+        return ProjectivePoint._primitive(vals)
     vals = f.evaluate_numeric(p.unit_vector())
     if np.linalg.norm(vals) < EPS_INDETERMINACY * f.coeff_scale():
         return None
@@ -401,13 +426,22 @@ def _substitute(
     f: RationalSurfaceMap, g: RationalSurfaceMap, bit_cap: int
 ) -> list[HomogeneousPolynomial]:
     """Components of f with g's components substituted, not reduced.
-    Raises CoefficientOverflow when a coefficient exceeds bit_cap bits."""
+    Raises CoefficientOverflow when a coefficient exceeds bit_cap bits.
+
+    The substitution runs over Z[i]: g's components are integer rows over
+    one denominator e, so a component of f of degree n with integer rows
+    over d is their substitution divided once by d * e**n."""
+    g_rows, e = g._integer_components()
+    G = [_IntegerPolynomial({(i, j, k): c for i, j, k, c in rows}) for rows in g_rows]
     comps = []
     for comp in f.components:
-        rows = ((*key, HomogeneousPolynomial.constant(c)) for key, c in comp.terms.items())
-        acc = _term_sum(rows, *g.components)
+        rows, d = comp._integer_terms()
+        acc = _term_sum(((i, j, k, _IntegerPolynomial({(0, 0, 0): c})) for i, j, k, c in rows), *G)
+        degree = comp.degree * g.degree
         if acc is None:
-            acc = HomogeneousPolynomial.zero(comp.degree * g.degree)
+            acc = HomogeneousPolynomial.zero(degree)
+        else:
+            acc = acc.over(degree, d * e**comp.degree)
         comps.append(acc)
         if acc.max_coeff_bits() > bit_cap:
             raise CoefficientOverflow(acc.max_coeff_bits(), bit_cap, "during composition")
@@ -431,15 +465,16 @@ def compose(
 
 def is_identity(f: RationalSurfaceMap | Sequence[HomogeneousPolynomial]) -> bool:
     """True when f, a map or a triple of components, is projectively the
-    identity [x : y : t]: the triple is nonzero and its three 2x2 minors
-    against (x, y, t) vanish, so it is h * (x, y, t) for a nonzero h."""
-    c0, c1, c2 = f.components if isinstance(f, RationalSurfaceMap) else f
-    if c0.is_zero() and c1.is_zero() and c2.is_zero():
-        return False
-    x = HomogeneousPolynomial.monomial(1, 0, 0)
-    y = HomogeneousPolynomial.monomial(0, 1, 0)
-    t = HomogeneousPolynomial.monomial(0, 0, 1)
-    return (c0 * y == c1 * x) and (c0 * t == c2 * x) and (c1 * t == c2 * y)
+    identity [x : y : t]: the triple is h * (x, y, t) for a nonzero h, so
+    its components are x, y and t times one nonzero quotient, which is
+    read off the exponents without a product."""
+    quotients = []
+    for var, comp in enumerate(f.components if isinstance(f, RationalSurfaceMap) else f):
+        if any(not key[var] for key in comp.terms):
+            return False
+        quotients.append({key[:var] + (key[var] - 1,) + key[var + 1:]: c
+                          for key, c in comp.terms.items()})
+    return bool(quotients[0]) and quotients[0] == quotients[1] == quotients[2]
 
 
 def verify_inverse(f: RationalSurfaceMap) -> bool:
@@ -690,24 +725,38 @@ def _in_y(f: dict, t0) -> list:
     return _strip(out)
 
 
-def _determinant(m: list) -> ComplexRational:
-    """Determinant over Q(i) by Gaussian elimination."""
+def _bareiss_determinant(m: list) -> _GaussianInteger:
+    """Determinant over Z[i] of a nonempty square matrix, by fraction-free
+    (Bareiss) elimination: every entry stays a minor of m, so each division
+    by the previous pivot is exact and no gcd is taken."""
     m = [list(row) for row in m]
-    det = _CR_ONE
+    sign, prev = 1, _GaussianInteger(1, 0)
     for col in range(len(m)):
-        pivot = next((r for r in range(col, len(m)) if not m[r][col].is_zero()), None)
+        pivot = next((r for r in range(col, len(m)) if m[r][col]), None)
         if pivot is None:
-            return CR_ZERO
+            return _GaussianInteger(0, 0)
         if pivot != col:
             m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = _CR_ONE / m[col][col]
+            sign = -sign
+        top = m[col]
+        p = top[col]
         for r in range(col + 1, len(m)):
-            q = m[r][col] * inv
-            if not q.is_zero():
-                m[r] = [u - q * v for u, v in zip(m[r], m[col])]
-    return det
+            row, q = m[r], m[r][col]
+            m[r] = [None] * (col + 1) + [(row[c] * p - q * top[c]).exact_quotient(prev)
+                                         for c in range(col + 1, len(m))]
+        prev = p
+    return prev if sign > 0 else -prev
+
+
+def _y_coefficients(f: dict, m: int, t0: int) -> list:
+    """The bivariate f(y, t), a dict from (j, k) to Gaussian integers, at
+    the integer t = t0 as m + 1 coefficients in y, highest power first."""
+    out = [[0, 0] for _ in range(m + 1)]
+    for (j, k), c in f.items():
+        w = t0**k
+        out[m - j][0] += c.re * w
+        out[m - j][1] += c.im * w
+    return [_GaussianInteger(re, im) for re, im in out]
 
 
 def _resultant_in_y(f: dict, g: dict, degree: int) -> list:
@@ -716,31 +765,40 @@ def _resultant_in_y(f: dict, g: dict, degree: int) -> list:
 
     The Sylvester determinant is taken with the y-degrees m and n of f and
     g as polynomials over Q(i)[t], so it commutes with setting t = t0.  Its
-    t-degree is at most degree^2, and it is interpolated by divided
-    differences from its values at t0 = 0, 1, ..., degree^2."""
+    t-degree is at most N = degree^2, and it is interpolated from its values
+    at t0 = 0, 1, ..., N.  Everything runs over Z[i]: f and g are scaled to
+    Gaussian integers over denominators df and dg, which scales each
+    determinant by df^n dg^m; the determinants are fraction-free
+    (`_bareiss_determinant`); and Newton's forward-difference form is taken
+    times N!, so the coefficients are divided only once, by N! df^n dg^m."""
     m = max(j for j, _ in f)
     n = max(j for j, _ in g)
-    nodes = range(degree * degree + 1)
-    dd = []
-    for t0 in nodes:
-        a = _in_y(f, ComplexRational(t0))
-        b = _in_y(g, ComplexRational(t0))
-        a = (a + [CR_ZERO] * (m + 1 - len(a)))[::-1]
-        b = (b + [CR_ZERO] * (n + 1 - len(b)))[::-1]
-        rows = [[CR_ZERO] * r + a + [CR_ZERO] * (n - 1 - r) for r in range(n)]
-        rows += [[CR_ZERO] * r + b + [CR_ZERO] * (m - 1 - r) for r in range(m)]
-        dd.append(_determinant(rows))
-    for level in range(1, len(dd)):
-        for i in range(len(dd) - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / level
-    # Newton form to coefficients: out = out * (t - node) + dd[i], innermost first
+    (fz, df), (gz, dg) = (_common_denominator(list(h.values())) for h in (f, g))
+    fz, gz = dict(zip(f, fz)), dict(zip(g, gz))
+    N = degree * degree
+    zero = _GaussianInteger(0, 0)
+    values = []
+    for t0 in range(N + 1):
+        a, b = _y_coefficients(fz, m, t0), _y_coefficients(gz, n, t0)
+        rows = [[zero] * r + a + [zero] * (n - 1 - r) for r in range(n)]
+        rows += [[zero] * r + b + [zero] * (m - 1 - r) for r in range(m)]
+        values.append(_bareiss_determinant(rows))
+    # N! res(t) = sum over k of (N! / k!) (Delta^k values)[0] t (t - 1) ... (t - k + 1)
+    diffs = []
+    while values:
+        diffs.append(values[0])
+        values = [v - u for u, v in zip(values, values[1:])]
     out: list = []
-    for i in range(len(dd) - 1, -1, -1):
-        out = [CR_ZERO] + out
-        for k in range(len(out) - 1):
-            out[k] = out[k] - out[k + 1] * nodes[i]
-        out[0] = out[0] + dd[i]
-    return _strip(out)
+    for k in range(N, -1, -1):
+        # out = out * (t - k) + diffs[k] * N! / k!, innermost first
+        out = [zero] + out
+        for i in range(len(out) - 1):
+            out[i] = out[i] - out[i + 1] * _GaussianInteger(k, 0)
+        out[0] = out[0] + diffs[k] * _GaussianInteger(math.factorial(N) // math.factorial(k), 0)
+    while out and not out[-1]:
+        out.pop()
+    scale = math.factorial(N) * df**n * dg**m
+    return [c.over(scale) for c in out]
 
 
 def _combination(F: list, weights) -> dict:
@@ -882,11 +940,12 @@ def chart_map(f: RationalSurfaceMap, chart_in: int, chart_out: int, z1, z2):
     coordinates ``(w1, w2)`` in chart ``chart_out``.  Returns them with the
     2x2 Jacobian entries (``J[l][j] = dw_l / dz_j``) and ``D``, the target
     pivot coordinate of F that both are divided by; a small |D| means the
-    point nears the target chart's line at infinity.
+    point nears the target chart's line at infinity.  The three components
+    and their six partials share one power table per coordinate.
     """
     in_vars = [i for i in range(3) if i != chart_in]
     out_vars = [i for i in range(3) if i != chart_out]
-    hom = chart_embed(chart_in, z1, z2)
+    hom = tuple(_PowerTable(v) for v in chart_embed(chart_in, z1, z2))
     comps = f.components
     F = [c.evaluate_numeric(hom) for c in comps]
     D = np.asarray(F[chart_out])
