@@ -430,7 +430,8 @@ class HomogeneousPolynomial:
     term dict.
     """
 
-    __slots__ = ("degree", "terms", "_numeric_cache", "_integer_cache", "_derivatives")
+    # _ball_cache holds the 113-bit rows of `stability`'s shadow balls
+    __slots__ = ("degree", "terms", "_numeric_cache", "_integer_cache", "_ball_cache", "_derivatives")
 
     def __init__(self, degree: int, terms: Mapping[tuple[int, int, int], ComplexRational]):
         if degree < 0:
@@ -449,6 +450,7 @@ class HomogeneousPolynomial:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_numeric_cache", None)
         object.__setattr__(self, "_integer_cache", None)
+        object.__setattr__(self, "_ball_cache", None)
         object.__setattr__(self, "_derivatives", [None, None, None])
 
     def __setattr__(self, name, value):
@@ -683,8 +685,13 @@ class _IntegerPolynomial:
 class _PowerTable:
     """Coordinate of the term loop that computes each power value**e once
     and hands the same object to every term that needs it, so a batch of
-    polynomials on one point shares its powers and every value stays the
-    one ``value**e`` gives."""
+    polynomials on one point shares its powers.
+
+    The first power is the value itself: numpy runs ``x**1`` on a complex
+    array through its scalar power loop, which costs several multiplies
+    per lane.  That loop returns the value's bits on every finite or NaN
+    lane except a complex zero with a negative-signed part, which it turns
+    into +0+0j.  Every power e >= 2 is the one ``value**e`` gives."""
 
     __slots__ = ("value", "powers")
 
@@ -693,6 +700,8 @@ class _PowerTable:
         self.powers = {}
 
     def __pow__(self, e: int):
+        if e == 1:
+            return self.value
         power = self.powers.get(e)
         if power is None:
             power = self.powers[e] = self.value**e

@@ -181,23 +181,24 @@ def _cocycle_step(
     chart_out = np.argmax(np.abs(w), axis=1)
     mats = np.full((m, 2, 2), np.nan, dtype=complex)
     ok = np.isfinite(norms) & (norms > 0)
+    rows = np.nonzero(ok)[0]
+    # chart coordinates, their images and the Jacobians of the ok rows,
+    # filled one (chart_in, chart_out) group at a time
+    z = np.empty((m, 2), dtype=complex)
+    wz = np.empty((m, 2), dtype=complex)
+    jmat = np.empty((m, 2, 2), dtype=complex)
     for ci in range(3):
         for co in range(3):
-            idx = np.nonzero((chart_in == ci) & (chart_out == co) & ok)[0]
+            idx = rows[(chart_in[rows] == ci) & (chart_out[rows] == co)]
             if idx.size == 0:
                 continue
-            z1, z2 = chart_coords(ci, v[idx]).T
+            z[idx] = chart_coords(ci, v[idx])
             with np.errstate(all="ignore"):
-                w1, w2, jac, _ = chart_map(f, ci, co, z1, z2)
-            (j11, j12), (j21, j22) = jac
-            jmat = np.empty((idx.size, 2, 2), dtype=complex)
-            jmat[:, 0, 0] = j11
-            jmat[:, 0, 1] = j12
-            jmat[:, 1, 0] = j21
-            jmat[:, 1, 1] = j22
-            out_half, _ = _gram_half_factors(w1, w2)
-            _, in_half_inv = _gram_half_factors(z1, z2)
-            mats[idx] = out_half @ jmat @ in_half_inv
+                wz[idx, 0], wz[idx, 1], jac, _ = chart_map(f, ci, co, z[idx, 0], z[idx, 1])
+            (jmat[idx, 0, 0], jmat[idx, 0, 1]), (jmat[idx, 1, 0], jmat[idx, 1, 1]) = jac
+    out_half, _ = _gram_half_factors(wz[rows, 0], wz[rows, 1])
+    _, in_half_inv = _gram_half_factors(z[rows, 0], z[rows, 1])
+    mats[rows] = out_half @ jmat[rows] @ in_half_inv
     finite = np.all(np.isfinite(mats), axis=(1, 2)) & ok
     return mats, w, finite, chart_out
 

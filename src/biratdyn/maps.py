@@ -953,8 +953,9 @@ def chart_map(f: RationalSurfaceMap, chart_in: int, chart_out: int, z1, z2):
         w1 = F[out_vars[0]] / D
         w2 = F[out_vars[1]] / D
         dF = [[c.derivative(v).evaluate_numeric(hom) for v in in_vars] for c in comps]
+        D2 = D * D
         J = [[None, None], [None, None]]
         for l, out in enumerate(out_vars):
             for j in range(2):
-                J[l][j] = (dF[out][j] * D - F[out] * dF[chart_out][j]) / (D * D)
+                J[l][j] = (dF[out][j] * D - F[out] * dF[chart_out][j]) / D2
     return w1, w2, J, D

@@ -328,13 +328,17 @@ class _AffineDynamics:
         """Newton iteration for fixed points of the n-th iterate.
 
         Diverging or singular starts are replaced by NaN and ignored.  A
-        step is a function of each start's own bits, so a start whose step
+        step is a function of each start's own bits.  A start whose step
         returns its bits unchanged (a NaN, or a converged root) would repeat
-        them at every later step: only the starts still moving are stepped.
+        them at every later step, and one whose step returns its bits of
+        two steps back would alternate between its last two values.  Either
+        is stepped no more: the first keeps its bits, the second the one of
+        its two values that the parity of the steps left selects.
         """
         live = np.arange(len(x))
         lx, ly = x, y
-        for _ in range(iters):
+        px = py = None
+        for it in range(iters):
             w1, w2, (a, b, c, d) = self.advance(lx, ly, n)
             with np.errstate(all="ignore"):
                 f1, f2 = w1 - lx, w2 - ly
@@ -351,6 +355,12 @@ class _AffineDynamics:
             nx = np.where(ok, lx - dx, np.nan)
             ny = np.where(ok, ly - dy, np.nan)
             moving = _moved(nx, lx) | _moved(ny, ly)
+            if px is not None:
+                cycling = moving & ~(_moved(nx, px) | _moved(ny, py))
+                moving &= ~cycling
+                if (iters - it) % 2 == 0:  # odd steps left: a cycling start ends on lx
+                    nx = np.where(cycling, lx, nx)
+                    ny = np.where(cycling, ly, ny)
             if len(live) == len(x):  # no start frozen yet: the step is the output
                 x, y = nx, ny
             else:
@@ -358,6 +368,7 @@ class _AffineDynamics:
             live = live[moving]
             if not len(live):
                 break
+            px, py = lx[moving], ly[moving]
             lx, ly = nx[moving], ny[moving]
         return x, y
 

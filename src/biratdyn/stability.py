@@ -185,6 +185,24 @@ def _mpc(c):
     return mpmath.mpc(re, im)
 
 
+def _ball_rows(poly):
+    """A polynomial's (i, j, k, mpmath coefficient) rows and, per variable,
+    its partial's (i, j, k, float |coefficient|) rows, in sorted key order,
+    converted once per polynomial at ``SHADOW_PRECISION_BITS``."""
+    rows = poly._ball_cache
+    if rows is None:
+        with mpmath.workprec(SHADOW_PRECISION_BITS):
+            rows = (
+                tuple((*key, _mpc(c)) for key, c in sorted(poly.terms.items())),
+                tuple(
+                    tuple((*key, float(abs(_mpc(c)))) for key, c in sorted(poly.derivative(var).terms.items()))
+                    for var in range(3)
+                ),
+            )
+        object.__setattr__(poly, "_ball_cache", rows)
+    return rows
+
+
 def _eval_ball_poly(poly, ball: _Ball):
     """Evaluate with a rigorous first-order error bound.
 
@@ -193,12 +211,9 @@ def _eval_ball_poly(poly, ball: _Ball):
     the componentwise outer radii |m_i| + r_i, which dominates the
     derivative's modulus on the whole ball.
     """
+    rows, abs_rows = _ball_rows(poly)
     with mpmath.workprec(SHADOW_PRECISION_BITS):
-        val = _term_sum([(*key, _mpc(c)) for key, c in sorted(poly.terms.items())], *ball.mids)
-        abs_rows = [
-            [(*key, float(abs(_mpc(c)))) for key, c in sorted(poly.derivative(var).terms.items())]
-            for var in range(3)
-        ]
+        val = _term_sum(rows, *ball.mids)
     if val is None:
         val = mpmath.mpc(0)
     outer = [float(abs(m)) + r for m, r in zip(ball.mids, ball.rads)]

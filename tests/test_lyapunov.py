@@ -29,6 +29,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from biratdyn import lyapunov
 from biratdyn.geometry import ProjectivePoint
 from biratdyn.lyapunov import (
     AllOrbitsExcluded,
@@ -40,6 +41,7 @@ from biratdyn.lyapunov import (
     hyperbolicity_verdict,
     integrability_partial,
 )
+from biratdyn.mapfile import corpus_path, load_map
 from biratdyn.maps import derivative_norm
 from biratdyn.measure import WeightedPointCloud, saddle_cloud, saddle_periodic_points
 from biratdyn.standard_maps import henon_map, linear_map, rational_rotation_map
@@ -169,6 +171,66 @@ class TestHenonExponents:
         for p, mat in zip(points, mats):
             top = float(np.linalg.svd(mat, compute_uv=False)[0])
             assert top == pytest.approx(derivative_norm(henon, p), rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def lsigma():
+    return load_map(corpus_path("lsigma"))
+
+
+@pytest.fixture(scope="module")
+def lsigma_cloud(lsigma):
+    return saddle_cloud(lsigma, 3)
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+class TestCocycleBatching:
+    """`_cocycle_step` runs one `chart_map` per (chart_in, chart_out) group
+    and the metric correction once over the whole batch; every operation
+    acts row by row, so a batch must give each row's bits."""
+
+    @pytest.fixture(scope="class")
+    def batch(self, lsigma_cloud):
+        # the cloud, then ten points with their largest coordinate in each chart
+        placed = np.random.default_rng(11).normal(size=(30, 3, 2)) @ np.array([1, 1j])
+        for chart in range(3):
+            placed[10 * chart:10 * chart + 10, chart] *= 8
+        v = np.concatenate([np.stack([p.unit_vector() for p in lsigma_cloud.points]), placed])
+        return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("shift", [None, 1])
+    def test_batch_step_is_the_row_by_row_step(self, lsigma, batch, shift):
+        # shift=None lets each row take its largest coordinate's chart;
+        # shift=1 passes the next chart, as a chained step may
+        chart_in = None if shift is None else (np.argmax(np.abs(batch), axis=1) + shift) % 3
+        got = _cocycle_step(lsigma, batch, chart_in)
+        charts = np.argmax(np.abs(batch), axis=1) if chart_in is None else chart_in
+        assert len(set(zip(charts.tolist(), got[3].tolist()))) == 9
+        for k in range(len(batch)):
+            row = _cocycle_step(lsigma, batch[k:k + 1], None if chart_in is None else chart_in[k:k + 1])
+            assert all(same_bits(g[k:k + 1], r) for g, r in zip(got, row)), k
+
+    def test_two_metric_factor_calls_per_step(self, lsigma, lsigma_cloud, monkeypatch):
+        calls = {"gram": 0, "step": 0}
+        gram, step = lyapunov._gram_half_factors, lyapunov._cocycle_step
+
+        def counted_gram(*args):
+            calls["gram"] += 1
+            return gram(*args)
+
+        def counted_step(*args):
+            calls["step"] += 1
+            return step(*args)
+
+        monkeypatch.setattr(lyapunov, "_gram_half_factors", counted_gram)
+        monkeypatch.setattr(lyapunov, "_cocycle_step", counted_step)
+        cocycle_exponents(lsigma, lsigma_cloud, 12)
+        # twelve cocycle steps and the integrability check's one
+        assert calls == {"gram": 2 * 13, "step": 13}
 
 
 class TestExclusion:

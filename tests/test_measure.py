@@ -309,8 +309,10 @@ class TestSaddleSearch:
         assert 0 < stepped < full / 2
 
 
-def full_lane_newton(dyn, x, y, n, iters=measure._NEWTON_ITERS):
-    """The Newton loop stepping every start at every iteration (oracle)."""
+def full_lane_steps(dyn, x, y, n, iters):
+    """The starts and every iterate of the Newton loop that steps every
+    start at every iteration (oracle)."""
+    steps = [(x, y)]
     for _ in range(iters):
         w1, w2, (a, b, c, d) = dyn.advance(x, y, n)
         with np.errstate(all="ignore"):
@@ -327,7 +329,28 @@ def full_lane_newton(dyn, x, y, n, iters=measure._NEWTON_ITERS):
         )
         x = np.where(ok, x - dx, np.nan)
         y = np.where(ok, y - dy, np.nan)
-    return x, y
+        steps.append((x, y))
+    return steps
+
+
+def full_lane_newton(dyn, x, y, n, iters=measure._NEWTON_ITERS):
+    return full_lane_steps(dyn, x, y, n, iters)[-1]
+
+
+def lanes_stepped(steps):
+    """Steps a start needs before its value is known: the first k >= 1 at
+    which its bits repeat those of step k - 1 or k - 2, or all of them;
+    summed over the starts."""
+    bits = [np.stack([x, y], axis=1).view(np.int64) for x, y in steps]
+    need = np.full(len(bits[0]), len(steps) - 1)
+    open_ = np.ones(len(bits[0]), dtype=bool)
+    for k in range(1, len(steps)):
+        repeat = np.all(bits[k] == bits[k - 1], axis=1)
+        if k >= 2:
+            repeat |= np.all(bits[k] == bits[k - 2], axis=1)
+        need[open_ & repeat] = k
+        open_ &= ~repeat
+    return int(need.sum())
 
 
 def sequential_dedupe(found, new):
@@ -435,9 +458,31 @@ class TestSearchKernels:
         x, y = sobol_starts(period, size=512)
         for f in smoke_maps():
             dyn = measure._AffineDynamics(f, 2)
-            got = dyn.newton(x, y, period)
-            want = full_lane_newton(dyn, x, y, period)
-            assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), f.name
+            for iters in (11, 59, measure._NEWTON_ITERS):
+                got = dyn.newton(x, y, period, iters)
+                want = full_lane_newton(dyn, x, y, period, iters)
+                assert same_bits(got[0], want[0]) and same_bits(got[1], want[1]), (f.name, iters)
+
+    @pytest.mark.parametrize("name", ["henon", "lsigma"])
+    @pytest.mark.parametrize("period", [2, 3])
+    @pytest.mark.parametrize("iters", [11, 59, 60])
+    def test_newton_steps_each_start_until_its_value_is_known(self, name, period, iters):
+        # odd and even iteration counts leave a start frozen in a 2-cycle
+        # on either of its two values; every start is stepped exactly until
+        # its bits repeat those of one or two steps back
+        dyn = measure._AffineDynamics(load_map(corpus_path(name)), 2)
+        advance, stepped = dyn.advance, [0]
+
+        def counted(x, y, n):
+            stepped[0] += len(x)
+            return advance(x, y, n)
+
+        dyn.advance = counted
+        x, y = sobol_starts(period)
+        got = dyn.newton(x, y, period, iters)
+        steps = full_lane_steps(measure._AffineDynamics(dyn._f, 2), x, y, period, iters)
+        assert same_bits(got[0], steps[-1][0]) and same_bits(got[1], steps[-1][1])
+        assert stepped[0] == lanes_stepped(steps)
 
     def test_newton_leaves_its_input_alone(self, henon):
         dyn = measure._AffineDynamics(henon, 2)

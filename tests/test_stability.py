@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from biratdyn import stability
 from biratdyn.geometry import ComplexRational, HomogeneousPolynomial, ProjectivePoint, proj_distance
 from biratdyn.maps import DEFAULT_COEFF_BIT_CAP, EPS_EXCEPTIONAL, compose
 from biratdyn.stability import (
@@ -397,6 +398,29 @@ class TestShadowBalls:
         except StabilityError:
             assume(False)  # the ball meets the indeterminacy set
         assert _eval_ball_poly(poly, stepped) == reference_eval_ball_poly(poly, stepped)
+
+
+    def test_continuation_converts_each_coefficient_once(self, monkeypatch):
+        # the rows are cached on the polynomials: across the whole
+        # continuation each coefficient of the components and of their
+        # partials reaches mpmath once, and the balls are those of rows
+        # rebuilt at every step
+        f = twisted_involution()
+        calls = []
+        mpc = stability._mpc
+        monkeypatch.setattr(stability, "_mpc", lambda c: calls.append(c) or mpc(c))
+        ball = oracle = _Ball.from_point(P(1, 2, 5))
+        calls.clear()
+        for _ in range(20):
+            ball = _step_ball(f, ball)
+            vals, rads = zip(*(reference_eval_ball_poly(c, oracle) for c in f.components))
+            oracle = _Ball._normalized(vals, rads)
+            assert ball.mids == oracle.mids and ball.rads == oracle.rads
+        coefficients = sum(
+            len(c.terms) + sum(len(c.derivative(var).terms) for var in range(3))
+            for c in f.components
+        )
+        assert len(calls) == coefficients
 
 
 class TestSummabilityOnMaps:
