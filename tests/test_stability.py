@@ -399,7 +399,6 @@ class TestShadowBalls:
             assume(False)  # the ball meets the indeterminacy set
         assert _eval_ball_poly(poly, stepped) == reference_eval_ball_poly(poly, stepped)
 
-
     def test_continuation_converts_each_coefficient_once(self, monkeypatch):
         # the rows are cached on the polynomials: across the whole
         # continuation each coefficient of the components and of their
