@@ -20,12 +20,11 @@ beta denotes the Euclidean form.  Everything in this module reduces to
 these two densities:
 
 * ``energy`` -- the seminorm pairing  E_T(phi, psi) = int d(phi)^d^c(psi)^T;
-* ``regularize`` -- the standard decreasing smooth approximants
-  u_j = m(u + j) - j of a function with logarithmic poles;
 * ``energy_monotonicity_check`` -- the two-sided comparison inequality for
   ordered smooth functions with bounded complex Hessian;
-* ``cauchy_diagnostic`` -- pairwise seminorm distances |u_j - u_k|_T of a
-  regularizing sequence, with a decay flag;
+* ``cauchy_diagnostic`` -- pairwise seminorm distances |u_j - u_k|_T of the
+  standard decreasing smooth approximants u_j = m(u + j) - j of a function
+  with logarithmic poles, with a decay flag;
 * ``pushforward_energy_check`` -- the change-of-variables identity
   relating |u ∘ f|_T on a source window to |u| against the pushed-forward
   form on the image window.
@@ -83,7 +82,6 @@ __all__ = [
     "bump_function",
     "complex_hessian",
     "energy",
-    "regularize",
     "energy_monotonicity_check",
     "cauchy_diagnostic",
     "pushforward_energy_check",
@@ -93,7 +91,8 @@ __all__ = [
 _POSITIVITY_TOL = 1e-12
 # central-difference step of the numeric complex Hessian
 _HESSIAN_STEP = 1e-5
-# half-width of the band in which ``regularize`` smooths max(u, -j)
+# half-width of the band in which the approximant u_j of
+# ``cauchy_diagnostic`` smooths max(u, -j)
 _SMOOTHING_WIDTH = 0.25
 # a regularizing sequence decays when its last consecutive distance is at
 # most this fraction of the first, or below the floor
@@ -642,32 +641,6 @@ def _m_slope(t: np.ndarray, delta: float) -> np.ndarray:
     return np.clip((t + delta) / (2.0 * delta), 0.0, 1.0)
 
 
-def regularize(u: ChartFunction, j: float, delta: float = _SMOOTHING_WIDTH) -> ChartFunction:
-    """Level-j smooth majorant u_j = m(u + j) - j of a function with log
-    poles: u_j = u where u >= -j + delta, u_j = -j where u <= -j - delta,
-    and u_j decreases pointwise as j increases."""
-    if delta <= 0:
-        raise EnergyError("smoothing width must be positive")
-    level = float(j)
-
-    def jet(z1, z2):
-        # m(u + j) - j with m the C^1 convex interpolation of max(0, t),
-        # arranged so u_j equals u exactly above the band and -j below it;
-        # the gradient is m'(u + j) grad(u)
-        p = u(z1, z2)
-        t = p.value + level
-        slope = _m_slope(t, delta)
-        with np.errstate(invalid="ignore", over="ignore"):
-            band = (t + delta) ** 2 / (4.0 * delta) - level
-            return Jet(
-                np.where(t >= delta, p.value, np.where(t <= -delta, -level, band)),
-                np.where(slope > 0.0, slope * p.d1, 0.0),
-                np.where(slope > 0.0, slope * p.d2, 0.0),
-            )
-
-    return ChartFunction(jet)
-
-
 @dataclass(frozen=True)
 class CauchyDiagnostic:
     """Pairwise seminorm distances |u_j - u_k|_T of a regularizing sequence.
@@ -690,8 +663,14 @@ def cauchy_diagnostic(
     levels: Iterable[float],
 ) -> CauchyDiagnostic:
     """Seminorm distance matrix of the regularized levels of ``u`` against
-    ``T``.  Uses the chain rule grad(u_j) = m'(u + j) grad(u), so only one
-    gradient field of ``u`` is ever evaluated.
+    ``T``.
+
+    The level-j approximant of a function ``u`` with log poles is
+    u_j = m(u + j) - j, with m the C^1 convex interpolation of max(0, t)
+    across the band |t| <= ``_SMOOTHING_WIDTH``: u_j = u above the band,
+    u_j = -j below it, and u_j decreases pointwise as j increases.  Only
+    its gradient enters, by the chain rule grad(u_j) = m'(u + j) grad(u),
+    so one gradient field of ``u`` is evaluated and the u_j never are.
 
     The grid is walked in the chunks of the change of variables: on each
     chunk ``u``'s jet and ``T``'s coefficients are evaluated once, ``T`` is

@@ -158,7 +158,7 @@ def map_from_payload(payload: dict) -> RationalSurfaceMap:
     if not isinstance(name, str) or not name:
         raise MapFileError("name must be a nonempty string")
     degree = payload["degree"]
-    if not isinstance(degree, int) or degree < 1:
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
         raise MapFileError("degree must be a positive integer")
     f = _map_from_triple(payload["forward"], degree, "forward", name=name)
     if payload.get("inverse") is not None:

@@ -1,10 +1,11 @@
 """Rational self-maps of the projective plane and their basic algebra.
 
 A map is a triple of coprime homogeneous polynomials over Q(i) of common
-degree.  This module covers evaluation (with blowup and collapse
-detection), exact composition with coefficient-size caps, indeterminacy
-and critical loci, degree sequences under iteration, and
-derivative data in affine charts and in the Fubini-Study metric.
+degree.  This module covers evaluation (`image_point`, None on the
+indeterminacy set), exact composition with coefficient-size caps,
+indeterminacy and critical loci with the contracted curves, degree
+sequences under iteration, and derivative data in affine charts and in the
+Fubini-Study metric.
 
 The affine charts of the plane are reached through one embedding pair,
 `chart_embed` and `chart_coords`, which the potential, energy,
@@ -42,7 +43,7 @@ from .geometry import (
 
 # hard cap on exact coefficient size; beyond this exact iteration stops
 DEFAULT_COEFF_BIT_CAP = 1 << 16
-# membership tolerance for exceptional curves at unit representatives
+# chordal distance that counts as landing on an exceptional point
 EPS_EXCEPTIONAL = 1e-6
 # tolerance for numeric indeterminacy detection at unit representatives
 EPS_INDETERMINACY = 1e-9
@@ -76,22 +77,6 @@ class CoefficientOverflow(MapError):
 
 class PositiveDimensionalLocus(MapError):
     """The requested locus contains a curve, not just points."""
-
-
-@dataclass(frozen=True)
-class MapImage:
-    """Result of applying a map at a point.
-
-    kind is one of "point", "blowup", "collapsed".  A blowup result
-    carries the total image curve when it could be determined exactly
-    (requires the inverse map); a collapsed result carries the image
-    point together with the contracted curve through the argument.
-    """
-
-    kind: str
-    point: Optional[ProjectivePoint] = None
-    curve: Optional[HomogeneousPolynomial] = None
-    curve_known: bool = True
 
 
 @dataclass(frozen=True)
@@ -205,9 +190,6 @@ class RationalSurfaceMap:
             self._jacobian_det = _det3(self.jacobian_matrix())
         return self._jacobian_det
 
-    def evaluate_exact(self, coords) -> tuple[ComplexRational, ComplexRational, ComplexRational]:
-        return tuple(c.evaluate_exact(coords) for c in self.components)
-
     def evaluate_numeric(self, vec3: np.ndarray) -> np.ndarray:
         return np.array([c.evaluate_numeric(vec3) for c in self.components], dtype=np.complex128)
 
@@ -307,52 +289,16 @@ def image_point(f: RationalSurfaceMap, p: ProjectivePoint) -> Optional[Projectiv
     return ProjectivePoint(vals, exact=False)
 
 
-def apply(f: RationalSurfaceMap, p: ProjectivePoint) -> MapImage:
-    """Apply f at p, labelling the exceptional cases.
-
-    Returns a Point image away from the exceptional loci; a Blowup marker
-    (with total image curve when the inverse is attached) where
-    `image_point` finds p indeterminate; a Collapsed marker with the image
-    point on contracted critical curves.
-    """
-    image = image_point(f, p)
-    if image is None:
-        return _blowup_image(f, p)
-    on_curve = _contracted_factor_through(f, p)
-    if on_curve is not None:
-        return MapImage(kind="collapsed", point=image, curve=on_curve)
-    return MapImage(kind="point", point=image)
-
-
-def _contracted_factor_through(f: RationalSurfaceMap, p: ProjectivePoint):
-    for factor, target in f.contractions():
-        if target is None:
-            continue
-        if p.exact:
-            if factor.evaluate_exact(p.coords).is_zero():
-                return factor
-        else:
-            scale = math.sqrt(sum(abs(complex(c)) ** 2 for c in factor.terms.values()))
-            if abs(factor.evaluate_numeric(p.unit_vector())) < EPS_EXCEPTIONAL * scale:
-                return factor
-    return None
-
-
-def _blowup_image(f: RationalSurfaceMap, p: ProjectivePoint) -> MapImage:
+def _blowup_image(f: RationalSurfaceMap, p: ProjectivePoint) -> Optional[HomogeneousPolynomial]:
+    """Total image curve of a point p of I(f): the product of the critical
+    factors that the inverse contracts onto p (Diller-Favre stabilization,
+    ROADMAP item 4).  None for a numeric p, a map without an inverse, or no
+    contracted factor of the inverse landing on p."""
     if not p.exact or f.inverse is None:
-        return MapImage(kind="blowup", curve=None, curve_known=False)
-    # the total image of a blown-up point consists of the inverse-critical
-    # curves that the inverse contracts onto that point
-    pieces = []
-    for factor, target in f.inverse.contractions():
-        if target is not None and proj_distance(p.numeric(), target) < EPS_EXCEPTIONAL:
-            pieces.append(factor)
-    if not pieces:
-        return MapImage(kind="blowup", curve=None, curve_known=False)
-    curve = pieces[0]
-    for extra in pieces[1:]:
-        curve = curve * extra
-    return MapImage(kind="blowup", curve=curve, curve_known=True)
+        return None
+    pieces = [factor for factor, target in f.inverse.contractions()
+              if target is not None and proj_distance(p.numeric(), target) < EPS_EXCEPTIONAL]
+    return math.prod(pieces[1:], start=pieces[0]) if pieces else None
 
 
 def _contraction_target(f: RationalSurfaceMap, factor: HomogeneousPolynomial):

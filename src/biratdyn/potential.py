@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .geometry import GeometryError, ProjectivePoint, _term_sum
-from .maps import RationalSurfaceMap, chart_embed
+from .maps import RationalSurfaceMap, chart_embed, image_point
 
 __all__ = [
     "PotentialError",
@@ -69,12 +69,6 @@ class OrbitHitIndeterminacy(PotentialError):
 
 class InsufficientSamples(PotentialError):
     pass
-
-
-def _exact_on_indeterminacy(f: RationalSurfaceMap, p: ProjectivePoint) -> bool:
-    if not p.exact:
-        return False
-    return all(v.is_zero() for v in f.evaluate_exact(p.coords))
 
 
 def _norms(w):
@@ -183,11 +177,12 @@ def _green_sums(f: RationalSurfaceMap, logs) -> np.ndarray:
 def _point_logs(f: RationalSurfaceMap, points, N: int):
     """Kernel logs of a list of points, one lane each.
 
-    A point given exactly on I(f) takes no step: its logs are all -inf.
+    A point given exactly on I(f), where its exact :func:`image_point` is
+    None, takes no step: its logs are all -inf.
     The first lane in order that hits the floor raises
     :class:`OrbitHitIndeterminacy`.
     """
-    on_i = np.array([_exact_on_indeterminacy(f, p) for p in points], dtype=bool)
+    on_i = np.array([p.exact and image_point(f, p) is None for p in points], dtype=bool)
     lifts = np.array([p.unit_vector() for p in points], dtype=complex).reshape(-1, 3)
     logs = np.full((len(points), N), -math.inf)
     logs[~on_i], floor = _orbit(f, lifts[~on_i], N)

@@ -61,7 +61,7 @@ from biratdyn.energy import (
 from biratdyn.geometry import ProjectivePoint
 from biratdyn.lyapunov import cocycle_exponents, hyperbolicity_verdict
 from biratdyn.mapfile import corpus_path, load_map
-from biratdyn.maps import apply, compose, degree_sequence
+from biratdyn.maps import compose, degree_sequence, image_point
 from biratdyn.measure import (
     bump_observable,
     cloud_agreement,
@@ -137,8 +137,7 @@ def test_1_exact_algebra_composition_degrees_and_loci(maps):
     square = compose(sigma, sigma)
     assert square.degree == 1
     for p in (P(1, 2, 3), P(1, 1, 1), P(-5, 7, 11), P(2, -3, 1)):
-        image = apply(square, p)
-        assert image.kind == "point" and image.point.same_point(p)
+        assert image_point(square, p).same_point(p)
 
     assert list(degree_sequence(h, 5).degrees) == [2, 4, 8, 16, 32]
     assert list(degree_sequence(sigma, 5).degrees) == [2, 1, 2, 1, 2]

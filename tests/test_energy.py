@@ -44,7 +44,6 @@ from biratdyn.energy import (
     log_distance,
     pushforward_energy_check,
     random_trig,
-    regularize,
     smoothed_log_distance,
     smoothed_log_form,
 )
@@ -290,53 +289,6 @@ class TestChartFunctions:
         assert np.allclose(fa, 2 * np.real(h11), atol=1e-6)
         assert np.allclose(fb, 2 * h12, atol=1e-6)
         assert np.allclose(fc, 2 * np.real(h22), atol=1e-6)
-
-
-# ---------------------------------------------------------------------------
-# regularization of log singularities
-# ---------------------------------------------------------------------------
-
-
-class TestRegularize:
-    U = log_distance((0.0, 0.0))
-
-    def test_untouched_on_unit_sphere(self):
-        u2 = regularize(self.U, 2, 0.25)
-        z1 = np.array([1.0 + 0j])
-        z2 = np.array([0.0 + 0j])
-        assert u2(z1, z2).value[0] == 0.0
-        assert u2(z1, z2).d1[0] == self.U(z1, z2).d1[0]
-
-    def test_clamped_near_singularity(self):
-        u2 = regularize(self.U, 2, 0.25)
-        z1 = np.array([1e-9 + 0j])
-        z2 = np.array([0.0 + 0j])
-        assert u2(z1, z2).value[0] == -2.0
-        assert u2(z1, z2).d1[0] == 0.0
-
-    def test_majorizes_and_decreases_in_level(self):
-        rng = np.random.default_rng(20260825)
-        z1 = rng.uniform(-1, 1, 1000) + 1j * rng.uniform(-1, 1, 1000)
-        z2 = rng.uniform(-1, 1, 1000) + 1j * rng.uniform(-1, 1, 1000)
-        u = self.U(z1, z2).value
-        u2 = regularize(self.U, 2, 0.25)(z1, z2).value
-        u3 = regularize(self.U, 3, 0.25)(z1, z2).value
-        assert np.all(u2 >= u - 1e-12)
-        assert np.all(u3 >= u - 1e-12)
-        assert np.all(u3 <= u2 + 1e-12)
-        untouched = u >= -2 + 0.25
-        assert np.array_equal(u2[untouched], u[untouched])
-        clamped = u <= -2 - 0.25
-        assert np.all(u2[clamped] == -2.0)
-
-    def test_smooth_band_gradient_matches_finite_differences(self):
-        u1 = regularize(self.U, 1, 0.5)
-        # |z| = e^{-1} puts u + j = 0 in the middle of the smoothing band
-        z1 = np.array([math.exp(-1) + 0j])
-        z2 = np.array([0.0 + 0j])
-        got = u1(z1, z2).d1
-        ref = _fd_wirtinger(u1, z1, z2, 1)
-        assert np.allclose(got, ref, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ inverse, and the oracle's first drop against the hits of
 alongside.
 
 The same maps, and the bundled corpus, check the two shortcuts the
-command-line path takes: `image_point` against the labelled `apply`, and
-`plane_expansion_rate` against the composed degree sequence.
+command-line path takes: `image_point` against the image summed in Q(i)
+and on the point's numeric copy, and `plane_expansion_rate` against the
+composed degree sequence.
 `orbit_walk`, the walker of both the degree check and the stability
 diagnostics, stops at exactly the exact hits that `exceptional_orbits`
 records.
@@ -33,14 +34,13 @@ from hypothesis import strategies as st
 from biratdyn import cli, maps, stability
 from biratdyn.cli import main
 from biratdyn.cohomology import NoExpansion, SpectralError, plane_expansion_rate
-from biratdyn.geometry import ProjectivePoint
+from biratdyn.geometry import ProjectivePoint, proj_distance
 from biratdyn.mapfile import corpus_path, load_map, save_map
 from biratdyn.maps import (
     DEFAULT_COEFF_BIT_CAP,
     DEGREE_CHECK_ITERATES,
     RationalSurfaceMap,
     _composed_degree_sequence,
-    apply,
     compose,
     degree_sequence,
     image_point,
@@ -49,6 +49,7 @@ from biratdyn.maps import (
 )
 from biratdyn.stability import StabilityError, exceptional_orbits, summability
 from biratdyn.standard_maps import cremona_involution, henon_map, linear_map
+from test_exact_kernel import oracle_image
 
 SETTINGS = settings(max_examples=20, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -167,17 +168,24 @@ def test_generated_map_orbit_walk_stops_at_exact_hits(m, horizon):
 
 
 def check_image_point(f, triple):
-    """`image_point` is `apply(f, p).point` at a generic point and at every
-    exceptional point, each taken both exact and numeric."""
+    """`image_point` at a generic point and at every exceptional point: on
+    the exact point it is the image summed in Q(i) (`oracle_image`), None
+    exactly where that is; on the point's numeric copy it is None exactly
+    where the exact image is, and otherwise within 1e-12 of it."""
     exact = [ProjectivePoint.exact_point(*triple),
              *f.indeterminacy_set(), *f.inverse.indeterminacy_set()]
-    for p in exact + [q.numeric() for q in exact]:
-        got, want = image_point(f, p), apply(f, p).point
+    for p in exact:
+        assert p.exact
+        got, want = image_point(f, p), oracle_image(f, p)
         if want is None:
             assert got is None
         else:
-            assert got.exact == want.exact
-            assert all(a == b for a, b in zip(got.coords, want.coords))
+            assert got.exact and got.coords == want
+        numeric = image_point(f, p.numeric())
+        if got is None:
+            assert numeric is None
+        else:
+            assert not numeric.exact and proj_distance(numeric, got.numeric()) <= 1e-12
 
 
 def check_expansion_rate(f):

@@ -110,6 +110,15 @@ class TestValidation:
         with pytest.raises(MapFileError, match="denominator"):
             load_map(path)
 
+    def test_boolean_degree_rejected(self, tmp_path):
+        # True is an int equal to 1, the degree of the linear corpus map
+        payload = json.loads(corpus_path("linear").read_text())
+        payload["degree"] = True
+        path = tmp_path / "bad.map"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(MapFileError, match="degree"):
+            load_map(path)
+
     def test_duplicate_term_rejected(self, tmp_path):
         payload = map_payload(cremona_involution())
         payload["forward"][0].append(list(payload["forward"][0][0]))

@@ -56,10 +56,16 @@ def random_points(n, seed):
 # ---------------------------------------------------------------------------
 
 
+def exact_on_indeterminacy(f, p):
+    """p is given exactly and every component vanishes there, summed in
+    Q(i) rather than on the integer rows `image_point` uses."""
+    return p.exact and all(c.evaluate_exact(p.coords).is_zero() for c in f.components)
+
+
 def oracle_gamma_plus(f, p):
     """The step potential ``log norm(F(z)) / d`` of one point as the scalar
     step computed it; minus infinity exactly on I(f)."""
-    if potential._exact_on_indeterminacy(f, p):
+    if exact_on_indeterminacy(f, p):
         return -math.inf
     w = f.evaluate_numeric(p.unit_vector())
     norm = float(np.linalg.norm(w))
@@ -73,7 +79,7 @@ def oracle_orbit_logs(f, p, N):
     a zero image gives a last -inf entry, an image below the floor raises."""
     pts = []
     logs = []
-    if potential._exact_on_indeterminacy(f, p):
+    if exact_on_indeterminacy(f, p):
         return [p.unit_vector()], [-math.inf]
     v = p.unit_vector()
     scale = f.coeff_scale()
